@@ -1,45 +1,49 @@
 """Command line front end.
 
 One subcommand per check kind, reading a payload document from a JSON
-file, plus `corpus run` to execute the packaged worked examples.  All
-output is deterministic; `--timing` adds wall-clock fields and is off
-by default so that repeated runs emit identical bytes.
+file, plus `corpus run` to execute the packaged worked examples.  The
+subcommands are built in a loop over `runner.KINDS`, the one table of
+check kinds: each row gives the command words (`h1`, or a group and a
+word such as `order classify`) and the help line, and every subcommand
+runs its document through `runner.run_check`.  All output is
+deterministic; `--timing` adds wall-clock fields and is off by default
+so that repeated runs emit identical bytes.
 
 Exit codes: 0 every check passed, 1 at least one comparison failed,
-2 a file or computation was rejected.
+2 a file or computation was rejected.  Errors inside a check go to the
+report on stdout; a file that cannot be read or has the wrong schema or
+kind is reported on stderr.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 from . import jsonio
 from .errors import K3OrdError, SchemaError
-from .jsonio import as_int_matrix, require
-from .matrices import signature
+from .jsonio import require
 from .runner import (
-    ERROR,
-    FAIL,
-    PASS,
+    KINDS,
     CheckOutcome,
     Report,
     exit_code,
+    load_expected,
     run_check,
     run_corpus,
     summary_tree,
 )
 
-_SINGLE_KINDS = {
-    "embed-check": "embedding-check",
-    "isometry": "isometry-extend",
-    "h1": "h1",
-    "quotient-pic": "quotient-pic",
-    "ample": "ample-cert",
-    ("order", "classify"): "order-classify",
-    ("fibration", "h1"): "fibration-h1",
-    ("twist", "check"): "twist-check",
+_GROUP_HELP = {
+    "order": "order computations",
+    "fibration": "section-group computations",
+    "twist": "twist class checks",
 }
+
+# Kinds whose documents are flat, with the payload fields at the top level
+# rather than under "payload", and the help for their file argument.
+_FLAT_DOCUMENTS = {"signature": "JSON document with a gram field"}
 
 _VALUE_LIMIT = 100
 
@@ -87,12 +91,6 @@ def _print_report(report: Report, fmt: str) -> None:
         print(_render_report(report))
 
 
-def _load_expected(path) -> dict:
-    doc = jsonio.load_file(path)
-    jsonio.check_schema(doc, "expected document")
-    return jsonio.as_dict(require(doc, "expected", "expected document"), "expected")
-
-
 def _run_single(kind: str, args) -> int:
     doc = jsonio.load_file(args.file)
     jsonio.check_schema(doc, "payload document")
@@ -101,8 +99,13 @@ def _run_single(kind: str, args) -> int:
         raise SchemaError(
             f"file declares kind {declared!r}, subcommand runs {kind!r}"
         )
-    payload = jsonio.as_dict(require(doc, "payload", "payload document"), "payload")
-    expected = _load_expected(args.expect) if args.expect else None
+    if kind in _FLAT_DOCUMENTS:
+        payload = doc
+    else:
+        payload = jsonio.as_dict(
+            require(doc, "payload", "payload document"), "payload"
+        )
+    expected = load_expected(args.expect) if args.expect else None
     outcome = run_check(kind, kind, payload, expected, args.timing)
     report = Report(
         case_id=Path(args.file).stem,
@@ -113,54 +116,18 @@ def _run_single(kind: str, args) -> int:
     return exit_code([report])
 
 
-def _run_signature(args) -> int:
-    doc = jsonio.load_file(args.file)
-    jsonio.check_schema(doc, "payload document")
-    gram = as_int_matrix(require(doc, "gram", "payload document"))
-    if not gram.is_square:
-        raise SchemaError("gram matrix must be square")
-    pos, neg, zero = signature(gram)
-    computed = {
-        "positive": str(pos),
-        "negative": str(neg),
-        "zero": str(zero),
-    }
-    expected = _load_expected(args.expect) if args.expect else None
-    diff = []
-    if expected is not None:
-        for key in sorted(expected):
-            if key in ("source", "note"):
-                continue
-            got = computed.get(key)
-            if got != expected[key]:
-                diff.append(
-                    {"field": key, "expected": expected[key], "computed": got}
-                )
-    outcome = CheckOutcome(
-        name="signature",
-        kind="signature",
-        verdict=PASS if not diff else FAIL,
-        computed=computed,
-        diff=tuple(diff) if diff else None,
-    )
-    report = Report(Path(args.file).stem, outcome.verdict, (outcome,))
-    _print_report(report, args.format)
-    return exit_code([report])
-
-
 def _run_corpus_cmd(args) -> int:
     reports = run_corpus(args.corpus, args.case, args.timing)
+    summary = summary_tree(reports)
     if args.format == "json":
-        sys.stdout.write(jsonio.dumps_canonical(summary_tree(reports)))
+        sys.stdout.write(jsonio.dumps_canonical(summary))
     else:
         for report in reports:
             print(_render_report(report))
-        totals = {PASS: 0, FAIL: 0, ERROR: 0}
-        for report in reports:
-            totals[report.verdict] += 1
+        totals = summary["totals"]
         print(
-            f"total: {len(reports)} cases, {totals[PASS]} pass, "
-            f"{totals[FAIL]} fail, {totals[ERROR]} error"
+            f"total: {len(reports)} cases, {totals['pass']} pass, "
+            f"{totals['fail']} fail, {totals['error']} error"
         )
     return exit_code(reports)
 
@@ -179,14 +146,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_single(subparsers, name: str, kind: str, doc: str) -> None:
-    parser = subparsers.add_parser(name, help=doc, description=doc)
-    parser.add_argument("file", help="payload JSON document")
-    parser.add_argument("--expect", help="expected-values JSON document")
-    _add_common(parser)
-    parser.set_defaults(handler=lambda args: _run_single(kind, args))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="k3ord",
@@ -194,69 +153,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    sig = subparsers.add_parser(
-        "signature", help="signature of an integer Gram matrix"
-    )
-    sig.add_argument("file", help="JSON document with a gram field")
-    sig.add_argument("--expect", help="expected-values JSON document")
-    _add_common(sig)
-    sig.set_defaults(handler=_run_signature)
-
-    _add_single(
-        subparsers,
-        "embed-check",
-        "embedding-check",
-        "isometry, primitivity, and signature of a lattice embedding",
-    )
-    _add_single(
-        subparsers,
-        "isometry",
-        "isometry-extend",
-        "extend a sublattice action by -1 on its complement",
-    )
-    _add_single(
-        subparsers, "h1", "h1", "first cohomology of a cyclic lattice action"
-    )
-    _add_single(
-        subparsers,
-        "quotient-pic",
-        "quotient-pic",
-        "fixed sublattice and half-pairing quotient of an involution",
-    )
-    _add_single(
-        subparsers, "ample", "ample-cert", "positivity certificate for a class"
-    )
-
-    order = subparsers.add_parser("order", help="order computations")
-    order_sub = order.add_subparsers(dest="subcommand", required=True)
-    classify = order_sub.add_parser(
-        "classify",
-        help="canonical class and type of a numerically described order",
-    )
-    classify.add_argument("file", help="payload JSON document")
-    classify.add_argument("--expect", help="expected-values JSON document")
-    _add_common(classify)
-    classify.set_defaults(handler=lambda args: _run_single("order-classify", args))
-
-    fibration = subparsers.add_parser("fibration", help="section-group computations")
-    fibration_sub = fibration.add_subparsers(dest="subcommand", required=True)
-    fib_h1 = fibration_sub.add_parser(
-        "h1", help="structured H^1 of a block action on a section group"
-    )
-    fib_h1.add_argument("file", help="payload JSON document")
-    fib_h1.add_argument("--expect", help="expected-values JSON document")
-    _add_common(fib_h1)
-    fib_h1.set_defaults(handler=lambda args: _run_single("fibration-h1", args))
-
-    twist = subparsers.add_parser("twist", help="twist class checks")
-    twist_sub = twist.add_subparsers(dest="subcommand", required=True)
-    twist_check = twist_sub.add_parser(
-        "check", help="cocycle and coboundary conditions for a twist"
-    )
-    twist_check.add_argument("file", help="payload JSON document")
-    twist_check.add_argument("--expect", help="expected-values JSON document")
-    _add_common(twist_check)
-    twist_check.set_defaults(handler=lambda args: _run_single("twist-check", args))
+    groups = {}
+    for kind, row in KINDS.items():
+        *group, word = row.words
+        target = subparsers
+        if group:
+            (name,) = group
+            if name not in groups:
+                groups[name] = subparsers.add_parser(
+                    name, help=_GROUP_HELP[name]
+                ).add_subparsers(dest="subcommand", required=True)
+            target = groups[name]
+        single = target.add_parser(word, help=row.help, description=row.help)
+        single.add_argument(
+            "file", help=_FLAT_DOCUMENTS.get(kind, "payload JSON document")
+        )
+        single.add_argument("--expect", help="expected-values JSON document")
+        _add_common(single)
+        single.set_defaults(handler=functools.partial(_run_single, kind))
 
     corpus = subparsers.add_parser("corpus", help="packaged worked examples")
     corpus_sub = corpus.add_subparsers(dest="subcommand", required=True)

@@ -12,6 +12,7 @@ reports are equal bytes.
 """
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Union
@@ -20,6 +21,9 @@ from .errors import ParseError, SchemaError
 from .matrices import IntMatrix, RatMatrix
 
 SCHEMA = "k3ord/1"
+
+# ASCII only: str.isdigit and int() also take other Unicode digits
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def _reject_number(token):
@@ -94,10 +98,8 @@ def encode(value):
 
 
 def as_int(node, what: str = "integer") -> int:
-    if isinstance(node, str):
-        stripped = node[1:] if node.startswith("-") else node
-        if stripped.isdigit():
-            return int(node)
+    if isinstance(node, str) and _DECIMAL.fullmatch(node):
+        return int(node)
     raise SchemaError(f"expected a decimal string for {what}, got {node!r}")
 
 

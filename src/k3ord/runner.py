@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import jsonio
 from .cohomology import GLattice, fixed_sublattice, h1, half_gram_quotient, norm_and_diff
@@ -95,6 +95,14 @@ def _embedding_from(payload: dict) -> Embedding:
             f"{target.rank}x{source.rank}"
         )
     return Embedding(source, target, columns)
+
+
+def _run_signature(payload: dict):
+    gram = as_int_matrix(require(payload, "gram", "payload"))
+    if not gram.is_square:
+        raise SchemaError("gram matrix must be square")
+    pos, neg, zero = signature(gram)
+    return {"positive": pos, "negative": neg, "zero": zero}, ()
 
 
 def _run_embedding_check(payload: dict):
@@ -360,15 +368,54 @@ def _run_twist_check(payload: dict):
     return computed, ()
 
 
-KIND_HANDLERS = {
-    "embedding-check": _run_embedding_check,
-    "isometry-extend": _run_isometry_extend,
-    "h1": _run_h1,
-    "quotient-pic": _run_quotient_pic,
-    "ample-cert": _run_ample_cert,
-    "order-classify": _run_order_classify,
-    "fibration-h1": _run_fibration_h1,
-    "twist-check": _run_twist_check,
+class CheckKind(NamedTuple):
+    """A check kind: its handler, its command-line words and its help line."""
+
+    handler: Callable[[dict], tuple]
+    words: tuple[str, ...]
+    help: str
+
+
+# The one list of check kinds.  The runner dispatches on it and the CLI
+# builds one subcommand per row, in this order.
+KINDS = {
+    "signature": CheckKind(
+        _run_signature, ("signature",), "signature of an integer Gram matrix"
+    ),
+    "embedding-check": CheckKind(
+        _run_embedding_check,
+        ("embed-check",),
+        "isometry, primitivity, and signature of a lattice embedding",
+    ),
+    "isometry-extend": CheckKind(
+        _run_isometry_extend,
+        ("isometry",),
+        "extend a sublattice action by -1 on its complement",
+    ),
+    "h1": CheckKind(_run_h1, ("h1",), "first cohomology of a cyclic lattice action"),
+    "quotient-pic": CheckKind(
+        _run_quotient_pic,
+        ("quotient-pic",),
+        "fixed sublattice and half-pairing quotient of an involution",
+    ),
+    "ample-cert": CheckKind(
+        _run_ample_cert, ("ample",), "positivity certificate for a class"
+    ),
+    "order-classify": CheckKind(
+        _run_order_classify,
+        ("order", "classify"),
+        "canonical class and type of a numerically described order",
+    ),
+    "fibration-h1": CheckKind(
+        _run_fibration_h1,
+        ("fibration", "h1"),
+        "structured H^1 of a block action on a section group",
+    ),
+    "twist-check": CheckKind(
+        _run_twist_check,
+        ("twist", "check"),
+        "cocycle and coboundary conditions for a twist",
+    ),
 }
 
 
@@ -427,10 +474,9 @@ def run_check(
     """Run one check and compare the fields its expected block mentions."""
     started = time.perf_counter()
     try:
-        handler = KIND_HANDLERS.get(kind)
-        if handler is None:
+        if kind not in KINDS:
             raise SchemaError(f"unknown scenario kind {kind!r}")
-        computed, assumptions = handler(as_dict(payload, "payload"))
+        computed, assumptions = KINDS[kind].handler(as_dict(payload, "payload"))
         computed = encode(computed)
     except K3OrdError as exc:
         return CheckOutcome(
@@ -470,9 +516,8 @@ def _worst(verdicts) -> str:
     return worst
 
 
-def _load_expected(path: Path) -> dict:
-    if not path.exists():
-        return {}
+def load_expected(path: Union[str, Path]) -> dict:
+    """The expected map of an expected-values document."""
     doc = jsonio.load_file(path)
     jsonio.check_schema(doc, "expected document")
     return as_dict(require(doc, "expected", "expected document"), "expected map")
@@ -491,7 +536,8 @@ def run_scenario(path: Union[str, Path], with_timing: bool = False) -> Report:
         doc = jsonio.load_file(scenario_path)
         jsonio.check_schema(doc, "scenario")
         case_id = as_str(require(doc, "id", "scenario"), "scenario id")
-        expected_map = _load_expected(scenario_path.parent / "expected.json")
+        expected_path = scenario_path.parent / "expected.json"
+        expected_map = load_expected(expected_path) if expected_path.exists() else {}
         checks_node = as_list(require(doc, "checks", "scenario"), "checks")
         names = []
         parsed = []

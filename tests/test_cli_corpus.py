@@ -1,5 +1,6 @@
 """Tests for the JSON conventions, the scenario runner, and the CLI."""
 
+import importlib.util
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +14,7 @@ from k3ord.matrices import IntMatrix
 from k3ord.runner import (
     ERROR,
     FAIL,
+    KINDS,
     PASS,
     exit_code,
     run_check,
@@ -21,7 +23,8 @@ from k3ord.runner import (
     summary_tree,
 )
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+REPO = Path(__file__).resolve().parent.parent
+CORPUS = REPO / "corpus"
 
 
 # --- jsonio --------------------------------------------------------------------------
@@ -53,6 +56,10 @@ def test_decoders_reject_wrong_shapes():
         jsonio.as_int("7.5")
     with pytest.raises(SchemaError):
         jsonio.as_int("")
+    # non-ASCII digits: "3²" passes str.isdigit but not int(), "٣" passes both
+    for text in ("3²", "٣", "-٣", "７"):
+        with pytest.raises(SchemaError):
+            jsonio.as_int(text)
     with pytest.raises(SchemaError):
         jsonio.as_int(7)
     assert jsonio.as_fraction({"num": "1", "den": "2"}) == Fraction(1, 2)
@@ -226,19 +233,33 @@ def test_bad_expected_value_fails_with_diff(tmp_path):
                     "name": "h1",
                     "kind": "h1",
                     "payload": _h1_payload(),
-                }
+                },
+                {
+                    "name": "sig",
+                    "kind": "signature",
+                    "payload": {"gram": [["0", "1"], ["1", "0"]]},
+                },
             ],
         },
     )
     _write(
         case / "expected.json",
-        {"schema": "k3ord/1", "expected": {"h1": {"free_rank": "9"}}},
+        {
+            "schema": "k3ord/1",
+            "expected": {"h1": {"free_rank": "9"}, "sig": {"negative": "1"}},
+        },
     )
     report = run_scenario(case)
     assert report.verdict == FAIL
     assert report.checks[0].diff == (
         {"field": "free_rank", "expected": "9", "computed": "0"},
     )
+    assert report.checks[1].verdict == PASS
+    assert report.checks[1].computed == {
+        "positive": "1",
+        "negative": "1",
+        "zero": "0",
+    }
 
 
 def test_duplicate_check_names_rejected(tmp_path):
@@ -272,6 +293,24 @@ def test_stray_expected_name_rejected(tmp_path):
     report = run_scenario(case)
     assert report.verdict == ERROR
     assert "typo" in report.error
+
+
+def test_gen_corpus_regenerates_committed_corpus(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "gen_corpus", REPO / "tools" / "gen_corpus.py"
+    )
+    gen_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_corpus)
+    assert gen_corpus.main(["gen_corpus.py", str(tmp_path)]) == 0
+
+    def files(root):
+        return {
+            p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*"))
+            if p.is_file()
+        }
+
+    assert files(tmp_path) == files(CORPUS)
 
 
 def test_malformed_scenario_is_error_report(tmp_path):
@@ -331,6 +370,46 @@ def test_cli_signature(tmp_path, capsys):
         "negative": "1",
         "zero": "0",
     }
+    expect_bad = tmp_path / "expect-bad.json"
+    _write(expect_bad, {"schema": "k3ord/1", "expected": {"positive": "2"}})
+    assert main(["signature", str(path), "--expect", str(expect_bad)]) == 1
+    assert "mismatch positive" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "gram, error",
+    [
+        ([["1", "2"], ["3", "1"]], "NotSymmetric"),
+        ([["1", "2"]], "SchemaError"),
+        ([["3²"]], "SchemaError"),
+        ([["٣"]], "SchemaError"),
+    ],
+    ids=["not-symmetric", "not-square", "superscript-digit", "arabic-indic-digit"],
+)
+def test_cli_signature_bad_gram_is_error_report(tmp_path, capsys, gram, error):
+    path = tmp_path / "gram.json"
+    _write(path, {"schema": "k3ord/1", "gram": gram})
+    assert main(["signature", str(path), "--format", "json"]) == 2
+    tree = json.loads(capsys.readouterr().out)
+    assert tree["verdict"] == ERROR
+    assert tree["checks"][0]["error"].startswith(error)
+
+
+def test_cli_commands_come_from_the_kind_table(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert (
+        "{signature,embed-check,isometry,h1,quotient-pic,ample,order,fibration,"
+        "twist,corpus}" in capsys.readouterr().out
+    )
+    # an empty payload reaches each kind's handler and fails there, so the
+    # report names the kind the command words dispatched to
+    path = tmp_path / "empty.json"
+    _write(path, {"schema": "k3ord/1", "payload": {}})
+    for kind, row in KINDS.items():
+        assert main([*row.words, str(path), "--format", "json"]) == 2
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert (check["kind"], check["verdict"]) == (kind, ERROR)
 
 
 def test_cli_single_check_with_expectation(tmp_path, capsys):
@@ -382,12 +461,16 @@ def test_cli_rank_mismatched_action_is_schema_error(tmp_path, capsys):
 
 
 def test_cli_timing_opt_in(tmp_path, capsys):
-    payload = {"schema": "k3ord/1", "payload": _h1_payload()}
-    path = tmp_path / "h1.json"
-    _write(path, payload)
-    assert main(["h1", str(path), "--format", "json"]) == 0
-    tree = json.loads(capsys.readouterr().out)
-    assert tree["checks"][0]["timing_ms"] is None
-    assert main(["h1", str(path), "--format", "json", "--timing"]) == 0
-    tree = json.loads(capsys.readouterr().out)
-    assert tree["checks"][0]["timing_ms"] is not None
+    documents = {
+        "h1": {"schema": "k3ord/1", "payload": _h1_payload()},
+        "signature": {"schema": "k3ord/1", "gram": [["2"]]},
+    }
+    for command, doc in documents.items():
+        path = tmp_path / f"{command}.json"
+        _write(path, doc)
+        assert main([command, str(path), "--format", "json"]) == 0
+        tree = json.loads(capsys.readouterr().out)
+        assert tree["checks"][0]["timing_ms"] is None
+        assert main([command, str(path), "--format", "json", "--timing"]) == 0
+        tree = json.loads(capsys.readouterr().out)
+        assert tree["checks"][0]["timing_ms"] is not None
