@@ -24,6 +24,7 @@ matrix gives the pairing of the quotient lattice downstairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .embeddings import Embedding
@@ -75,10 +76,7 @@ class CohResult:
 
     @property
     def group_order(self) -> int:
-        order = 1
-        for d in self.invariant_factors:
-            order *= d
-        return order
+        return math.prod(self.invariant_factors)
 
 
 def norm_and_diff(gl: GLattice) -> tuple[IntMatrix, IntMatrix]:

@@ -21,7 +21,7 @@ and adds numerical sections on the rank-ten elliptic model.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .cohomology import CohResult, GLattice, h1
 from .divisors import DivisorClass
@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedParameter,
 )
 from .lattices import Lattice, pair
-from .matrices import IntMatrix, solve_integer
+from .matrices import IntMatrix, snf, solve_integer
 from .orders import surface_rational_elliptic
 
 ZERO_POINT = "e0"
@@ -90,10 +90,7 @@ class BlockEndo:
         for sign, _ in self.elliptic_action:
             if sign not in (1, -1):
                 raise UnsupportedAction(f"elliptic sign must be +-1, got {sign}")
-        for cycle in _cycles(images):
-            net = 1
-            for i in cycle:
-                net *= self.elliptic_action[i][0]
+        for cycle, net in _signed_cycles(self.elliptic_action):
             length = len(cycle)
             if self.order % length != 0:
                 raise UnsupportedAction(
@@ -105,21 +102,21 @@ class BlockEndo:
                 )
 
 
-def _cycles(images: list[int]) -> list[list[int]]:
-    """Cycle decomposition of a permutation given as an image list."""
-    seen = [False] * len(images)
-    cycles = []
-    for start in range(len(images)):
+def _signed_cycles(
+    elliptic_action: tuple[tuple[int, int], ...],
+) -> Iterator[tuple[list[int], int]]:
+    """Cycles of a signed permutation, each with the product of its signs."""
+    seen = [False] * len(elliptic_action)
+    for start in range(len(elliptic_action)):
         if seen[start]:
             continue
-        cycle = []
-        i = start
+        cycle, net, i = [], 1, start
         while not seen[i]:
             seen[i] = True
             cycle.append(i)
-            i = images[i]
-        cycles.append(cycle)
-    return cycles
+            sign, i = elliptic_action[i]
+            net *= sign
+        yield cycle, net
 
 
 def trivial_endo(model: AbGroupModel, order: int) -> BlockEndo:
@@ -325,18 +322,15 @@ def coboundary_check(endo: BlockEndo, s: GroupElement) -> bool:
         g = math.gcd((1 - u) % m, m)
         if c % g != 0:
             return False
-    images = [image for _, image in endo.elliptic_action]
-    signs = {i: sign for i, (sign, _) in enumerate(endo.elliptic_action)}
-    for cycle in _cycles(images):
-        net = 1
+    for cycle, net in _signed_cycles(endo.elliptic_action):
         accumulated: Optional[TorsionPoint] = None
         # walk x_{image(i)} = s_{image(i)} + sign(i) x_i around the cycle
         for i in cycle:
+            sign, image = endo.elliptic_action[i]
             accumulated = _add_points(
-                _scale_point(accumulated, signs[i]), s.elliptic[images[i]]
+                _scale_point(accumulated, sign), s.elliptic[image]
             )
-            net *= signs[i]
-        if net == 1 and _reduce_point(accumulated) is not None:
+        if net == 1 and accumulated is not None:
             return False
     return True
 
@@ -361,41 +355,7 @@ class StructuredH1:
 
     @property
     def group_order(self) -> int:
-        total = 1
-        for d in self.invariant_factors:
-            total *= d
-        return total
-
-
-def _prime_powers(n: int) -> dict[int, int]:
-    powers = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            powers[p] = powers.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        powers[n] = powers.get(n, 0) + 1
-    return powers
-
-
-def _invariant_chain(orders: list[int]) -> tuple[int, ...]:
-    """Invariant factors d1 | d2 | ... of a direct sum of cyclic groups."""
-    by_prime: dict[int, list[int]] = {}
-    for n in orders:
-        for p, k in _prime_powers(n).items():
-            by_prime.setdefault(p, []).append(k)
-    length = max((len(v) for v in by_prime.values()), default=0)
-    factors = []
-    for position in range(length):
-        d = 1
-        for p, exps in by_prime.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if position < len(exps_sorted):
-                d *= p ** exps_sorted[position]
-        factors.append(d)
-    return tuple(sorted(factors))
+        return math.prod(self.invariant_factors)
 
 
 def h1_structured(model: AbGroupModel, endo: BlockEndo) -> StructuredH1:
@@ -421,21 +381,15 @@ def h1_structured(model: AbGroupModel, endo: BlockEndo) -> StructuredH1:
         if size > 1:
             finite_factors.append(size)
     elliptic_factors = []
-    images = [image for _, image in endo.elliptic_action]
-    for cycle in _cycles(images):
-        net = 1
-        for i in cycle:
-            net *= endo.elliptic_action[i][0]
+    for cycle, net in _signed_cycles(endo.elliptic_action):
         m = endo.order // len(cycle)
         if net == 1 and m > 1:
             elliptic_factors.extend((m, m))
-    combined = _invariant_chain(
-        list(free_part.invariant_factors)
-        + finite_factors
-        + elliptic_factors
-    )
+    # the Smith form of diag(orders) is the invariant factor chain of the sum
+    orders = [*free_part.invariant_factors, *finite_factors, *elliptic_factors]
+    chain = snf(IntMatrix.diagonal(orders)).invariant_factors
     return StructuredH1(
-        invariant_factors=combined,
+        invariant_factors=tuple(d for d in chain if d > 1),
         free_rank=free_part.free_rank,
         free_part=free_part,
         finite_factors=tuple(finite_factors),

@@ -6,6 +6,12 @@ every rational is {"num": "...", "den": "..."}, and matrices are arrays
 of row arrays.  A parser hook rejects any raw JSON number outright,
 which keeps accidental precision loss from slipping in silently.
 
+Integers are bounded only by the interpreter's limit on int/str
+conversion (``sys.get_int_max_str_digits()``, 4300 digits by default),
+which keeps a short document from forcing quadratic-time conversion.
+A decimal string over the limit, or a computed integer whose decimal
+form would exceed it, is a SchemaError.
+
 Documents carry a "schema": "k3ord/1" field.  Emission is canonical
 (sorted keys, fixed separators, UTF-8, trailing newline) so that equal
 reports are equal bytes.
@@ -13,12 +19,13 @@ reports are equal bytes.
 
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
 from .errors import ParseError, SchemaError
-from .matrices import IntMatrix, RatMatrix
+from .matrices import IntMatrix
 
 SCHEMA = "k3ord/1"
 
@@ -68,18 +75,24 @@ def write_file(path: Union[str, Path], data) -> None:
 # --- encoding Python values into the file conventions -------------------------------
 
 
+def _decimal(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(f"a computed integer exceeds the {limit}-digit limit") from exc
+
+
 def encode(value):
     """Recursively convert exact values to their JSON-tree form."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, int):
-        return str(value)
+        return _decimal(value)
     if isinstance(value, Fraction):
-        return {"num": str(value.numerator), "den": str(value.denominator)}
+        return {"num": _decimal(value.numerator), "den": _decimal(value.denominator)}
     if isinstance(value, IntMatrix):
-        return [[str(value.entry(i, j)) for j in range(value.cols)] for i in range(value.rows)]
-    if isinstance(value, RatMatrix):
-        return [[encode(value.entry(i, j)) for j in range(value.cols)] for i in range(value.rows)]
+        return [[_decimal(value.entry(i, j)) for j in range(value.cols)] for i in range(value.rows)]
     if isinstance(value, (list, tuple)):
         return [encode(v) for v in value]
     if isinstance(value, dict):
@@ -99,7 +112,11 @@ def encode(value):
 
 def as_int(node, what: str = "integer") -> int:
     if isinstance(node, str) and _DECIMAL.fullmatch(node):
-        return int(node)
+        try:
+            return int(node)
+        except ValueError as exc:
+            limit = sys.get_int_max_str_digits()
+            raise SchemaError(f"{what} exceeds the {limit}-digit limit") from exc
     raise SchemaError(f"expected a decimal string for {what}, got {node!r}")
 
 
@@ -112,12 +129,6 @@ def as_fraction(node, what: str = "rational") -> Fraction:
             raise SchemaError(f"{what} denominator must be positive, got {den}")
         return Fraction(as_int(node["num"], f"{what} numerator"), den)
     raise SchemaError(f"expected a rational for {what}, got {node!r}")
-
-
-def as_bool(node, what: str = "flag") -> bool:
-    if isinstance(node, bool):
-        return node
-    raise SchemaError(f"expected true/false for {what}, got {node!r}")
 
 
 def as_str(node, what: str = "string") -> str:

@@ -155,7 +155,7 @@ class IntMatrix:
     def mul_vec(self, v: Sequence[int]) -> IntVector:
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector length {len(v)} != cols {self.cols}")
-        return tuple(sum(self.row(i)[k] * v[k] for k in range(self.cols)) for i in range(self.rows))
+        return tuple(sum(a * b for a, b in zip(self.row(i), v)) for i in range(self.rows))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -226,9 +226,6 @@ class RatMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def to_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(self.row(i) for i in range(self.rows))
-
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch("shape mismatch in multiplication")
@@ -240,11 +237,6 @@ class RatMatrix:
                 out.append(sum((ri[k] * other.entries[k * ocols + j] for k in range(self.cols)),
                                Fraction(0)))
         return RatMatrix(self.rows, ocols, tuple(out))
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in subtraction")
-        return RatMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def mul_vec(self, v: Sequence) -> tuple[Fraction, ...]:
         if len(v) != self.cols:

@@ -15,7 +15,7 @@ non-total ramification, and to run the sufficiency test for maximality.
 
 Everything is exact: divisor classes on a surface are vectors of
 :class:`fractions.Fraction` over a fixed basis of the numerical Picard
-model.
+model.  The basis labels live on the model's ``pic`` lattice.
 """
 
 from dataclasses import dataclass
@@ -31,7 +31,7 @@ from .errors import (
     OutOfAssertedRange,
     UnsupportedParameter,
 )
-from .lattices import Lattice
+from .lattices import Lattice, pair
 from .matrices import IntMatrix
 
 Rat = Union[int, Fraction]
@@ -93,17 +93,12 @@ class SurfaceModel:
     name: str
     pic: Lattice
     k_class: QDivisor
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         if len(self.k_class.coords) != self.pic.rank:
             raise DimensionMismatch(
                 f"canonical class has length {len(self.k_class.coords)} "
                 f"on a rank-{self.pic.rank} model"
-            )
-        if len(self.labels) != self.pic.rank:
-            raise DimensionMismatch(
-                f"{len(self.labels)} labels for a rank-{self.pic.rank} model"
             )
 
     @property
@@ -112,15 +107,7 @@ class SurfaceModel:
 
     def pair(self, a: QDivisor, b: QDivisor) -> Fraction:
         """Exact intersection number of two rational classes."""
-        if len(a.coords) != self.rank or len(b.coords) != self.rank:
-            raise DimensionMismatch("class length does not match the model rank")
-        total = Fraction(0)
-        for i, ai in enumerate(a.coords):
-            if ai == 0:
-                continue
-            row = self.pic.gram.row(i)
-            total += ai * sum(row[j] * b.coords[j] for j in range(self.rank))
-        return total
+        return pair(self.pic, a.coords, b.coords)
 
 
 @dataclass(frozen=True)
@@ -167,7 +154,6 @@ def surface_p2() -> SurfaceModel:
         name="p2",
         pic=Lattice(IntMatrix.from_rows([[1]]), labels=("H",)),
         k_class=QDivisor.of(-3),
-        labels=("H",),
     )
 
 
@@ -177,7 +163,6 @@ def surface_quadric() -> SurfaceModel:
         name="quadric",
         pic=Lattice(IntMatrix.from_rows([[0, 1], [1, 0]]), labels=("f1", "f2")),
         k_class=QDivisor.of(-2, -2),
-        labels=("f1", "f2"),
     )
 
 
@@ -194,7 +179,6 @@ def surface_hirzebruch(n: int) -> SurfaceModel:
         name=f"hirzebruch{n}",
         pic=Lattice(IntMatrix.from_rows([[-n, 1], [1, 0]]), labels=("C0", "F")),
         k_class=QDivisor.of(-2, -(n + 2)),
-        labels=("C0", "F"),
     )
 
 
@@ -222,7 +206,6 @@ def surface_ruled_elliptic(deg_e: int) -> SurfaceModel:
         name=f"ruled-elliptic-deg{deg_e}",
         pic=Lattice(gram, labels=("C0", "F")),
         k_class=k,
-        labels=("C0", "F"),
     )
 
 
@@ -242,7 +225,6 @@ def surface_rational_elliptic() -> SurfaceModel:
         name="rational-elliptic",
         pic=Lattice(IntMatrix.from_rows(rows), labels=labels),
         k_class=QDivisor.of(-3, *([1] * 9)),
-        labels=labels,
     )
 
 
@@ -265,13 +247,7 @@ def canonical_order_class(order: OrderDescriptor) -> QDivisor:
 
 def is_numerically_trivial(model: SurfaceModel, q: QDivisor) -> bool:
     """True iff q pairs to zero with every basis class of the model."""
-    if len(q.coords) != model.rank:
-        raise DimensionMismatch("class length does not match the model rank")
-    for i in range(model.rank):
-        row = model.pic.gram.row(i)
-        if sum(row[j] * q.coords[j] for j in range(model.rank)) != 0:
-            return False
-    return True
+    return not any(model.pic.gram.mul_vec(q.coords))
 
 
 class OrderKind(Enum):
@@ -314,11 +290,8 @@ def classify_order(order: OrderDescriptor) -> Classification:
     k_a = canonical_order_class(order)
     anti = -k_a
     anti_square = model.pair(anti, anti)
-    pairings = []
-    for i in range(model.rank):
-        basis = QDivisor.of(*[1 if j == i else 0 for j in range(model.rank)])
-        pairings.append(model.pair(anti, basis))
-    pairings = tuple(pairings)
+    # the Gram matrix is symmetric, so row i of G.anti is anti . (basis i)
+    pairings = model.pic.gram.mul_vec(anti.coords)
     if is_numerically_trivial(model, k_a):
         kind = OrderKind.NCY
         assumptions: tuple[str, ...] = ()

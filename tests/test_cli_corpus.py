@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -393,6 +394,34 @@ def test_cli_signature_bad_gram_is_error_report(tmp_path, capsys, gram, error):
     tree = json.loads(capsys.readouterr().out)
     assert tree["verdict"] == ERROR
     assert tree["checks"][0]["error"].startswith(error)
+
+
+def test_cli_digit_limit_is_error_report(tmp_path, capsys):
+    """Integers past the int/str digit limit are refused on input and output."""
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("this interpreter has no int/str digit limit")
+    documents = {
+        # input side: one gram entry too long to parse
+        "signature": {"schema": "k3ord/1", "gram": [["1" * (limit + 1)]]},
+        # output side: the coordinate parses, its square is too long to print
+        "order-classify": {
+            "schema": "k3ord/1",
+            "payload": {
+                "surface": "p2",
+                "ramification": [{"class": ["1" * (limit * 3 // 4)], "e": "2"}],
+                "cover_degree": "2",
+            },
+        },
+    }
+    for kind, doc in documents.items():
+        path = tmp_path / f"{kind}.json"
+        _write(path, doc)
+        assert main([*KINDS[kind].words, str(path), "--format", "json"]) == 2
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert check["verdict"] == ERROR
+        assert check["error"].startswith("SchemaError")
+        assert f"{limit}-digit limit" in check["error"]
 
 
 def test_cli_commands_come_from_the_kind_table(tmp_path, capsys):

@@ -205,6 +205,16 @@ def test_invariant_factor_normalization():
     assert res.finite_factors == (2,)
     assert res.elliptic_factors == (6, 6)
     assert res.invariant_factors == (2, 6, 6)
+    # a trivial action at order n leaves Z/m with H^1 = Z/gcd(m, n)
+    coprime = AbGroupModel(finite_cyclic=(8, 9))
+    res = h1_structured(coprime, trivial_endo(coprime, 12))
+    assert res.finite_factors == (4, 3)
+    assert res.invariant_factors == (12,)
+    shared = AbGroupModel(finite_cyclic=(8, 12))
+    res = h1_structured(shared, trivial_endo(shared, 24))
+    assert res.finite_factors == (8, 12)
+    assert res.invariant_factors == (4, 24)
+    assert res.group_order == 96
 
 
 # --- cocycle and coboundary checks --------------------------------------------------

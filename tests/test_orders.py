@@ -123,7 +123,6 @@ def test_model_validation():
             name="bad",
             pic=Lattice(IntMatrix.identity(2)),
             k_class=QDivisor.of(1),
-            labels=("a", "b"),
         )
     with pytest.raises(UnsupportedParameter):
         RamifiedDivisor(QDivisor.of(1), 1)
