@@ -5,13 +5,14 @@ H^1 is the homology of the periodic pair
 
     N = 1 + sigma + ... + sigma^(n-1),      D = 1 - sigma,
 
-namely ker N / im D.  The quotient is computed exactly: a saturated basis K
-of ker N is taken, every column of D is rewritten in K-coordinates (always
-possible since N.D = 0 and K is saturated), and the Smith normal form of
-that coordinate matrix reads off the invariant factors.  One representative
-cocycle per torsion factor is lifted back through the unimodular transform,
-so each generator can be checked directly: it is killed by N and is not an
-image of D.
+namely ker N / im D.  N is built from the period k of sigma, which divides
+n, as (n/k)(1 + sigma + ... + sigma^(k-1)).  The quotient is computed
+exactly: one Smith normal form U.K.V = [I; 0] of a saturated basis K of
+ker N rewrites every column of D in K-coordinates (possible since N.D = 0),
+and the Smith normal form of that coordinate matrix reads off the invariant
+factors.  One representative cocycle per torsion factor is lifted back
+through the unimodular transform, so each generator can be checked
+directly: it is killed by N and is not an image of D.
 
 Multiplying any cocycle by n lands in im D, so the quotient is always
 n-torsion; free_rank is recorded for completeness and equals 0 for every
@@ -35,7 +36,21 @@ from .errors import (
     UnsupportedParameter,
 )
 from .lattices import Lattice
-from .matrices import IntMatrix, IntVector, integer_kernel, snf, solve_integer
+from .matrices import IntMatrix, IntVector, integer_kernel, snf
+
+
+def orbit(step, start, limit: int) -> list | None:
+    """[start, step(start), ...] up to the first return to start.
+
+    None when that return takes more than limit steps.  A sum over a cyclic
+    group of order n is n/k times the sum over an orbit of length k.
+    """
+    points = [start]
+    while (current := step(points[-1])) != start:
+        if len(points) == limit:
+            return None
+        points.append(current)
+    return points
 
 
 @dataclass(frozen=True)
@@ -57,10 +72,8 @@ class GLattice:
         g = self.lattice.gram
         if self.sigma.transpose() @ g @ self.sigma != g:
             raise ActionNotIsometric("sigma does not preserve the pairing")
-        power = IntMatrix.identity(n)
-        for _ in range(self.order):
-            power = power @ self.sigma
-        if power != IntMatrix.identity(n):
+        powers = orbit(lambda p: p @ self.sigma, IntMatrix.identity(n), self.order)
+        if powers is None or self.order % len(powers):
             raise UnsupportedParameter(
                 f"sigma^{self.order} is not the identity"
             )
@@ -81,13 +94,9 @@ class CohResult:
 
 def norm_and_diff(gl: GLattice) -> tuple[IntMatrix, IntMatrix]:
     """The norm N = sum of sigma^i and difference D = 1 - sigma."""
-    n = gl.lattice.rank
-    ident = IntMatrix.identity(n)
-    norm = IntMatrix.zeros(n, n)
-    power = ident
-    for _ in range(gl.order):
-        norm = norm + power
-        power = power @ gl.sigma
+    ident = IntMatrix.identity(gl.lattice.rank)
+    powers = orbit(lambda p: p @ gl.sigma, ident, gl.order)
+    norm = sum(powers[1:], powers[0]).scale(gl.order // len(powers))
     return norm, ident - gl.sigma
 
 
@@ -105,12 +114,12 @@ def h1(gl: GLattice) -> CohResult:
     k = kernel.cols
     if k == 0:
         return CohResult((), 0, ())
-    coord_cols = []
-    for j in range(diff.cols):
-        c = solve_integer(kernel, diff.col(j))
-        assert c is not None, "im D must lie in the saturated ker N"
-        coord_cols.append(c)
-    coords = IntMatrix.from_cols(coord_cols)
+    # K is saturated, so U.K.V = [I; 0] and K.c = d reads c = V.(top k rows of U.d)
+    basis = snf(kernel)
+    moved = basis.U @ diff
+    if any(moved.entries[k * moved.cols:]):
+        raise UnsupportedParameter("im D does not lie in the saturated ker N")
+    coords = basis.V @ IntMatrix(k, moved.cols, moved.entries[:k * moved.cols])
     res = snf(coords)
     torsion = tuple(d for d in res.invariant_factors if d > 1)
     free_rank = k - res.rank
@@ -140,12 +149,7 @@ def half_gram_quotient(gl: GLattice) -> Lattice:
     """
     if gl.order != 2:
         raise UnsupportedParameter(f"quotient halving needs order 2, got {gl.order}")
-    fixed = fixed_sublattice(gl)
-    gram = fixed.source.gram
-    entries = [gram.entry(i, j) for i in range(gram.rows) for j in range(gram.cols)]
-    if any(e % 2 != 0 for e in entries):
+    gram = fixed_sublattice(gl).source.gram
+    if any(e % 2 for e in gram.entries):
         raise OddEntry("fixed sublattice pairing is not uniformly even")
-    halved = IntMatrix.from_rows(
-        [[gram.entry(i, j) // 2 for j in range(gram.cols)] for i in range(gram.rows)]
-    )
-    return Lattice(halved)
+    return Lattice(IntMatrix(gram.rows, gram.cols, tuple(e // 2 for e in gram.entries)))

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .cohomology import CohResult, GLattice, h1
+from .cohomology import CohResult, GLattice, h1, orbit
 from .divisors import DivisorClass
 from .errors import (
     DimensionMismatch,
@@ -76,10 +76,9 @@ class BlockEndo:
             raise UnsupportedParameter(f"order must be positive, got {self.order}")
         if not self.free_action.is_square:
             raise DimensionMismatch("free action must be square")
-        power = IntMatrix.identity(self.free_action.rows)
-        for _ in range(self.order):
-            power = self.free_action @ power
-        if power != IntMatrix.identity(self.free_action.rows):
+        ident = IntMatrix.identity(self.free_action.rows)
+        powers = orbit(lambda p: self.free_action @ p, ident, self.order)
+        if powers is None or self.order % len(powers):
             raise UnsupportedAction(
                 f"free action is not periodic of order {self.order}"
             )
@@ -106,17 +105,12 @@ def _signed_cycles(
     elliptic_action: tuple[tuple[int, int], ...],
 ) -> Iterator[tuple[list[int], int]]:
     """Cycles of a signed permutation, each with the product of its signs."""
-    seen = [False] * len(elliptic_action)
+    seen: set[int] = set()
     for start in range(len(elliptic_action)):
-        if seen[start]:
-            continue
-        cycle, net, i = [], 1, start
-        while not seen[i]:
-            seen[i] = True
-            cycle.append(i)
-            sign, i = elliptic_action[i]
-            net *= sign
-        yield cycle, net
+        if start not in seen:
+            cycle = orbit(lambda i: elliptic_action[i][1], start, len(elliptic_action))
+            seen.update(cycle)
+            yield cycle, math.prod(elliptic_action[i][0] for i in cycle)
 
 
 def trivial_endo(model: AbGroupModel, order: int) -> BlockEndo:
@@ -209,16 +203,11 @@ class GroupElement:
             raise DimensionMismatch(
                 "element coordinates do not match the model shape"
             )
-        object.__setattr__(
-            self,
-            "finite",
-            tuple(
-                c % m for c, m in zip(self.finite, self.model.finite_cyclic)
-            ),
-        )
-        object.__setattr__(
-            self, "elliptic", tuple(_reduce_point(p) for p in self.elliptic)
-        )
+        # tuples throughout, so that equal elements compare equal
+        finite = zip(self.finite, self.model.finite_cyclic)
+        object.__setattr__(self, "free", tuple(self.free))
+        object.__setattr__(self, "finite", tuple(c % m for c, m in finite))
+        object.__setattr__(self, "elliptic", tuple(map(_reduce_point, self.elliptic)))
 
     @classmethod
     def zero(cls, model: AbGroupModel) -> "GroupElement":
@@ -248,6 +237,14 @@ class GroupElement:
                 _add_points(a, b)
                 for a, b in zip(self.elliptic, other.elliptic)
             ),
+        )
+
+    def scale(self, k: int) -> "GroupElement":
+        return GroupElement(
+            self.model,
+            tuple(k * a for a in self.free),
+            tuple(k * a for a in self.finite),
+            tuple(_scale_point(p, k) for p in self.elliptic),
         )
 
 
@@ -284,12 +281,8 @@ def apply_endo(endo: BlockEndo, x: GroupElement) -> GroupElement:
 
 def norm_element(endo: BlockEndo, x: GroupElement) -> GroupElement:
     """The norm x + sigma x + ... + sigma^(n-1) x."""
-    total = x
-    current = x
-    for _ in range(endo.order - 1):
-        current = apply_endo(endo, current)
-        total = total + current
-    return total
+    points = orbit(lambda y: apply_endo(endo, y), x, endo.order)
+    return sum(points[1:], points[0]).scale(endo.order // len(points))
 
 
 def cocycle_check(endo: BlockEndo, s: GroupElement) -> bool:
@@ -374,7 +367,8 @@ def h1_structured(model: AbGroupModel, endo: BlockEndo) -> StructuredH1:
         free_part = CohResult((), 0, ())
     finite_factors = []
     for u, m in zip(endo.finite_action, model.finite_cyclic):
-        norm = sum(pow(u, i, m) for i in range(endo.order)) % m
+        powers = orbit(lambda p: p * u % m, 1, endo.order)
+        norm = sum(powers) * (endo.order // len(powers)) % m
         kernel_size = math.gcd(norm, m)
         image_size = m // math.gcd((1 - u) % m, m)
         size = kernel_size // image_size

@@ -292,7 +292,7 @@ def classify_order(order: OrderDescriptor) -> Classification:
     anti_square = model.pair(anti, anti)
     # the Gram matrix is symmetric, so row i of G.anti is anti . (basis i)
     pairings = model.pic.gram.mul_vec(anti.coords)
-    if is_numerically_trivial(model, k_a):
+    if not any(pairings):
         kind = OrderKind.NCY
         assumptions: tuple[str, ...] = ()
     elif anti_square > 0 and all(p > 0 for p in pairings):

@@ -507,13 +507,11 @@ def run_check(
     )
 
 
+_RANK = {PASS: 0, FAIL: 1, ERROR: 2}
+
+
 def _worst(verdicts) -> str:
-    ranking = {PASS: 0, FAIL: 1, ERROR: 2}
-    worst = PASS
-    for v in verdicts:
-        if ranking[v] > ranking[worst]:
-            worst = v
-    return worst
+    return max(verdicts, key=_RANK.__getitem__, default=PASS)
 
 
 def load_expected(path: Union[str, Path]) -> dict:
@@ -602,8 +600,7 @@ def run_corpus(
 
 def exit_code(reports) -> int:
     """0 all pass, 1 at least one Fail, 2 at least one Error."""
-    worst = _worst([r.verdict for r in reports]) if reports else PASS
-    return {PASS: 0, FAIL: 1, ERROR: 2}[worst]
+    return _RANK[_worst(r.verdict for r in reports)]
 
 
 def summary_tree(reports) -> dict:

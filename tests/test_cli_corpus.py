@@ -1,5 +1,6 @@
 """Tests for the JSON conventions, the scenario runner, and the CLI."""
 
+import ast
 import importlib.util
 import json
 import sys
@@ -190,6 +191,14 @@ def test_corpus_runs_are_byte_identical():
     first = jsonio.dumps_canonical(summary_tree(run_corpus(CORPUS)))
     second = jsonio.dumps_canonical(summary_tree(run_corpus(CORPUS)))
     assert first == second
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so no answer may depend on one
+    for path in sorted((REPO / "src" / "k3ord").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not lines, f"{path.name}: assert on lines {lines}"
 
 
 def test_sextic_filter_matches_sixteen_cases():

@@ -56,6 +56,11 @@ def test_glattice_validation():
         GLattice(z2, IntMatrix.identity(2), 0)
     with pytest.raises(UnsupportedParameter):
         GLattice(z2, IntMatrix.identity(2).scale(-1), 3)
+    # period 3: sigma^4 = sigma, sigma^6 = 1
+    rotation = IntMatrix.from_rows([[0, -1], [1, -1]])
+    with pytest.raises(UnsupportedParameter):
+        GLattice(z2, rotation, 4)
+    GLattice(z2, rotation, 6)
     h = Lattice(IntMatrix.from_rows([[0, 1], [1, 0]]))
     shear = IntMatrix.from_rows([[1, 1], [0, 1]])
     with pytest.raises(ActionNotIsometric):
@@ -70,6 +75,38 @@ def test_norm_and_diff_trivial_cases():
     n, d = norm_and_diff(GLattice(z2, IntMatrix.identity(2).scale(-1), 2))
     assert n == IntMatrix.zeros(2, 2)
     assert d == IntMatrix.identity(2).scale(2)
+
+
+def test_norm_follows_the_period():
+    # N at order 2k is k copies of the order-2 sum
+    for n in catalog.RANK_RANGE:
+        model = catalog.sextic_model(n)
+        norm2, _ = norm_and_diff(GLattice(model.pic, model.action, 2))
+        for k in (2, 3, 5):
+            norm, _ = norm_and_diff(GLattice(model.pic, model.action, 2 * k))
+            assert norm == norm2.scale(k), (n, k)
+
+
+def test_work_follows_the_period_not_the_declared_order(monkeypatch):
+    calls = []
+    matmul = IntMatrix.__matmul__
+    monkeypatch.setattr(
+        IntMatrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b)
+    )
+    minus = IntMatrix.from_rows([[-1]])
+    res = h1(GLattice(Lattice(IntMatrix.zeros(1, 1)), minus, 10**6))
+    assert res.invariant_factors == (2,)
+    assert len(calls) <= 10
+
+
+def test_h1_rejects_image_outside_the_kernel_basis(monkeypatch):
+    # a basis that misses im D must raise, not fail an assert
+    monkeypatch.setattr(
+        cohomology, "integer_kernel", lambda m: IntMatrix.from_rows([[1], [0]])
+    )
+    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+    with pytest.raises(UnsupportedParameter):
+        h1(GLattice(Lattice(IntMatrix.zeros(2, 2)), swap, 2))
 
 
 def test_norm_and_diff_rank3():

@@ -76,6 +76,9 @@ def test_endo_rejects_bad_shapes():
     # a sign-reversing fixed summand needs even order
     with pytest.raises(UnsupportedAction):
         BlockEndo(IntMatrix.identity(0), (), ((-1, 0),), 3)
+    # a free action of period 3 inside an order-4 action
+    with pytest.raises(UnsupportedAction):
+        BlockEndo(IntMatrix.from_rows([[0, -1], [1, -1]]), (), (), 4)
 
 
 def test_endo_model_compatibility():
@@ -89,6 +92,12 @@ def test_endo_model_compatibility():
     bad_multiplier = BlockEndo(IntMatrix.identity(1), (2,), ((1, 0),), 2)
     with pytest.raises(UnsupportedAction):
         apply_endo(bad_multiplier, GroupElement.zero(model))
+    # the norm checks the multiplier even where order 1 leaves nothing to sum
+    with pytest.raises(UnsupportedAction):
+        cocycle_check(
+            BlockEndo(IntMatrix.identity(1), (2,), ((1, 0),), 1),
+            GroupElement.zero(model),
+        )
 
 
 def test_element_validation_and_reduction():
@@ -100,6 +109,7 @@ def test_element_validation_and_reduction():
     )
     assert e.finite == (3,)
     assert e.elliptic == (None,)
+    assert GroupElement(model, [3], [7], [None]) == e
     with pytest.raises(UnsupportedParameter):
         TorsionPoint("p", 0)
 
@@ -230,6 +240,30 @@ def test_norm_element_is_invariant():
     )
     nx = norm_element(endo, x)
     assert apply_endo(endo, nx) == nx
+    for order in (4, 8):
+        endo = BlockEndo(endo.free_action, (5,), ((1, 1), (-1, 0)), order)
+        total = current = x
+        for _ in range(order - 1):
+            current = apply_endo(endo, current)
+            total = total + current
+        assert norm_element(endo, x) == total, order
+
+
+def test_work_follows_the_period_not_the_declared_order(monkeypatch):
+    calls = []
+    matmul = IntMatrix.__matmul__
+    monkeypatch.setattr(
+        IntMatrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b)
+    )
+    model = AbGroupModel(free_rank=1, finite_cyclic=(6,), elliptic_count=2)
+    endo = BlockEndo(IntMatrix.from_rows([[-1]]), (5,), ((1, 1), (-1, 0)), 200_000)
+    s = GroupElement(model, (1,), (3,), (TorsionPoint("p", 4), None))
+    assert cocycle_check(endo, s)
+    assert not coboundary_check(endo, s)
+    res = h1_structured(model, endo)
+    assert res.invariant_factors == (2, 2)
+    assert res.finite_factors == (2,)
+    assert len(calls) <= 10
 
 
 def test_cocycle_golden_cases():
