@@ -34,8 +34,7 @@ def main():
     res = extend_by_minus_one(emb.target, emb, action)
     print("non-integral witness:")
     print(f"  integral      {res.integral}")
-    worst = max(x.denominator for x in res.phi.entries)
-    print(f"  largest denominator in phi: {worst}")
+    print(f"  common denominator of phi: {res.phi.den}")
 
 
 if __name__ == "__main__":

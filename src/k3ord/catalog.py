@@ -81,7 +81,7 @@ def sextic_action(n: int) -> IntMatrix:
 
 
 def _pic_lattice(gram: IntMatrix) -> Lattice:
-    return Lattice(gram, labels=tuple(f"s{i}" for i in range(1, gram.rows + 1)))
+    return Lattice(gram, labels=tuple([f"s{i}" for i in range(1, gram.rows + 1)]))
 
 
 def sextic_model(n: int) -> CoverModel:

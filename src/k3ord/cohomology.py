@@ -121,14 +121,14 @@ def h1(gl: GLattice) -> CohResult:
         raise UnsupportedParameter("im D does not lie in the saturated ker N")
     coords = basis.V @ IntMatrix(k, moved.cols, moved.entries[:k * moved.cols])
     res = snf(coords)
-    torsion = tuple(d for d in res.invariant_factors if d > 1)
+    torsion = tuple([d for d in res.invariant_factors if d > 1])
     free_rank = k - res.rank
     u_inv = res.U.to_rat().inverse().to_int()
-    generators = tuple(
+    generators = tuple([
         kernel.mul_vec(u_inv.col(i))
         for i, d in enumerate(res.diagonal)
         if d > 1
-    )
+    ])
     return CohResult(torsion, free_rank, generators)
 
 
@@ -152,4 +152,4 @@ def half_gram_quotient(gl: GLattice) -> Lattice:
     gram = fixed_sublattice(gl).source.gram
     if any(e % 2 for e in gram.entries):
         raise OddEntry("fixed sublattice pairing is not uniformly even")
-    return Lattice(IntMatrix(gram.rows, gram.cols, tuple(e // 2 for e in gram.entries)))
+    return Lattice(IntMatrix(gram.rows, gram.cols, tuple([e // 2 for e in gram.entries])))

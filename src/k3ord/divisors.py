@@ -39,10 +39,10 @@ class DivisorClass:
         return cls(tuple(coords))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple(-x for x in self.coords))
+        return DivisorClass(tuple([-x for x in self.coords]))
 
     def minus(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return DivisorClass(tuple([a - b for a, b in zip(self.coords, other.coords)]))
 
     @property
     def is_zero(self) -> bool:

@@ -7,10 +7,11 @@ the span of T.  In the frame A = [P | T] it is
 
     phi = A . blockdiag(action, -I) . A^(-1),
 
-computed here over exact rationals.  Whether phi preserves the integer
-lattice is then a denominators-equal-one test, never a tolerance test.  The
-result records that integrality flag together with exact orthogonality and
-involutivity certificates.
+computed exactly over the integers: phi is an integer numerator over
+det A, from the adjugate of A, reduced to lowest terms.  phi preserves the
+integer lattice exactly when that reduced denominator is 1, never by a
+tolerance test.  The result records that integrality flag together with
+exact orthogonality and involutivity certificates.
 
 The map is determined by its values on the two rational spans, so the choice
 of complement basis cannot change it; an alternative basis may still be
@@ -25,8 +26,7 @@ part and the ample cone that this module does not see; they are listed in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .embeddings import Embedding, orthogonal_complement
 from .errors import ActionNotIsometric, DimensionMismatch, SingularFrame
@@ -94,9 +94,3 @@ def extend_by_minus_one(
         involutive=involutive,
         phi_integer=phi_integer,
     )
-
-
-def fixes_vector(res: ExtensionResult, v_in_pic_coords: Sequence[int], pic: Embedding) -> bool:
-    """True iff phi fixes the image of the given sublattice vector."""
-    w = pic.matrix.mul_vec(v_in_pic_coords)
-    return res.phi.mul_vec(w) == tuple(Fraction(x) for x in w)

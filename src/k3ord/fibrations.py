@@ -20,7 +20,7 @@ and adds numerical sections on the rank-ten elliptic model.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Union
 
 from .cohomology import CohResult, GLattice, h1, orbit
@@ -118,7 +118,7 @@ def trivial_endo(model: AbGroupModel, order: int) -> BlockEndo:
     return BlockEndo(
         free_action=IntMatrix.identity(model.free_rank),
         finite_action=(1,) * len(model.finite_cyclic),
-        elliptic_action=tuple((1, i) for i in range(model.elliptic_count)),
+        elliptic_action=tuple([(1, i) for i in range(model.elliptic_count)]),
         order=order,
     )
 
@@ -127,8 +127,8 @@ def negation_endo(model: AbGroupModel, order: int = 2) -> BlockEndo:
     """Negation on every block: the fibrewise inverse action."""
     return BlockEndo(
         free_action=IntMatrix.identity(model.free_rank).scale(-1),
-        finite_action=tuple(m - 1 for m in model.finite_cyclic),
-        elliptic_action=tuple((-1, i) for i in range(model.elliptic_count)),
+        finite_action=tuple([m - 1 for m in model.finite_cyclic]),
+        elliptic_action=tuple([(-1, i) for i in range(model.elliptic_count)]),
         order=order,
     )
 
@@ -206,8 +206,8 @@ class GroupElement:
         # tuples throughout, so that equal elements compare equal
         finite = zip(self.finite, self.model.finite_cyclic)
         object.__setattr__(self, "free", tuple(self.free))
-        object.__setattr__(self, "finite", tuple(c % m for c, m in finite))
-        object.__setattr__(self, "elliptic", tuple(map(_reduce_point, self.elliptic)))
+        object.__setattr__(self, "finite", tuple([c % m for c, m in finite]))
+        object.__setattr__(self, "elliptic", tuple([_reduce_point(p) for p in self.elliptic]))
 
     @classmethod
     def zero(cls, model: AbGroupModel) -> "GroupElement":
@@ -231,20 +231,20 @@ class GroupElement:
             raise DimensionMismatch("elements live in different models")
         return GroupElement(
             self.model,
-            tuple(a + b for a, b in zip(self.free, other.free)),
-            tuple(a + b for a, b in zip(self.finite, other.finite)),
-            tuple(
+            tuple([a + b for a, b in zip(self.free, other.free)]),
+            tuple([a + b for a, b in zip(self.finite, other.finite)]),
+            tuple([
                 _add_points(a, b)
                 for a, b in zip(self.elliptic, other.elliptic)
-            ),
+            ]),
         )
 
     def scale(self, k: int) -> "GroupElement":
         return GroupElement(
             self.model,
-            tuple(k * a for a in self.free),
-            tuple(k * a for a in self.finite),
-            tuple(_scale_point(p, k) for p in self.elliptic),
+            tuple([k * a for a in self.free]),
+            tuple([k * a for a in self.finite]),
+            tuple([_scale_point(p, k) for p in self.elliptic]),
         )
 
 
@@ -269,20 +269,35 @@ def apply_endo(endo: BlockEndo, x: GroupElement) -> GroupElement:
     free = (
         endo.free_action.mul_vec(x.free) if model.free_rank else ()
     )
-    finite = tuple(
+    finite = tuple([
         (u * c) % m
         for u, c, m in zip(endo.finite_action, x.finite, model.finite_cyclic)
-    )
+    ])
     elliptic: list[Optional[TorsionPoint]] = [None] * model.elliptic_count
     for i, (sign, image) in enumerate(endo.elliptic_action):
         elliptic[image] = _scale_point(x.elliptic[i], sign)
     return GroupElement(model, tuple(free), finite, tuple(elliptic))
 
 
+def geometric_sum(u: int, n: int, m: int) -> int:
+    """1 + u + ... + u^(n-1) mod m in O(log n) steps, by doubling:
+    S(2k) = S(k)(1 + u^k) and S(k+1) = S(k) + u^k."""
+    total, power = 0, 1  # S(k) and u^k mod m, k the leading bits of n
+    for bit in bin(n)[2:]:
+        total, power = total * (1 + power) % m, power * power % m
+        if bit == "1":
+            total, power = (total + power) % m, power * u % m
+    return total
+
+
 def norm_element(endo: BlockEndo, x: GroupElement) -> GroupElement:
-    """The norm x + sigma x + ... + sigma^(n-1) x."""
-    points = orbit(lambda y: apply_endo(endo, y), x, endo.order)
-    return sum(points[1:], points[0]).scale(endo.order // len(points))
+    """The norm x + sigma x + ... + sigma^(n-1) x.  A finite coordinate c
+    has norm c * geometric_sum(u, n, m), so only the other blocks are walked."""
+    rest = replace(x, finite=(0,) * len(x.finite))
+    points = orbit(lambda y: apply_endo(endo, y), rest, endo.order)
+    norm = sum(points[1:], points[0]).scale(endo.order // len(points))
+    finite = zip(x.finite, endo.finite_action, x.model.finite_cyclic)
+    return replace(norm, finite=tuple([c * geometric_sum(u, endo.order, m) for c, u, m in finite]))
 
 
 def cocycle_check(endo: BlockEndo, s: GroupElement) -> bool:
@@ -367,9 +382,7 @@ def h1_structured(model: AbGroupModel, endo: BlockEndo) -> StructuredH1:
         free_part = CohResult((), 0, ())
     finite_factors = []
     for u, m in zip(endo.finite_action, model.finite_cyclic):
-        powers = orbit(lambda p: p * u % m, 1, endo.order)
-        norm = sum(powers) * (endo.order // len(powers)) % m
-        kernel_size = math.gcd(norm, m)
+        kernel_size = math.gcd(geometric_sum(u, endo.order, m), m)
         image_size = m // math.gcd((1 - u) % m, m)
         size = kernel_size // image_size
         if size > 1:
@@ -383,7 +396,7 @@ def h1_structured(model: AbGroupModel, endo: BlockEndo) -> StructuredH1:
     orders = [*free_part.invariant_factors, *finite_factors, *elliptic_factors]
     chain = snf(IntMatrix.diagonal(orders)).invariant_factors
     return StructuredH1(
-        invariant_factors=tuple(d for d in chain if d > 1),
+        invariant_factors=tuple([d for d in chain if d > 1]),
         free_rank=free_part.free_rank,
         free_part=free_part,
         finite_factors=tuple(finite_factors),
@@ -528,7 +541,7 @@ def mw_sum_rational_elliptic(
     """
     model = surface_rational_elliptic()
     lattice = model.pic
-    fibre = tuple(int(-c) for c in model.k_class.coords)
+    fibre = tuple([int(-c) for c in model.k_class.coords])
     classes = {"c1": c1, "c2": c2, "s0": s0}
     for name, cls in classes.items():
         if len(cls.coords) != 10:
@@ -539,14 +552,14 @@ def mw_sum_rational_elliptic(
             raise NotANumericalSection(f"{name} has square != -1")
         if pair(lattice, cls.coords, fibre) != 1:
             raise NotANumericalSection(f"{name} does not meet the fibre once")
-    both = tuple(a + b for a, b in zip(c1.coords, c2.coords))
+    both = tuple([a + b for a, b in zip(c1.coords, c2.coords)])
     alpha = (
         pair(lattice, both, s0.coords)
         - pair(lattice, c1.coords, c2.coords)
         + 1
     )
-    coords = tuple(
+    coords = tuple([
         a + b - c + alpha * f
         for a, b, c, f in zip(c1.coords, c2.coords, s0.coords, fibre)
-    )
+    ])
     return DivisorClass(coords)

@@ -150,11 +150,11 @@ def as_dict(node, what: str = "object") -> dict:
 
 
 def as_int_vector(node, what: str = "vector") -> tuple[int, ...]:
-    return tuple(as_int(x, f"{what} entry") for x in as_list(node, what))
+    return tuple([as_int(x, f"{what} entry") for x in as_list(node, what)])
 
 
 def as_fraction_vector(node, what: str = "vector") -> tuple[Fraction, ...]:
-    return tuple(as_fraction(x, f"{what} entry") for x in as_list(node, what))
+    return tuple([as_fraction(x, f"{what} entry") for x in as_list(node, what)])
 
 
 def as_int_matrix(node, what: str = "matrix") -> IntMatrix:

@@ -62,7 +62,7 @@ class Lattice:
 
 def build_E8() -> Lattice:
     """The negative definite even unimodular lattice of rank 8."""
-    return Lattice(E8_GRAM, labels=tuple(f"e{i}" for i in range(1, 9)))
+    return Lattice(E8_GRAM, labels=tuple([f"e{i}" for i in range(1, 9)]))
 
 
 def build_H() -> Lattice:
@@ -77,8 +77,8 @@ def build_K3() -> Lattice:
     22
     """
     labels = (
-        tuple(f"la{i}" for i in range(1, 9))
-        + tuple(f"la{i}p" for i in range(1, 9))
+        tuple([f"la{i}" for i in range(1, 9)])
+        + tuple([f"la{i}p" for i in range(1, 9)])
         + ("mu1", "mu2", "mu1p", "mu2p", "mu1pp", "mu2pp")
     )
     gram = IntMatrix.block_diag([E8_GRAM, E8_GRAM, H_GRAM, H_GRAM, H_GRAM])

@@ -2,8 +2,9 @@
 
 Everything downstream (lattices, embeddings, cohomology, the involution
 extension) reduces to a handful of operations implemented here with
-arbitrary-precision integers and `fractions.Fraction`. No floating point
-is used anywhere.
+arbitrary-precision integers. No floating point is used anywhere, and no
+`fractions.Fraction` either: a rational matrix is a `RatMatrix`, an integer
+numerator over one positive common denominator in lowest terms.
 
 Provided operations:
 
@@ -11,8 +12,10 @@ Provided operations:
 * `integer_kernel`: saturated kernel basis (a direct summand of Z^cols).
 * `solve_integer`: certified integer linear solving via the SNF.
 * `det`: fraction-free (Bareiss) determinant.
+* `adjugate`: determinant and adjugate by fraction-free Gauss-Jordan;
+  `RatMatrix.inverse` is the adjugate over the determinant.
 * `signature`: exact signature of a symmetric matrix by congruence
-  diagonalization over Q.
+  diagonalization over Z, each step scaled by a positive pivot.
 
 Conventions, pinned so outputs are reproducible:
 
@@ -28,8 +31,9 @@ Conventions, pinned so outputs are reproducible:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, NonSquare, NotSymmetric
@@ -66,7 +70,8 @@ class IntMatrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
-        object.__setattr__(self, "entries", tuple(_as_int(x) for x in self.entries))
+        for x in self.entries:
+            _as_int(x)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
@@ -75,7 +80,7 @@ class IntMatrix:
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise DimensionMismatch("ragged rows")
-        return cls(nrows, ncols, tuple(x for r in rows for x in r))
+        return cls(nrows, ncols, tuple([x for r in rows for x in r]))
 
     @classmethod
     def from_cols(cls, cols: Iterable[Sequence[int]]) -> "IntMatrix":
@@ -86,7 +91,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls(n, n, tuple([1 if i == j else 0 for i in range(n) for j in range(n)]))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -95,7 +100,7 @@ class IntMatrix:
     @classmethod
     def diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
         n = len(diag)
-        return cls(n, n, tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n)))
+        return cls(n, n, tuple([diag[i] if i == j else 0 for i in range(n) for j in range(n)]))
 
     @classmethod
     def block_diag(cls, blocks: Sequence["IntMatrix"]) -> "IntMatrix":
@@ -120,10 +125,10 @@ class IntMatrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> IntVector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return tuple([self.entries[i * self.cols + j] for i in range(self.rows)])
 
     def to_rows(self) -> tuple[IntVector, ...]:
-        return tuple(self.row(i) for i in range(self.rows))
+        return tuple([self.row(i) for i in range(self.rows)])
 
     @property
     def is_square(self) -> bool:
@@ -145,36 +150,34 @@ class IntMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         ocols = other.cols
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(ocols):
-                out.append(sum(ri[k] * other.entries[k * ocols + j] for k in range(self.cols)))
-        return IntMatrix(self.rows, ocols, tuple(out))
+        cols = [other.entries[j::ocols] for j in range(ocols)]
+        return IntMatrix(self.rows, ocols, tuple([
+            sum(map(mul, self.row(i), c)) for i in range(self.rows) for c in cols
+        ]))
 
     def mul_vec(self, v: Sequence[int]) -> IntVector:
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector length {len(v)} != cols {self.cols}")
-        return tuple(sum(a * b for a, b in zip(self.row(i), v)) for i in range(self.rows))
+        return tuple([sum(map(mul, self.row(i), v)) for i in range(self.rows)])
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in addition")
-        return IntMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return IntMatrix(self.rows, self.cols, tuple([a + b for a, b in zip(self.entries, other.entries)]))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return IntMatrix(self.rows, self.cols, tuple([-a for a in self.entries]))
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(k * a for a in self.entries))
+        return IntMatrix(self.rows, self.cols, tuple([k * a for a in self.entries]))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(
+        return IntMatrix(self.cols, self.rows, tuple([
             self.entry(i, j) for j in range(self.cols) for i in range(self.rows)
-        ))
+        ]))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -191,92 +194,48 @@ class IntMatrix:
         )
 
     def to_rat(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, tuple(Fraction(x) for x in self.entries))
+        return RatMatrix(self)
 
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Immutable matrix of `fractions.Fraction` entries (always canonical)."""
+    """The rational matrix num / den, kept in lowest terms with den > 0 so
+    that equal rational matrices compare equal."""
 
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
+    num: IntMatrix
+    den: int = 1
 
     def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch("entry count does not match shape")
-        object.__setattr__(self, "entries", tuple(Fraction(x) for x in self.entries))
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence]) -> "RatMatrix":
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise DimensionMismatch("ragged rows")
-        return cls(nrows, ncols, tuple(Fraction(x) for r in rows for x in r))
+        g = math.gcd(self.den, *self.num.entries) * (1 if self.den > 0 else -1)
+        if g != 1:
+            object.__setattr__(self, "num", IntMatrix(
+                self.num.rows, self.num.cols, tuple([x // g for x in self.num.entries])
+            ))
+            object.__setattr__(self, "den", self.den // g)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return IntMatrix.identity(n).to_rat()
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        return cls(IntMatrix.identity(n))
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch("shape mismatch in multiplication")
-        ocols = other.cols
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(ocols):
-                out.append(sum((ri[k] * other.entries[k * ocols + j] for k in range(self.cols)),
-                               Fraction(0)))
-        return RatMatrix(self.rows, ocols, tuple(out))
-
-    def mul_vec(self, v: Sequence) -> tuple[Fraction, ...]:
-        if len(v) != self.cols:
-            raise DimensionMismatch("vector length mismatch")
-        return tuple(sum((self.row(i)[k] * Fraction(v[k]) for k in range(self.cols)), Fraction(0))
-                     for i in range(self.rows))
+        return RatMatrix(self.num @ other.num, self.den * other.den)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols, self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+        return RatMatrix(self.num.transpose(), self.den)
 
     @property
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self.entries)
+        return self.den == 1
 
     def to_int(self) -> IntMatrix:
         if not self.is_integral:
             raise ValueError("matrix has non-integer entries")
-        return IntMatrix(self.rows, self.cols, tuple(int(x) for x in self.entries))
+        return self.num
 
     def inverse(self) -> "RatMatrix":
-        """Gauss-Jordan inverse. Raises NonSquare / ValueError (singular)."""
-        if self.rows != self.cols:
-            raise NonSquare("only square matrices have inverses")
-        n = self.rows
-        aug = [list(self.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for k in range(n):
-            piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            aug[k], aug[piv] = aug[piv], aug[k]
-            p = aug[k][k]
-            aug[k] = [x / p for x in aug[k]]
-            for i in range(n):
-                if i != k and aug[i][k] != 0:
-                    c = aug[i][k]
-                    aug[i] = [a - c * b for a, b in zip(aug[i], aug[k])]
-        return RatMatrix.from_rows([r[n:] for r in aug])
+        """Exact inverse. Raises NonSquare / ValueError (singular)."""
+        d, adj = adjugate(self.num)
+        return RatMatrix(adj.scale(self.den), d)
 
 
 @dataclass(frozen=True)
@@ -290,11 +249,11 @@ class SNFResult:
     @property
     def diagonal(self) -> IntVector:
         n = min(self.D.rows, self.D.cols)
-        return tuple(self.D.entry(i, i) for i in range(n))
+        return tuple([self.D.entry(i, i) for i in range(n)])
 
     @property
     def invariant_factors(self) -> IntVector:
-        return tuple(d for d in self.diagonal if d != 0)
+        return tuple([d for d in self.diagonal if d != 0])
 
     @property
     def rank(self) -> int:
@@ -521,9 +480,41 @@ def det(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def adjugate(a: IntMatrix) -> tuple[int, IntMatrix]:
+    """(det a, adj a), a @ adj == det * I, by fraction-free Gauss-Jordan on
+    [a | I]: row_i <- (p * row_i - a_ik * row_k) // prev, exact by Sylvester's
+    identity (Bareiss 1968). Raises ValueError when `a` is singular.
+
+    >>> adjugate(IntMatrix.from_rows([[1, 2], [3, 4]]))[1].to_rows()
+    ((4, -2), (-3, 1))
+    """
+    if not a.is_square:
+        raise NonSquare("only square matrices have inverses")
+    n = a.rows
+    m = [list(a.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
+    sign = prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        if piv != k:
+            m[k], m[piv], sign = m[piv], m[k], -sign
+        rk, p = m[k], m[k][k]
+        for i in range(n):
+            if i != k:
+                c = m[i][k]
+                m[i] = [(p * x - c * y) // prev for x, y in zip(m[i], rk)]
+        prev = p
+    # the left half is now prev * I and prev = det of the row-swapped a
+    return sign * prev, IntMatrix.from_rows([[sign * x for x in r[n:]] for r in m])
+
+
 def signature(g: IntMatrix) -> tuple[int, int, int]:
     """Counts (positive, negative, zero) after exact congruence
-    diagonalization of the symmetric matrix `g` over Q.
+    diagonalization of the symmetric matrix `g` over Z.  After a pivot p the
+    trailing block becomes sgn(p) * (p * m_ij - m_ik * m_kj) divided by the gcd
+    of its entries: a congruence and a positive scaling, which by Sylvester's
+    law of inertia keep the counts.
 
     >>> signature(IntMatrix.from_rows([[0, 1], [1, 0]]))
     (1, 1, 0)
@@ -533,7 +524,7 @@ def signature(g: IntMatrix) -> tuple[int, int, int]:
     if not g.is_symmetric:
         raise NotSymmetric("signature needs a symmetric matrix")
     n = g.rows
-    m = [[Fraction(g.entry(i, j)) for j in range(n)] for i in range(n)]
+    m = [list(g.row(i)) for i in range(n)]
     pos = neg = zero = 0
 
     def add_row_col(i: int, j: int) -> None:
@@ -564,10 +555,12 @@ def signature(g: IntMatrix) -> tuple[int, int, int]:
             pos += 1
         else:
             neg += 1
+        tail = [x if p > 0 else -x for x in m[k][k + 1:]]
         for i in range(k + 1, n):
-            if m[i][k] != 0:
-                c = m[i][k] / p
-                m[i] = [x - c * y for x, y in zip(m[i], m[k])]
-                for r in m:
-                    r[i] -= c * r[k]
+            c = m[i][k]
+            m[i][k + 1:] = [abs(p) * x - c * y for x, y in zip(m[i][k + 1:], tail)]
+        d = math.gcd(*[x for r in m[k + 1:] for x in r[k + 1:]])
+        if d > 1:
+            for r in m[k + 1:]:
+                r[k + 1:] = [x // d for x in r[k + 1:]]
     return pos, neg, zero

@@ -60,7 +60,7 @@ class QDivisor:
 
     @classmethod
     def of(cls, *coords: Rat) -> "QDivisor":
-        return cls(tuple(Fraction(c) for c in coords))
+        return cls(tuple([Fraction(c) for c in coords]))
 
     @classmethod
     def zero(cls, rank: int) -> "QDivisor":
@@ -72,14 +72,14 @@ class QDivisor:
                 f"cannot add classes of lengths {len(self.coords)} "
                 f"and {len(other.coords)}"
             )
-        return QDivisor(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return QDivisor(tuple([a + b for a, b in zip(self.coords, other.coords)]))
 
     def __neg__(self) -> "QDivisor":
-        return QDivisor(tuple(-a for a in self.coords))
+        return QDivisor(tuple([-a for a in self.coords]))
 
     def scale(self, factor: Rat) -> "QDivisor":
         f = Fraction(factor)
-        return QDivisor(tuple(f * a for a in self.coords))
+        return QDivisor(tuple([f * a for a in self.coords]))
 
     @property
     def is_zero(self) -> bool:
@@ -220,7 +220,7 @@ def surface_rational_elliptic() -> SurfaceModel:
     rows[0][0] = 1
     for i in range(1, 10):
         rows[i][i] = -1
-    labels = ("H",) + tuple(f"E{i}" for i in range(1, 10))
+    labels = ("H",) + tuple([f"E{i}" for i in range(1, 10)])
     return SurfaceModel(
         name="rational-elliptic",
         pic=Lattice(IntMatrix.from_rows(rows), labels=labels),

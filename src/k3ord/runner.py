@@ -189,7 +189,7 @@ def _run_ample_cert(payload: dict):
     gens_node = payload.get("generators")
     if gens_node is None:
         gens = [
-            DivisorClass(tuple(1 if j == i else 0 for j in range(lattice.rank)))
+            DivisorClass(tuple([1 if j == i else 0 for j in range(lattice.rank)]))
             for i in range(lattice.rank)
         ]
     else:
@@ -299,7 +299,7 @@ def _endo_from(node, model: AbGroupModel) -> BlockEndo:
             )
     elliptic_node = node.get("elliptic_action")
     if elliptic_node is None:
-        elliptic_action = tuple((1, i) for i in range(model.elliptic_count))
+        elliptic_action = tuple([(1, i) for i in range(model.elliptic_count)])
     else:
         pairs = []
         for pair_node in as_list(elliptic_node, "elliptic_action"):
@@ -563,10 +563,10 @@ def run_scenario(path: Union[str, Path], with_timing: bool = False) -> Report:
             verdict=ERROR,
             error=f"{type(exc).__name__}: {exc}",
         )
-    outcomes = tuple(
+    outcomes = tuple([
         run_check(name, kind, payload, expected_map.get(name), with_timing)
         for name, kind, payload in parsed
-    )
+    ])
     return Report(
         case_id=case_id,
         verdict=_worst(o.verdict for o in outcomes),

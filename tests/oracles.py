@@ -242,3 +242,58 @@ def maximal_minor_gcd(p: IntMatrix) -> int:
         minor = det_cofactor(p.submatrix(rows, range(k)))
         g = math.gcd(g, minor)
     return g
+
+
+def fraction_inverse(m: IntMatrix) -> list[list[Fraction]] | None:
+    """Gauss-Jordan inverse over Fraction, or None when m is singular."""
+    n = m.rows
+    aug = [[Fraction(m.entry(i, j)) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
+        if piv is None:
+            return None
+        aug[k], aug[piv] = aug[piv], aug[k]
+        p = aug[k][k]
+        aug[k] = [x / p for x in aug[k]]
+        for i in range(n):
+            if i != k and aug[i][k] != 0:
+                c = aug[i][k]
+                aug[i] = [a - c * b for a, b in zip(aug[i], aug[k])]
+    return [r[n:] for r in aug]
+
+
+def fraction_signature(g: IntMatrix) -> tuple[int, int, int]:
+    """(positive, negative, zero) by congruence diagonalization over Fraction.
+
+    Follows the package's pivot convention (swap in a nonzero diagonal
+    entry, else add row and column j), but divides by each pivot instead of
+    scaling by it.
+    """
+    n = g.rows
+    m = [[Fraction(g.entry(i, j)) for j in range(n)] for i in range(n)]
+    counts = [0, 0, 0]
+    for k in range(n):
+        if m[k][k] == 0:
+            s = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
+            if s is not None:
+                m[k], m[s] = m[s], m[k]
+                for r in m:
+                    r[k], r[s] = r[s], r[k]
+            else:
+                j = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
+                if j is None:
+                    counts[2] += 1
+                    continue
+                m[k] = [x + y for x, y in zip(m[k], m[j])]
+                for r in m:
+                    r[k] += r[j]
+        p = m[k][k]
+        counts[0 if p > 0 else 1] += 1
+        for i in range(k + 1, n):
+            if m[i][k] != 0:
+                c = m[i][k] / p
+                m[i] = [x - c * y for x, y in zip(m[i], m[k])]
+                for r in m:
+                    r[i] -= c * r[k]
+    return tuple(counts)

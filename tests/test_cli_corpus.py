@@ -201,6 +201,28 @@ def test_package_has_no_assert_statements():
         assert not lines, f"{path.name}: assert on lines {lines}"
 
 
+def test_package_builds_no_tuple_from_an_iterator():
+    """tuple(<genexpr>) and tuple(map(...)) start from a size-10 tuple and
+    resize it in place, so the result is not taken from CPython's free list
+    for its final size, yet is pushed onto that list when freed. Only a full
+    collection empties those lists (up to 2,000 tuples for each size below
+    20), and exact integer arithmetic triggers none, so the lists fill and
+    the process grows. tuple([...]) takes its tuple from the free list.
+    """
+    for path in sorted((REPO / "src" / "k3ord").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        lines = [
+            n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            and n.func.id == "tuple" and n.args
+            and (isinstance(n.args[0], ast.GeneratorExp) or (
+                isinstance(n.args[0], ast.Call) and isinstance(n.args[0].func, ast.Name)
+                and n.args[0].func.id == "map"
+            ))
+        ]
+        assert not lines, f"{path.name}: tuple of an iterator on lines {lines}"
+
+
 def test_sextic_filter_matches_sixteen_cases():
     reports = run_corpus(CORPUS, case_glob="sextic-*")
     assert len(reports) == 16

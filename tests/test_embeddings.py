@@ -210,8 +210,8 @@ def test_primitive_embeddings_admit_unimodular_completion():
 
 
 def _inverse_columns(u: IntMatrix) -> list[list[int]]:
-    inv = u.to_rat().inverse()
-    return [[int(inv.entry(i, j)) for i in range(u.rows)] for j in range(u.cols)]
+    inv = u.to_rat().inverse().to_int()
+    return [list(inv.col(j)) for j in range(u.cols)]
 
 
 def test_complement_rank_matches_rational_kernel():

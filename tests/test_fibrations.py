@@ -1,14 +1,17 @@
 """Tests for section-group models, their twists, and the group law."""
 
 import doctest
+import json
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import k3ord.fibrations as fibrations
+from k3ord.cli import main
 from k3ord.cohomology import GLattice, h1
 from k3ord.divisors import DivisorClass
 from k3ord.errors import (
@@ -30,6 +33,7 @@ from k3ord.fibrations import (
     apply_endo,
     cocycle_check,
     coboundary_check,
+    geometric_sum,
     h1_structured,
     mw_sum_rational_elliptic,
     negation_endo,
@@ -264,6 +268,37 @@ def test_work_follows_the_period_not_the_declared_order(monkeypatch):
     assert res.invariant_factors == (2, 2)
     assert res.finite_factors == (2,)
     assert len(calls) <= 10
+
+
+def test_geometric_sum_matches_plain_sum():
+    for m in range(2, 41):
+        units = [u for u in range(1, m) if math.gcd(u, m) == 1]
+        for u in units:
+            for n in range(1, 2 * len(units) + 1):
+                if pow(u, n, m) == 1 % m:
+                    assert geometric_sum(u, n, m) == sum(u**i for i in range(n)) % m
+
+
+@pytest.mark.parametrize("command, payload, computed", [
+    (["fibration", "h1"], {}, {"invariant_factors": []}),
+    (["twist", "check"], {"element": {"finite": ["1"]}}, {"cocycle": True, "coboundary": True}),
+])
+def test_finite_norms_do_not_walk_the_orbit(tmp_path, capsys, command, payload, computed):
+    # an eight-digit modulus in a three-line document: the orbit of 5 has
+    # 5,000,009 points, its norm takes O(log order) products
+    m = 10_000_019
+    doc = {"schema": "k3ord/1", "payload": {
+        "model": {"finite_cyclic": [str(m)]},
+        "endo": {"order": str(m - 1), "finite_action": ["5"]},
+        **payload,
+    }}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main([*command, str(path), "--format", "json"]) == 0
+    assert time.perf_counter() - start < 1
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert computed.items() <= check["computed"].items()
 
 
 def test_cocycle_golden_cases():

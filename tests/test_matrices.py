@@ -23,6 +23,8 @@ from k3ord.matrices import (
 
 from oracles import (
     det_cofactor,
+    fraction_inverse,
+    fraction_signature,
     no_solution_in_box,
     random_int_matrix,
     random_symmetric,
@@ -197,6 +199,19 @@ def test_signature_zero_diagonal_pivot_fix():
     g = IntMatrix.from_rows([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
     pos, neg, zero = signature(g)
     assert (pos, neg, zero) == (1, 1, 1)
+    # against the Fraction diagonalization, half the samples with a zero
+    # diagonal and sparse elsewhere, which exercises both pivot fixes
+    rng = random.Random(2468)
+    for trial in range(400):
+        n = rng.randint(1, 7)
+        a = [list(r) for r in random_symmetric(rng, n, -4, 4).to_rows()]
+        if trial % 2:
+            for i in range(n):
+                for j in range(i, n):
+                    if i == j or rng.random() < 0.6:
+                        a[i][j] = a[j][i] = 0
+        g = IntMatrix.from_rows(a)
+        assert signature(g) == fraction_signature(g), g
 
 
 def test_signature_congruence_invariance():
@@ -229,9 +244,43 @@ def test_rat_matrix_inverse_and_integrality():
     inv = a.inverse()
     assert a @ inv == RatMatrix.identity(2)
     assert inv.is_integral
-    half = RatMatrix.from_rows([[Fraction(1, 2)]])
+    half = RatMatrix(IntMatrix.from_rows([[1]]), 2)
     assert not half.is_integral
     with pytest.raises(ValueError):
         half.to_int()
     with pytest.raises(ValueError):
-        RatMatrix.from_rows([[1, 1], [1, 1]]).inverse()
+        IntMatrix.from_rows([[1, 1], [1, 1]]).to_rat().inverse()
+    with pytest.raises(NonSquare):
+        IntMatrix.zeros(2, 3).to_rat().inverse()
+    # lowest terms with a positive denominator: equal rationals are equal
+    m = IntMatrix.from_rows([[3, -6], [9, 4]])
+    assert RatMatrix(m.scale(2), 2) == RatMatrix(m)
+    assert RatMatrix(m.scale(-4), -12) == RatMatrix(m, 3)
+    assert RatMatrix(m, -3).den == 3 and RatMatrix(m, -3).num == -m
+    # against the Fraction Gauss-Jordan, a third of the samples singular
+    rng = random.Random(1357)
+    singular = 0
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        m = random_int_matrix(rng, n, n, -3, 3)
+        if trial % 3 == 0 and n > 1:
+            # a repeated row makes it singular
+            rows = list(m.to_rows())
+            i, j = rng.sample(range(n), 2)
+            rows[i] = rows[j]
+            m = IntMatrix.from_rows(rows)
+        den = rng.randint(1, 5)
+        expected = fraction_inverse(m)
+        if expected is None:
+            singular += 1
+            with pytest.raises(ValueError):
+                RatMatrix(m, den).inverse()
+            continue
+        inv = RatMatrix(m, den).inverse()
+        assert [[den * x for x in r] for r in expected] == [
+            [Fraction(x, inv.den) for x in r] for r in inv.num.to_rows()
+        ]
+        d, adj = matrices.adjugate(m)
+        assert d == det(m)
+        assert [[d * x for x in r] for r in expected] == [list(r) for r in adj.to_rows()]
+    assert singular > 50
