@@ -9,8 +9,12 @@ numerator over one positive common denominator in lowest terms.
 Provided operations:
 
 * `snf`: Smith normal form with unimodular transforms, U * A * V = D.
-* `integer_kernel`: saturated kernel basis (a direct summand of Z^cols).
-* `solve_integer`: certified integer linear solving via the SNF.
+* `hermite_row_basis`: canonical (row Hermite) basis of a row lattice.
+* `integer_kernel`: saturated kernel basis (a direct summand of Z^cols),
+  read off the unimodular W of a row echelon form W * A^T = E.
+* `solve_integer`: certified integer linear solving by forward substitution
+  through the same E; a pivot that does not divide, or a remainder left
+  when the pivots are used up, certifies that no solution exists.
 * `det`: fraction-free (Bareiss) determinant.
 * `adjugate`: determinant and adjugate by fraction-free Gauss-Jordan;
   `RatMatrix.inverse` is the adjugate over the determinant.
@@ -22,6 +26,9 @@ Conventions, pinned so outputs are reproducible:
 * SNF pivoting picks the nonzero entry of minimal absolute value, ties
   broken in reading order (left to right inside a row, rows top to bottom).
 * SNF diagonal entries are normalized nonnegative and each divides the next.
+* The one echelon elimination behind `hermite_row_basis`, `integer_kernel`
+  and `solve_integer` pivots on the nonzero entry of minimal absolute value
+  in the column, ties broken by row index.
 * `integer_kernel` returns the unique column Hermite basis of the kernel.
 * When the signature diagonalization meets a zero diagonal entry it first
   looks for a nonzero diagonal entry to swap in; failing that it adds row j
@@ -34,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch, NonSquare, NotSymmetric
 
@@ -70,8 +77,10 @@ class IntMatrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
-        for x in self.entries:
-            _as_int(x)
+        # one C-speed type scan; int subclasses and offenders take the per-entry check
+        if not set(map(type, self.entries)) <= {int}:
+            for x in self.entries:
+                _as_int(x)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
@@ -151,8 +160,9 @@ class IntMatrix:
             )
         ocols = other.cols
         cols = [other.entries[j::ocols] for j in range(ocols)]
+        rows = [self.row(i) for i in range(self.rows)]
         return IntMatrix(self.rows, ocols, tuple([
-            sum(map(mul, self.row(i), c)) for i in range(self.rows) for c in cols
+            sum(map(mul, r, c)) for r in rows for c in cols
         ]))
 
     def mul_vec(self, v: Sequence[int]) -> IntVector:
@@ -367,88 +377,119 @@ def snf(a: IntMatrix) -> SNFResult:
     )
 
 
+def _echelon(rows: list[list[int]], ncols: int, w: list[list[int]]) -> Iterator[int]:
+    """Bring `rows` to row echelon form E in place, yielding the column of
+    each pivot as soon as its row (the k-th pivot sits in row k) is final.
+
+    Every row operation is repeated on `w`: started from the identity, `w`
+    ends as the unimodular W with W * rows = E; started from empty rows, it
+    stays empty.  Rows 0..k of E and W no longer change once pivot k is
+    yielded, so a caller may stop early.  The pivot is the nonzero entry of
+    minimal absolute value in its column, ties by row index, and ends
+    positive; the entries below a pivot and the rows past the last pivot end
+    zero.
+    """
+    nrows = len(rows)
+    top = 0
+    for j in range(ncols):
+        if top == nrows:
+            break
+        while True:
+            best = best_abs = 0
+            for i in range(top, nrows):
+                x = rows[i][j]
+                if x and (not best_abs or abs(x) < best_abs):
+                    best, best_abs = i, abs(x)
+            if not best_abs:
+                break
+            rows[top], rows[best] = rows[best], rows[top]
+            w[top], w[best] = w[best], w[top]
+            rt, wt, p = rows[top], w[top], rows[top][j]
+            done = True
+            for i in range(top + 1, nrows):
+                q = rows[i][j] // p
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rt)]
+                    w[i] = [x - q * y for x, y in zip(w[i], wt)]
+                if rows[i][j]:
+                    done = False
+            if done:
+                break
+        if not best_abs:
+            continue
+        if rows[top][j] < 0:
+            rows[top] = [-x for x in rows[top]]
+            w[top] = [-x for x in w[top]]
+        yield j
+        top += 1
+
+
 def hermite_row_basis(m: IntMatrix) -> IntMatrix:
     """Canonical row basis (row Hermite form) of the lattice spanned by
     the rows of `m`. Zero rows are dropped; pivots are positive; entries
     above a pivot are reduced into [0, pivot)."""
     rows = [list(r) for r in m.to_rows()]
-    nrows = len(rows)
-    ncols = m.cols
-    top = 0
-    for j in range(ncols):
-        while True:
-            cands = [i for i in range(top, nrows) if rows[i][j] != 0]
-            if not cands:
-                break
-            i0 = min(cands, key=lambda i: (abs(rows[i][j]), i))
-            rows[top], rows[i0] = rows[i0], rows[top]
-            p = rows[top][j]
-            done = True
-            for i in range(top + 1, nrows):
-                if rows[i][j] != 0:
-                    q = rows[i][j] // p
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[top])]
-                    if rows[i][j] != 0:
-                        done = False
-            if done:
-                break
-        if any(rows[i][j] for i in range(top, nrows)):
-            if rows[top][j] < 0:
-                rows[top] = [-x for x in rows[top]]
-            p = rows[top][j]
-            for i in range(top):
-                q = rows[i][j] // p
-                if q:
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[top])]
-            top += 1
-            if top == nrows:
-                break
-    return IntMatrix.from_rows(rows[:top]) if top else IntMatrix(0, ncols, ())
+    pivots = list(_echelon(rows, m.cols, [[] for _ in rows]))
+    for k, j in enumerate(pivots):
+        rk = rows[k]
+        for i in range(k):
+            q = rows[i][j] // rk[j]
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], rk)]
+    top = len(pivots)
+    return IntMatrix.from_rows(rows[:top]) if top else IntMatrix(0, m.cols, ())
+
+
+def _transpose_echelon(a: IntMatrix) -> tuple[list[list[int]], list[list[int]], Iterator[int]]:
+    """(E, W, pivots): run `pivots` out and W is unimodular with W * a^T = E
+    in row echelon form."""
+    e = [list(a.entries[j::a.cols]) for j in range(a.cols)]
+    w = [[int(i == j) for j in range(a.cols)] for i in range(a.cols)]
+    return e, w, _echelon(e, a.rows, w)
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:
     """Basis of {x in Z^cols : a.x = 0} as matrix columns.
 
-    The kernel of an integer matrix is always saturated (a direct summand
-    of Z^cols); the basis returned is the unique column Hermite basis, so
-    equal kernels give equal matrices.
+    With W * a^T = E in row echelon form and W unimodular, the rows of W
+    whose E row is zero are a basis of the kernel that extends to the basis
+    W of Z^cols, so it is saturated (a direct summand).  The basis returned
+    is its unique column Hermite form, so equal kernels give equal matrices.
 
     >>> integer_kernel(IntMatrix.from_rows([[1, 1]])).col(0)
     (1, -1)
     """
-    res = snf(a)
-    r = res.rank
-    cols = [res.V.col(j) for j in range(r, a.cols)]
-    if not cols:
+    _, w, pivots = _transpose_echelon(a)
+    rank = len(list(pivots))
+    if rank == a.cols:
         return IntMatrix(a.cols, 0, ())
-    canon = hermite_row_basis(IntMatrix.from_rows(cols))
-    return canon.transpose()
+    return hermite_row_basis(IntMatrix.from_rows(w[rank:])).transpose()
 
 
 def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[IntVector]:
     """One integer solution x of a.x = b, or None when none exists.
 
-    The SNF certifies the NoSolution answer: after the unimodular change
-    of coordinates the system is diagonal, where solvability is a
-    divisibility check per row.
+    With W * a^T = E in row echelon form and W unimodular, x = W^T * y turns
+    the system into E^T * y = b, which is triangular: y is read off pivot by
+    pivot, each as the elimination reaches it.  No later pivot touches a
+    pivot's column, so a pivot that does not divide what is left of b there,
+    or anything left of b once the pivots are used up, certifies that there
+    is no solution; the elimination stops at the first such pivot.
     """
     if len(b) != a.rows:
         raise DimensionMismatch(f"vector length {len(b)} != rows {a.rows}")
-    res = snf(a)
-    c = res.U.mul_vec(tuple(b))
-    y = [0] * a.cols
-    n = min(a.rows, a.cols)
-    for i in range(a.rows):
-        di = res.D.entry(i, i) if i < n else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            q, rem = divmod(c[i], di)
-            if rem:
-                return None
-            y[i] = q
-    return res.V.mul_vec(tuple(y))
+    e, w, pivots = _transpose_echelon(a)
+    rest = list(b)
+    x = [0] * a.cols
+    for k, j in enumerate(pivots):
+        er, wr = e[k], w[k]
+        q, rem = divmod(rest[j], er[j])
+        if rem:
+            return None
+        if q:
+            rest = [s - q * t for s, t in zip(rest, er)]
+            x = [s + q * t for s, t in zip(x, wr)]
+    return None if any(rest) else tuple(x)
 
 
 def det(a: IntMatrix) -> int:

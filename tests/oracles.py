@@ -76,10 +76,12 @@ def random_int_matrix(rng: random.Random, rows: int, cols: int, lo: int, hi: int
     )
 
 
-def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> IntMatrix:
-    """Product of elementary integer operations; determinant +-1 by
-    construction."""
+def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> tuple[IntMatrix, IntMatrix]:
+    """(M, M^-1) with M a product of elementary integer row operations, so
+    determinant +-1 by construction.  The inverse undoes the same steps in
+    reverse order, as column operations applied on the right."""
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in m]
     for _ in range(steps):
         kind = rng.randrange(3)
         i = rng.randrange(n)
@@ -87,11 +89,17 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> IntMatrix:
         if kind == 0 and i != j:
             c = rng.randint(-2, 2)
             m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+            for r in inv:
+                r[j] -= c * r[i]
         elif kind == 1 and i != j:
             m[i], m[j] = m[j], m[i]
+            for r in inv:
+                r[i], r[j] = r[j], r[i]
         elif kind == 2:
             m[i] = [-x for x in m[i]]
-    return IntMatrix.from_rows(m)
+            for r in inv:
+                r[i] = -r[i]
+    return IntMatrix.from_rows(m), IntMatrix.from_rows(inv)
 
 
 def random_symmetric(rng: random.Random, n: int, lo: int, hi: int) -> IntMatrix:

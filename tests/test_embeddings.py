@@ -210,8 +210,14 @@ def test_primitive_embeddings_admit_unimodular_completion():
 
 
 def _inverse_columns(u: IntMatrix) -> list[list[int]]:
-    inv = u.to_rat().inverse().to_int()
-    return [list(inv.col(j)) for j in range(u.cols)]
+    """Columns of u^-1 for a unimodular u: the integer solutions of u.x = e_j."""
+    cols = []
+    for j in range(u.cols):
+        e = tuple([int(i == j) for i in range(u.rows)])
+        x = solve_integer(u, e)
+        assert x is not None and u.mul_vec(x) == e
+        cols.append(list(x))
+    return cols
 
 
 def test_complement_rank_matches_rational_kernel():

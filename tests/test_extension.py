@@ -92,7 +92,7 @@ def test_complement_basis_independence():
     base = extend_by_minus_one(k3, m.embedding, m.action)
     rng = random.Random(5)
     for _ in range(8):
-        b = random_unimodular(rng, t.cols)
+        b, _ = random_unimodular(rng, t.cols)
         res = extend_by_minus_one(k3, m.embedding, m.action, complement=t @ b)
         assert res.phi == base.phi
 
@@ -107,7 +107,7 @@ def test_complement_basis_independence_small():
     base = extend_by_minus_one(target, e, swap)
     rng = random.Random(6)
     for _ in range(30):
-        b = random_unimodular(rng, t.cols)
+        b, _ = random_unimodular(rng, t.cols)
         res = extend_by_minus_one(target, e, swap, complement=t @ b)
         assert res.phi == base.phi
 

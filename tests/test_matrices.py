@@ -2,13 +2,15 @@
 
 import doctest
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import k3ord.matrices as matrices
+from k3ord import catalog
 from k3ord.errors import DimensionMismatch, NonSquare, NotSymmetric
 from k3ord.matrices import (
     IntMatrix,
@@ -48,6 +50,27 @@ def test_shape_validation():
         IntMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(TypeError):
         IntMatrix.from_rows([[1.5, 2], [3, 4]])
+
+
+class _Small(IntEnum):
+    TWO = 2
+
+
+def _type_error(rows, cols, entries) -> str:
+    with pytest.raises(TypeError) as err:
+        IntMatrix(rows, cols, entries)
+    return str(err.value)
+
+
+def test_entry_validation():
+    for bad in (True, 1.0, Fraction(1), "1"):
+        assert _type_error(1, 2, (3, bad)) == f"integer entry expected, got {bad!r}"
+    # the message names the first offending entry in reading order
+    assert _type_error(1, 3, (1, 1.0, "x")) == "integer entry expected, got 1.0"
+    assert _type_error(2, 2, (0, 1, False, "x")) == "integer entry expected, got False"
+    # int subclasses other than bool stay accepted, as they are
+    m = IntMatrix(1, 2, (_Small.TWO, 3))
+    assert m.entries[0] is _Small.TWO and m == IntMatrix(1, 2, (2, 3))
 
 
 def test_basic_ops():
@@ -167,6 +190,84 @@ def test_solve_random_roundtrip_and_certified_no_solution():
             assert a.mul_vec(x2) == b2
 
 
+def _snf_solvable(a: IntMatrix, b) -> bool:
+    """a.x = b has an integer solution iff, with U.a.V = D, every entry of
+    U.b is divisible by its diagonal entry and zero where D has none."""
+    res = snf(a)
+    diag = res.diagonal
+    c = res.U.mul_vec(tuple(b))
+    return all(
+        (c[i] % diag[i] == 0) if i < len(diag) and diag[i] else c[i] == 0
+        for i in range(a.rows)
+    )
+
+
+def _check_against_snf(a: IntMatrix, b) -> None:
+    x = solve_integer(a, b)
+    assert (x is not None) == _snf_solvable(a, b)
+    if x is not None:
+        assert a.mul_vec(x) == tuple(b)
+    k = integer_kernel(a)
+    assert k.rows == a.cols
+    assert k.cols == a.cols - snf(a).rank
+    assert a @ k == IntMatrix.zeros(a.rows, k.cols)
+    if k.cols:
+        assert all(f == 1 for f in snf(k).invariant_factors)
+
+
+@st.composite
+def _systems(draw):
+    """(a, b): any shape up to 5x5 including empty ones, with a zero or
+    rank-deficient matrix a third of the time each, and b in the image of a
+    about half the time."""
+    def ints(n):
+        return tuple(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
+
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["random", "zero", "low-rank"]))
+    if kind == "zero":
+        a = IntMatrix.zeros(rows, cols)
+    elif kind == "low-rank":
+        r = draw(st.integers(0, max(0, min(rows, cols) - 1)))
+        a = IntMatrix(rows, r, ints(rows * r)) @ IntMatrix(r, cols, ints(r * cols))
+    else:
+        a = IntMatrix(rows, cols, ints(rows * cols))
+    b = a.mul_vec(ints(cols)) if draw(st.booleans()) else ints(rows)
+    return a, b
+
+
+@given(_systems())
+@example((IntMatrix(0, 3, ()), ()))
+@example((IntMatrix(3, 0, ()), (0, 1, 0)))
+@example((IntMatrix(3, 0, ()), (0, 0, 0)))
+@example((IntMatrix.zeros(2, 3), (0, 0)))
+@example((IntMatrix.from_rows([[2, 4, 6], [1, 2, 3]]), (2, 1)))
+@example((IntMatrix.from_rows([[2, 4, 6], [1, 2, 3]]), (1, 1)))
+@example((IntMatrix.from_rows([[2, 0], [0, 3], [4, 6]]), (2, 3, 10)))
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+def test_solve_and_kernel_agree_with_snf(system):
+    _check_against_snf(*system)
+
+
+def test_solve_and_kernel_agree_with_snf_on_conjugated_cover():
+    # 1 - sigma of the rank-18 cover model under a unimodular change of basis
+    rng = random.Random(18)
+    model = catalog.sextic_model(18)
+    n = model.pic.rank
+    solvable = 0
+    for _ in range(3):
+        p, p_inv = random_unimodular(rng, n, steps=4 * n)
+        diff = IntMatrix.identity(n) - p_inv @ model.action @ p
+        for _ in range(4):
+            _check_against_snf(diff, diff.mul_vec([rng.randint(-3, 3) for _ in range(n)]))
+            b = [rng.randint(-1, 1) for _ in range(n)]
+            solvable += solve_integer(diff, b) is not None
+            _check_against_snf(diff, b)
+    # most short random vectors lie outside im(1 - sigma), so both verdicts occur
+    assert solvable < 12
+
+
 def test_det_examples():
     assert det(H_GRAM) == -1
     assert det(S2_GRAM) == 12
@@ -219,8 +320,9 @@ def test_signature_congruence_invariance():
     for _ in range(60):
         n = rng.randint(1, 5)
         g = random_symmetric(rng, n, -6, 6)
-        p = random_unimodular(rng, n)
+        p, p_inv = random_unimodular(rng, n)
         assert abs(det(p)) == 1
+        assert p @ p_inv == IntMatrix.identity(n)
         assert signature(p.transpose() @ g @ p) == signature(g)
 
 
