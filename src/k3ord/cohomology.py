@@ -7,12 +7,13 @@ H^1 is the homology of the periodic pair
 
 namely ker N / im D.  N is built from the period k of sigma, which divides
 n, as (n/k)(1 + sigma + ... + sigma^(k-1)).  The quotient is computed
-exactly: one Smith normal form U.K.V = [I; 0] of a saturated basis K of
-ker N rewrites every column of D in K-coordinates (possible since N.D = 0),
-and the Smith normal form of that coordinate matrix reads off the invariant
-factors.  One representative cocycle per torsion factor is lifted back
-through the unimodular transform, so each generator can be checked
-directly: it is killed by N and is not an image of D.
+exactly: one elimination of a saturated basis K of ker N solves K.C = D for
+the K-coordinates C of every column of D at once (possible since N.D = 0),
+and the Smith normal form U.C.V = diag(d) reads off the invariant factors.
+One representative cocycle per torsion factor d_i > 1 is D.V.e_i / d_i,
+an exact division: C.V.e_i = d_i U^-1.e_i, so D.V.e_i / d_i = K.U^-1.e_i,
+the i-th basis vector of ker N in the Smith basis.  Each generator can be
+checked directly: it is killed by N and is not an image of D.
 
 Multiplying any cocycle by n lands in im D, so the quotient is always
 n-torsion; free_rank is recorded for completeness and equals 0 for every
@@ -26,7 +27,8 @@ matrix gives the pairing of the quotient lattice downstairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 
 from .embeddings import Embedding
 from .errors import (
@@ -36,7 +38,7 @@ from .errors import (
     UnsupportedParameter,
 )
 from .lattices import Lattice
-from .matrices import IntMatrix, IntVector, integer_kernel, snf
+from .matrices import IntMatrix, IntVector, integer_kernel, snf, solve_columns
 
 
 def orbit(step, start, limit: int) -> list | None:
@@ -53,13 +55,51 @@ def orbit(step, start, limit: int) -> list | None:
     return points
 
 
+@cache
+def period_bound(rank: int) -> int:
+    """An upper bound on the order of every finite-order element of GL_rank(Z).
+
+    Such an element is diagonalizable over C with roots of unity, and its
+    minimal polynomial is a product of distinct cyclotomic polynomials
+    Phi_m_i with sum phi(m_i) <= rank; its order is lcm(m_i).  Split each
+    m_i into prime powers q.  Every q != 2 has phi(q) >= 2, and a product of
+    numbers >= 2 is at least their sum, while phi(2) = 1 leaves the product
+    alone, so phi(m_i) >= sum of phi(q) over its q != 2.  Hence the largest
+    power q of each prime p != 2 in the lcm, and the power of 2 if it is
+    4 or more, come from distinct primes with sum phi(q) <= rank, and the
+    lcm is at most twice their product.  The bound is twice the largest such
+    product, found by a knapsack over primes: 2 at rank 1, 8 at rank 2,
+    5040 at rank 22, against the true maxima 2, 6 and 2520 (Levitt and
+    Nicolas, J. Algebra 1998).
+    """
+    best = [1] * (rank + 1)  # best[b]: largest product with sum phi(q) <= b
+    for p in range(2, rank + 2):
+        if any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
+            continue
+        powers = []
+        q = 4 if p == 2 else p
+        while (phi := q - q // p) <= rank:
+            powers.append((q, phi))
+            q *= p
+        for b in range(rank, 0, -1):
+            for q, phi in powers:
+                if phi <= b:
+                    best[b] = max(best[b], best[b - phi] * q)
+    return 2 * best[rank]
+
+
 @dataclass(frozen=True)
 class GLattice:
-    """A lattice together with an isometry generating a finite cyclic group."""
+    """A lattice together with an isometry generating a finite cyclic group.
+
+    `norm` is N = 1 + sigma + ... + sigma^(order-1), summed from the walk
+    over the powers of sigma that validates the order.
+    """
 
     lattice: Lattice
     sigma: IntMatrix
     order: int
+    norm: IntMatrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.lattice.rank
@@ -72,11 +112,17 @@ class GLattice:
         g = self.lattice.gram
         if self.sigma.transpose() @ g @ self.sigma != g:
             raise ActionNotIsometric("sigma does not preserve the pairing")
-        powers = orbit(lambda p: p @ self.sigma, IntMatrix.identity(n), self.order)
+        powers = orbit(
+            lambda p: p @ self.sigma,
+            IntMatrix.identity(n),
+            min(self.order, period_bound(n)),
+        )
         if powers is None or self.order % len(powers):
             raise UnsupportedParameter(
                 f"sigma^{self.order} is not the identity"
             )
+        norm = sum(powers[1:], powers[0]).scale(self.order // len(powers))
+        object.__setattr__(self, "norm", norm)
 
 
 @dataclass(frozen=True)
@@ -94,10 +140,7 @@ class CohResult:
 
 def norm_and_diff(gl: GLattice) -> tuple[IntMatrix, IntMatrix]:
     """The norm N = sum of sigma^i and difference D = 1 - sigma."""
-    ident = IntMatrix.identity(gl.lattice.rank)
-    powers = orbit(lambda p: p @ gl.sigma, ident, gl.order)
-    norm = sum(powers[1:], powers[0]).scale(gl.order // len(powers))
-    return norm, ident - gl.sigma
+    return gl.norm, IntMatrix.identity(gl.lattice.rank) - gl.sigma
 
 
 def h1(gl: GLattice) -> CohResult:
@@ -114,18 +157,15 @@ def h1(gl: GLattice) -> CohResult:
     k = kernel.cols
     if k == 0:
         return CohResult((), 0, ())
-    # K is saturated, so U.K.V = [I; 0] and K.c = d reads c = V.(top k rows of U.d)
-    basis = snf(kernel)
-    moved = basis.U @ diff
-    if any(moved.entries[k * moved.cols:]):
+    # K has full column rank, so K.C = D has at most one solution C
+    coords = solve_columns(kernel, [diff.col(j) for j in range(diff.cols)])
+    if None in coords:
         raise UnsupportedParameter("im D does not lie in the saturated ker N")
-    coords = basis.V @ IntMatrix(k, moved.cols, moved.entries[:k * moved.cols])
-    res = snf(coords)
+    res = snf(IntMatrix.from_cols(coords))
     torsion = tuple([d for d in res.invariant_factors if d > 1])
     free_rank = k - res.rank
-    u_inv = res.U.to_rat().inverse().to_int()
     generators = tuple([
-        kernel.mul_vec(u_inv.col(i))
+        tuple([x // d for x in diff.mul_vec(res.V.col(i))])
         for i, d in enumerate(res.diagonal)
         if d > 1
     ])

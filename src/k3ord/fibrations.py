@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Union
 
-from .cohomology import CohResult, GLattice, h1, orbit
+from .cohomology import CohResult, GLattice, h1, orbit, period_bound
 from .divisors import DivisorClass
 from .errors import (
     DimensionMismatch,
@@ -76,8 +76,12 @@ class BlockEndo:
             raise UnsupportedParameter(f"order must be positive, got {self.order}")
         if not self.free_action.is_square:
             raise DimensionMismatch("free action must be square")
-        ident = IntMatrix.identity(self.free_action.rows)
-        powers = orbit(lambda p: self.free_action @ p, ident, self.order)
+        rank = self.free_action.rows
+        powers = orbit(
+            lambda p: self.free_action @ p,
+            IntMatrix.identity(rank),
+            min(self.order, period_bound(rank)),
+        )
         if powers is None or self.order % len(powers):
             raise UnsupportedAction(
                 f"free action is not periodic of order {self.order}"

@@ -12,9 +12,11 @@ Provided operations:
 * `hermite_row_basis`: canonical (row Hermite) basis of a row lattice.
 * `integer_kernel`: saturated kernel basis (a direct summand of Z^cols),
   read off the unimodular W of a row echelon form W * A^T = E.
-* `solve_integer`: certified integer linear solving by forward substitution
-  through the same E; a pivot that does not divide, or a remainder left
-  when the pivots are used up, certifies that no solution exists.
+* `solve_columns`: certified integer linear solving of a.x = b for several
+  right-hand sides b at once, by forward substitution through the same E; a
+  pivot that does not divide, or a remainder left when the pivots are used
+  up, certifies that no solution exists.  `solve_integer` is its one-column
+  case.
 * `det`: fraction-free (Bareiss) determinant.
 * `adjugate`: determinant and adjugate by fraction-free Gauss-Jordan;
   `RatMatrix.inverse` is the adjugate over the determinant.
@@ -27,7 +29,7 @@ Conventions, pinned so outputs are reproducible:
   broken in reading order (left to right inside a row, rows top to bottom).
 * SNF diagonal entries are normalized nonnegative and each divides the next.
 * The one echelon elimination behind `hermite_row_basis`, `integer_kernel`
-  and `solve_integer` pivots on the nonzero entry of minimal absolute value
+  and `solve_columns` pivots on the nonzero entry of minimal absolute value
   in the column, ties broken by row index.
 * `integer_kernel` returns the unique column Hermite basis of the kernel.
 * When the signature diagonalization meets a zero diagonal entry it first
@@ -134,7 +136,7 @@ class IntMatrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> IntVector:
-        return tuple([self.entries[i * self.cols + j] for i in range(self.rows)])
+        return self.entries[j::self.cols]
 
     def to_rows(self) -> tuple[IntVector, ...]:
         return tuple([self.row(i) for i in range(self.rows)])
@@ -185,9 +187,8 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols, tuple([k * a for a in self.entries]))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple([
-            self.entry(i, j) for j in range(self.cols) for i in range(self.rows)
-        ]))
+        e, c = self.entries, self.cols
+        return IntMatrix(c, self.rows, tuple([x for j in range(c) for x in e[j::c]]))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -259,7 +260,7 @@ class SNFResult:
     @property
     def diagonal(self) -> IntVector:
         n = min(self.D.rows, self.D.cols)
-        return tuple([self.D.entry(i, i) for i in range(n)])
+        return self.D.entries[::self.D.cols + 1][:n]
 
     @property
     def invariant_factors(self) -> IntVector:
@@ -466,30 +467,51 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     return hermite_row_basis(IntMatrix.from_rows(w[rank:])).transpose()
 
 
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[IntVector]:
-    """One integer solution x of a.x = b, or None when none exists.
+def solve_columns(a: IntMatrix, bs: Sequence[Sequence[int]]) -> list[Optional[IntVector]]:
+    """For each b in bs, one integer solution x of a.x = b, or None when
+    none exists; every b is solved through one elimination of a.
 
     With W * a^T = E in row echelon form and W unimodular, x = W^T * y turns
     the system into E^T * y = b, which is triangular: y is read off pivot by
     pivot, each as the elimination reaches it.  No later pivot touches a
     pivot's column, so a pivot that does not divide what is left of b there,
     or anything left of b once the pivots are used up, certifies that there
-    is no solution; the elimination stops at the first such pivot.
+    is no solution.  A column drops out at its first such pivot, and the
+    elimination stops once every column has dropped out.
+
+    >>> solve_columns(IntMatrix.from_rows([[2, 0], [0, 3]]), [(4, 3), (1, 0)])
+    [(2, 1), None]
     """
-    if len(b) != a.rows:
-        raise DimensionMismatch(f"vector length {len(b)} != rows {a.rows}")
-    e, w, pivots = _transpose_echelon(a)
-    rest = list(b)
-    x = [0] * a.cols
-    for k, j in enumerate(pivots):
-        er, wr = e[k], w[k]
-        q, rem = divmod(rest[j], er[j])
-        if rem:
-            return None
-        if q:
-            rest = [s - q * t for s, t in zip(rest, er)]
-            x = [s + q * t for s, t in zip(x, wr)]
-    return None if any(rest) else tuple(x)
+    for b in bs:
+        if len(b) != a.rows:
+            raise DimensionMismatch(f"vector length {len(b)} != rows {a.rows}")
+    rests = [list(b) for b in bs]
+    xs = [[0] * a.cols for _ in rests]
+    live = list(range(len(rests)))
+    if live:
+        e, w, pivots = _transpose_echelon(a)
+        for k, j in enumerate(pivots):
+            er, wr = e[k], w[k]
+            for c in live:
+                q, rem = divmod(rests[c][j], er[j])
+                if rem:
+                    xs[c] = None
+                elif q:
+                    rests[c] = [s - q * t for s, t in zip(rests[c], er)]
+                    xs[c] = [s + q * t for s, t in zip(xs[c], wr)]
+            live = [c for c in live if xs[c] is not None]
+            if not live:
+                break
+    return [
+        None if x is None or any(rest) else tuple(x)
+        for x, rest in zip(xs, rests)
+    ]
+
+
+def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[IntVector]:
+    """One integer solution x of a.x = b, or None when none exists: the
+    one-column case of `solve_columns`."""
+    return solve_columns(a, [b])[0]
 
 
 def det(a: IntMatrix) -> int:

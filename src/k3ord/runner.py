@@ -45,7 +45,7 @@ from .jsonio import (
     require,
 )
 from .lattices import Lattice, build_K3
-from .matrices import IntMatrix, signature, solve_integer
+from .matrices import IntMatrix, signature, solve_columns
 from .orders import (
     OrderDescriptor,
     QDivisor,
@@ -147,8 +147,7 @@ def _run_h1(payload: dict):
     }
     named = payload.get("classes")
     if named is not None:
-        norm, diff = norm_and_diff(gl)
-        classes = {}
+        entries = []
         for entry in as_list(named, "classes"):
             name = as_str(require(entry, "name", "class"), "class name")
             vector = as_int_vector(require(entry, "vector", "class"), "class vector")
@@ -157,10 +156,16 @@ def _run_h1(payload: dict):
                     f"class {name!r} has length {len(vector)} on rank "
                     f"{gl.lattice.rank}"
                 )
-            is_cocycle = all(x == 0 for x in norm.mul_vec(vector))
-            bounds = solve_integer(diff, vector) is not None
-            classes[name] = {"cocycle": is_cocycle, "coboundary": bounds}
-        computed["classes"] = classes
+            entries.append((name, vector))
+        norm, diff = norm_and_diff(gl)
+        solutions = solve_columns(diff, [vector for _, vector in entries])
+        computed["classes"] = {
+            name: {
+                "cocycle": not any(norm.mul_vec(vector)),
+                "coboundary": solution is not None,
+            }
+            for (name, vector), solution in zip(entries, solutions)
+        }
     return computed, ()
 
 

@@ -116,6 +116,37 @@ def test_run_check_h1_pass_and_fail():
     )
 
 
+def test_run_check_h1_decides_every_class_in_one_solve(monkeypatch):
+    import k3ord.runner as runner
+
+    calls = []
+    solve = runner.solve_columns
+    monkeypatch.setattr(runner, "solve_columns", lambda a, bs: calls.append(len(bs)) or solve(a, bs))
+    payload = _h1_payload()
+    payload["classes"] = [
+        {"name": "d", "vector": ["1"]},
+        {"name": "twice", "vector": ["2"]},
+        {"name": "zero", "vector": ["0"]},
+    ]
+    outcome = run_check("h1", "h1", payload, None)
+    assert calls == [3]
+    assert outcome.computed["classes"] == {
+        "d": {"cocycle": True, "coboundary": False},
+        "twice": {"cocycle": True, "coboundary": True},
+        "zero": {"cocycle": True, "coboundary": True},
+    }
+    # every entry is read before any is decided, and the first bad one is named
+    payload["classes"] = [
+        {"name": "d", "vector": ["1"]},
+        {"name": "long", "vector": ["1", "0"]},
+        {"name": "bad", "vector": ["x"]},
+    ]
+    outcome = run_check("h1", "h1", payload, None)
+    assert outcome.verdict == ERROR
+    assert "'long' has length 2" in outcome.error
+    assert calls == [3]
+
+
 def test_run_check_unknown_kind_is_error():
     outcome = run_check("x", "no-such-kind", {}, None)
     assert outcome.verdict == ERROR

@@ -1,7 +1,9 @@
 """Tests for cyclic group cohomology on lattices."""
 
 import doctest
+import math
 import random
+import time
 
 import pytest
 
@@ -14,6 +16,7 @@ from k3ord.cohomology import (
     h1,
     half_gram_quotient,
     norm_and_diff,
+    period_bound,
 )
 from k3ord.errors import (
     ActionNotIsometric,
@@ -22,7 +25,8 @@ from k3ord.errors import (
     UnsupportedParameter,
 )
 from k3ord.lattices import Lattice
-from k3ord.matrices import IntMatrix, solve_integer
+import k3ord.matrices as matrices
+from k3ord.matrices import IntMatrix, integer_kernel, snf, solve_integer
 
 from oracles import h1_box_class_count, random_unimodular
 
@@ -33,6 +37,12 @@ def q_glattice(n):
 
 def model_glattice(model):
     return GLattice(model.pic, model.action, 2)
+
+
+def cover_models():
+    """The 18 catalog cover models."""
+    models = [catalog.sextic_model(n) for n in catalog.RANK_RANGE]
+    return models + [catalog.quadric_model(), catalog.hirzebruch2_model()]
 
 
 def class_in_subgroup(v, generators, diff):
@@ -97,6 +107,129 @@ def test_work_follows_the_period_not_the_declared_order(monkeypatch):
     res = h1(GLattice(Lattice(IntMatrix.zeros(1, 1)), minus, 10**6))
     assert res.invariant_factors == (2,)
     assert len(calls) <= 10
+
+
+def _cyclotomic(m):
+    """Coefficients of the m-th cyclotomic polynomial, constant term first:
+    x^m - 1 divided by every Phi_d with d a proper divisor of m."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            divisor = _cyclotomic(d)
+            quotient = [0] * (len(poly) - len(divisor) + 1)
+            for i in reversed(range(len(quotient))):
+                quotient[i] = poly[i + len(divisor) - 1]
+                for j, c in enumerate(divisor):
+                    poly[i + j] -= quotient[i] * c
+            assert not any(poly)
+            poly = quotient
+    return poly
+
+
+def _companion(poly):
+    """Companion matrix of a monic polynomial, constant term first."""
+    d = len(poly) - 1
+    rows = [[0] * d for _ in range(d)]
+    for i in range(d):
+        if i + 1 < d:
+            rows[i + 1][i] = 1
+        rows[i][d - 1] = -poly[i]
+    return IntMatrix.from_rows(rows)
+
+
+def _largest_finite_order(rank):
+    """(max lcm(m_i), the m_i) over distinct m_i >= 2 with sum phi(m_i) <= rank,
+    by exhaustive search: the largest order of a finite-order element of
+    GL_rank(Z).  phi(m) >= sqrt(m / 2) bounds the candidates."""
+    def phi(m):
+        return sum(1 for i in range(1, m + 1) if math.gcd(i, m) == 1)
+
+    candidates = [(m, phi(m)) for m in range(2, 2 * rank * rank + 3) if phi(m) <= rank]
+    best = (1, ())
+
+    def search(start, budget, lcm, chosen):
+        nonlocal best
+        best = max(best, (lcm, chosen))
+        for i in range(start, len(candidates)):
+            m, f = candidates[i]
+            if f <= budget:
+                search(i + 1, budget - f, math.lcm(lcm, m), chosen + (m,))
+
+    search(0, rank, 1, ())
+    return best
+
+
+def test_period_bound_covers_the_largest_finite_orders():
+    assert [period_bound(r) for r in (1, 2, 4, 18, 22)] == [2, 8, 24, 2520, 5040]
+    largest = {1: 2, 2: 6, 3: 6, 4: 12, 5: 12, 6: 30, 7: 30, 8: 60}
+    for rank, expected in largest.items():
+        order, ms = _largest_finite_order(rank)
+        assert order == expected
+        assert period_bound(rank) >= order
+        blocks = [_companion(_cyclotomic(m)) for m in ms]
+        blocks += [IntMatrix.identity(1)] * (rank - sum(b.rows for b in blocks))
+        sigma = IntMatrix.block_diag(blocks)
+        zero = Lattice(IntMatrix.zeros(rank, rank))
+        GLattice(zero, sigma, order)
+        with pytest.raises(UnsupportedParameter):
+            GLattice(zero, sigma, order - 1)
+
+
+def test_non_periodic_action_is_rejected_within_the_rank_bound():
+    cat = IntMatrix.from_rows([[2, 1], [1, 1]])
+    zero = Lattice(IntMatrix.zeros(2, 2))
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedParameter, match=r"^sigma\^1000000 is not the identity$"):
+        GLattice(zero, cat, 10**6)
+    assert time.perf_counter() - start < 1
+
+
+def _generators_through_the_inverse(gl):
+    """The generators K.U^-1.e_i of the route that inverts the Smith
+    transform of the coordinate matrix C, with K.C = D read through a
+    Smith form of K."""
+    norm, diff = norm_and_diff(gl)
+    kernel = integer_kernel(norm)
+    k = kernel.cols
+    basis = snf(kernel)
+    moved = basis.U @ diff
+    assert not any(moved.entries[k * moved.cols:])
+    coords = basis.V @ IntMatrix(k, moved.cols, moved.entries[:k * moved.cols])
+    res = snf(coords)
+    u_inv = res.U.to_rat().inverse().to_int()
+    return tuple([
+        (d, kernel.mul_vec(u_inv.col(i))) for i, d in enumerate(res.diagonal) if d > 1
+    ])
+
+
+def test_h1_generators_match_the_inverse_route():
+    rng = random.Random(808)
+    for model in cover_models():
+        n = model.pic.rank
+        for order in (2, 2 * rng.randint(2, 4)):
+            p, p_inv = random_unimodular(rng, n, steps=2 * n)
+            gl = GLattice(
+                Lattice(p.transpose() @ model.pic.gram @ p), p_inv @ model.action @ p, order
+            )
+            expected = _generators_through_the_inverse(gl)
+            res = h1(gl)
+            assert res.generators == tuple([g for _, g in expected]), (model.name, order)
+            _, diff = norm_and_diff(gl)
+            for d, g in expected:
+                assert solve_integer(diff, [d * x for x in g]) is not None
+
+
+def test_h1_inverts_nothing_and_multiplies_no_matrices(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("unexpected call")
+
+    monkeypatch.setattr(matrices, "adjugate", refuse)
+    for model in cover_models():
+        gl = model_glattice(model)
+        with monkeypatch.context() as patch:
+            patch.setattr(IntMatrix, "__matmul__", refuse)
+            norm_and_diff(gl)
+            assert h1(gl).invariant_factors == tuple([2] * len(model.h1_generators))
 
 
 def test_h1_rejects_image_outside_the_kernel_basis(monkeypatch):

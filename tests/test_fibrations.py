@@ -270,6 +270,13 @@ def test_work_follows_the_period_not_the_declared_order(monkeypatch):
     assert len(calls) <= 10
 
 
+def test_non_periodic_free_action_is_rejected_within_the_rank_bound():
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedAction, match="not periodic of order 1000000$"):
+        BlockEndo(IntMatrix.from_rows([[2, 1], [1, 1]]), (), (), 10**6)
+    assert time.perf_counter() - start < 1
+
+
 def test_geometric_sum_matches_plain_sum():
     for m in range(2, 41):
         units = [u for u in range(1, m) if math.gcd(u, m) == 1]

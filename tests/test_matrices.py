@@ -20,6 +20,7 @@ from k3ord.matrices import (
     integer_kernel,
     signature,
     snf,
+    solve_columns,
     solve_integer,
 )
 
@@ -248,6 +249,78 @@ def _systems(draw):
 @settings(max_examples=300, deadline=None, database=None)
 def test_solve_and_kernel_agree_with_snf(system):
     _check_against_snf(*system)
+
+
+@st.composite
+def _column_systems(draw):
+    """(a, bs): a matrix as drawn by `_systems` and up to four right-hand
+    sides, each in the image of a about half the time."""
+    a, _ = draw(_systems())
+
+    def ints(n):
+        return tuple(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
+
+    bs = [
+        a.mul_vec(ints(a.cols)) if draw(st.booleans()) else ints(a.rows)
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return a, bs
+
+
+def _check_columns(a: IntMatrix, bs) -> None:
+    xs = solve_columns(a, bs)
+    assert xs == [solve_integer(a, b) for b in bs]
+    for b in bs:
+        _check_against_snf(a, b)
+
+
+@given(_column_systems())
+@example((IntMatrix.from_rows([[2, 0], [0, 3]]), []))
+@example((IntMatrix(0, 2, ()), [(), ()]))
+@example((IntMatrix(2, 0, ()), [(0, 0), (0, 1)]))
+@seed(20261019)
+@settings(max_examples=200, deadline=None, database=None)
+def test_solve_columns_agrees_with_single_solves_and_snf(system):
+    _check_columns(*system)
+
+
+def test_solve_columns_all_some_or_none_solvable():
+    rng = random.Random(8)
+    verdicts = set()
+    for _ in range(60):
+        a = random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), -4, 4)
+        image = [a.mul_vec([rng.randint(-3, 3) for _ in range(a.cols)]) for _ in range(3)]
+        outside = [tuple([rng.randint(-5, 5) for _ in range(a.rows)]) for _ in range(3)]
+        for bs in (image, outside, image[:1] + outside + image[1:]):
+            _check_columns(a, bs)
+            verdicts.add(tuple([x is None for x in solve_columns(a, bs)]))
+    assert (False,) * 3 in verdicts and (True,) * 3 in verdicts
+    two_i = IntMatrix.from_rows([[2, 0], [0, 2]])
+    assert solve_columns(two_i, [(1, 0), (2, 4), (0, 3)]) == [None, (1, 2), None]
+    assert solve_columns(two_i, [(1, 0), (0, 1)]) == [None, None]
+    assert solve_columns(two_i, []) == []
+
+
+def test_solve_columns_rejects_a_wrong_length_column():
+    a = IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
+    for bs in ([(1, 2)], [(1, 2, 3), (1, 2, 3, 4)], [(1, 0, 1), ()]):
+        with pytest.raises(DimensionMismatch):
+            solve_columns(a, bs)
+
+
+def test_strided_access_matches_entrywise_reading():
+    rng = random.Random(5)
+    for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4)]:
+        a = random_int_matrix(rng, rows, cols, -9, 9) if rows and cols else IntMatrix(rows, cols, ())
+        t = a.transpose()
+        assert (t.rows, t.cols) == (cols, rows)
+        assert t.entries == tuple([a.entry(i, j) for j in range(cols) for i in range(rows)])
+        for j in range(cols):
+            c = a.col(j)
+            assert type(c) is tuple and c == tuple([a.entry(i, j) for i in range(rows)])
+        res = snf(a)
+        assert type(res.diagonal) is tuple
+        assert res.diagonal == tuple([res.D.entry(i, i) for i in range(min(rows, cols))])
 
 
 def test_solve_and_kernel_agree_with_snf_on_conjugated_cover():
