@@ -44,12 +44,13 @@ from .matrices import IntMatrix, IntVector, integer_kernel, snf, solve_columns
 def orbit(step, start, limit: int) -> list | None:
     """[start, step(start), ...] up to the first return to start.
 
-    None when that return takes more than limit steps.  A sum over a cyclic
-    group of order n is n/k times the sum over an orbit of length k.
+    None when that return takes more than limit steps, or when a step gives
+    None.  A sum over a cyclic group of order n is n/k times the sum over an
+    orbit of length k.
     """
     points = [start]
     while (current := step(points[-1])) != start:
-        if len(points) == limit:
+        if current is None or len(points) == limit:
             return None
         points.append(current)
     return points
@@ -93,7 +94,10 @@ class GLattice:
     """A lattice together with an isometry generating a finite cyclic group.
 
     `norm` is N = 1 + sigma + ... + sigma^(order-1), summed from the walk
-    over the powers of sigma that validates the order.
+    over the powers of sigma that validates the order.  The walk stops at
+    period_bound(rank) steps, or at the first power whose |trace| exceeds
+    the rank: the eigenvalues of a finite-order sigma are roots of unity,
+    so no power of it has a larger trace.
     """
 
     lattice: Lattice
@@ -112,8 +116,13 @@ class GLattice:
         g = self.lattice.gram
         if self.sigma.transpose() @ g @ self.sigma != g:
             raise ActionNotIsometric("sigma does not preserve the pairing")
+
+        def step(power: IntMatrix) -> IntMatrix | None:
+            power = power @ self.sigma
+            return power if abs(sum(power.entries[:: n + 1])) <= n else None
+
         powers = orbit(
-            lambda p: p @ self.sigma,
+            step,
             IntMatrix.identity(n),
             min(self.order, period_bound(n)),
         )

@@ -10,20 +10,22 @@ any m >= 1 is surjective and that the m-torsion is (Z/m)^2.  No curve
 arithmetic over a field happens here.
 
 Supported endomorphisms are block diagonal: an integer matrix on the
-free part, a multiplier on each finite cyclic summand, and a signed
-permutation of the elliptic summands.  For a cyclic group acting
-through such an endomorphism the module computes H^1 componentwise
-(Shapiro's lemma reduces a permutation cycle to the single summand it
-wraps around), decides the cocycle and coboundary conditions for
-twisting the action, maps section symbols to line-bundle expressions,
-and adds numerical sections on the rank-ten elliptic model.
+free part (kept as a GLattice on the zero form), a multiplier on each
+finite cyclic summand, and a signed permutation of the elliptic
+summands.  For a cyclic group acting through such an endomorphism the
+module computes H^1 and decides the cocycle and coboundary conditions
+for twisting the action block by block: Shapiro's lemma reduces a
+permutation cycle to the single summand it wraps around, so no walk
+follows a whole element, whose orbit is as long as the lcm of the cycle
+lengths.  It also maps section symbols to line-bundle expressions and
+adds numerical sections on the rank-ten elliptic model.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
-from .cohomology import CohResult, GLattice, h1, orbit, period_bound
+from .cohomology import CohResult, GLattice, h1, norm_and_diff, orbit
 from .divisors import DivisorClass
 from .errors import (
     DimensionMismatch,
@@ -70,6 +72,7 @@ class BlockEndo:
     finite_action: tuple[int, ...]
     elliptic_action: tuple[tuple[int, int], ...]
     order: int
+    free: GLattice = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.order < 1:
@@ -77,15 +80,13 @@ class BlockEndo:
         if not self.free_action.is_square:
             raise DimensionMismatch("free action must be square")
         rank = self.free_action.rows
-        powers = orbit(
-            lambda p: self.free_action @ p,
-            IntMatrix.identity(rank),
-            min(self.order, period_bound(rank)),
-        )
-        if powers is None or self.order % len(powers):
+        try:
+            free = GLattice(Lattice(IntMatrix.zeros(rank, rank)), self.free_action, self.order)
+        except UnsupportedParameter:
             raise UnsupportedAction(
                 f"free action is not periodic of order {self.order}"
-            )
+            ) from None
+        object.__setattr__(self, "free", free)
         e = len(self.elliptic_action)
         images = [image for _, image in self.elliptic_action]
         if sorted(images) != list(range(e)):
@@ -270,9 +271,7 @@ def apply_endo(endo: BlockEndo, x: GroupElement) -> GroupElement:
     """Image of an element under one application of the endomorphism."""
     model = x.model
     _check_compat(model, endo)
-    free = (
-        endo.free_action.mul_vec(x.free) if model.free_rank else ()
-    )
+    free = endo.free_action.mul_vec(x.free)
     finite = tuple([
         (u * c) % m
         for u, c, m in zip(endo.finite_action, x.finite, model.finite_cyclic)
@@ -280,7 +279,7 @@ def apply_endo(endo: BlockEndo, x: GroupElement) -> GroupElement:
     elliptic: list[Optional[TorsionPoint]] = [None] * model.elliptic_count
     for i, (sign, image) in enumerate(endo.elliptic_action):
         elliptic[image] = _scale_point(x.elliptic[i], sign)
-    return GroupElement(model, tuple(free), finite, tuple(elliptic))
+    return GroupElement(model, free, finite, tuple(elliptic))
 
 
 def geometric_sum(u: int, n: int, m: int) -> int:
@@ -294,25 +293,41 @@ def geometric_sum(u: int, n: int, m: int) -> int:
     return total
 
 
-def norm_element(endo: BlockEndo, x: GroupElement) -> GroupElement:
-    """The norm x + sigma x + ... + sigma^(n-1) x.  A finite coordinate c
-    has norm c * geometric_sum(u, n, m), so only the other blocks are walked."""
-    rest = replace(x, finite=(0,) * len(x.finite))
-    points = orbit(lambda y: apply_endo(endo, y), rest, endo.order)
-    norm = sum(points[1:], points[0]).scale(endo.order // len(points))
-    finite = zip(x.finite, endo.finite_action, x.model.finite_cyclic)
-    return replace(norm, finite=tuple([c * geometric_sum(u, endo.order, m) for c, u, m in finite]))
+def _cycle_sums(
+    endo: BlockEndo, s: GroupElement
+) -> Iterator[tuple[int, int, Optional[TorsionPoint]]]:
+    """Length k, net sign and the points of s carried once around each
+    elliptic cycle: the first k terms of the norm at the cycle's start."""
+    for cycle, net in _signed_cycles(endo.elliptic_action):
+        total: Optional[TorsionPoint] = None
+        for i in cycle:
+            sign, image = endo.elliptic_action[i]
+            total = _add_points(_scale_point(total, sign), s.elliptic[image])
+        yield len(cycle), net, total
 
 
 def cocycle_check(endo: BlockEndo, s: GroupElement) -> bool:
     """True iff the norm annihilates s, so s can twist the cyclic action.
+
+    Decided blockwise: the free norm matrix, c * geometric_sum(u, n, m) on
+    a finite summand, and (n/k) * (cycle sum) on an elliptic cycle of
+    length k and net sign +1.  A net -1 cycle always passes: its n/k
+    terms alternate in sign, and n/k is even.
 
     >>> model = AbGroupModel(elliptic_count=1)
     >>> s = GroupElement(model, elliptic=(TorsionPoint("eps", 3),))
     >>> cocycle_check(trivial_endo(model, 3), s)
     True
     """
-    return norm_element(endo, s).is_zero
+    _check_compat(s.model, endo)
+    n = endo.order
+    if any(endo.free.norm.mul_vec(s.free)):
+        return False
+    for u, c, m in zip(endo.finite_action, s.finite, s.model.finite_cyclic):
+        if c * geometric_sum(u, n, m) % m:
+            return False
+    sums = _cycle_sums(endo, s)
+    return all(net == -1 or _scale_point(total, n // k) is None for k, net, total in sums)
 
 
 def coboundary_check(endo: BlockEndo, s: GroupElement) -> bool:
@@ -326,25 +341,13 @@ def coboundary_check(endo: BlockEndo, s: GroupElement) -> bool:
     """
     model = s.model
     _check_compat(model, endo)
-    if model.free_rank:
-        diff = IntMatrix.identity(model.free_rank) - endo.free_action
-        if solve_integer(diff, list(s.free)) is None:
-            return False
+    if solve_integer(norm_and_diff(endo.free)[1], list(s.free)) is None:
+        return False
     for u, c, m in zip(endo.finite_action, s.finite, model.finite_cyclic):
         g = math.gcd((1 - u) % m, m)
         if c % g != 0:
             return False
-    for cycle, net in _signed_cycles(endo.elliptic_action):
-        accumulated: Optional[TorsionPoint] = None
-        # walk x_{image(i)} = s_{image(i)} + sign(i) x_i around the cycle
-        for i in cycle:
-            sign, image = endo.elliptic_action[i]
-            accumulated = _add_points(
-                _scale_point(accumulated, sign), s.elliptic[image]
-            )
-        if net == 1 and accumulated is not None:
-            return False
-    return True
+    return all(net == -1 or total is None for _, net, total in _cycle_sums(endo, s))
 
 
 # --- structured cohomology --------------------------------------------------------
@@ -378,12 +381,7 @@ def h1_structured(model: AbGroupModel, endo: BlockEndo) -> StructuredH1:
     (4, 4)
     """
     _check_compat(model, endo)
-    if model.free_rank:
-        rank = model.free_rank
-        ambient = Lattice(IntMatrix.zeros(rank, rank))
-        free_part = h1(GLattice(ambient, endo.free_action, endo.order))
-    else:
-        free_part = CohResult((), 0, ())
+    free_part = h1(endo.free)
     finite_factors = []
     for u, m in zip(endo.finite_action, model.finite_cyclic):
         kernel_size = math.gcd(geometric_sum(u, endo.order, m), m)

@@ -147,24 +147,26 @@ def _run_h1(payload: dict):
     }
     named = payload.get("classes")
     if named is not None:
-        entries = []
+        entries = {}
         for entry in as_list(named, "classes"):
             name = as_str(require(entry, "name", "class"), "class name")
+            if name in entries:
+                raise SchemaError(f"duplicate class name {name!r}")
             vector = as_int_vector(require(entry, "vector", "class"), "class vector")
             if len(vector) != gl.lattice.rank:
                 raise SchemaError(
                     f"class {name!r} has length {len(vector)} on rank "
                     f"{gl.lattice.rank}"
                 )
-            entries.append((name, vector))
+            entries[name] = vector
         norm, diff = norm_and_diff(gl)
-        solutions = solve_columns(diff, [vector for _, vector in entries])
+        solutions = solve_columns(diff, list(entries.values()))
         computed["classes"] = {
             name: {
                 "cocycle": not any(norm.mul_vec(vector)),
                 "coboundary": solution is not None,
             }
-            for (name, vector), solution in zip(entries, solutions)
+            for (name, vector), solution in zip(entries.items(), solutions)
         }
     return computed, ()
 

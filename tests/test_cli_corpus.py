@@ -161,6 +161,26 @@ def test_run_check_domain_error_is_reported():
     assert "ActionNotIsometric" in outcome.error
 
 
+def test_duplicate_class_names_rejected(tmp_path, capsys):
+    # (1) is a nontrivial class and (2) a coboundary: a dict keyed by name
+    # would keep only the second verdict
+    payload = _h1_payload()
+    payload["classes"] = [
+        {"name": "a", "vector": ["1"]},
+        {"name": "a", "vector": ["2"]},
+    ]
+    outcome = run_check("h1", "h1", payload, None)
+    assert outcome.verdict == ERROR
+    assert "SchemaError" in outcome.error
+    assert "duplicate class name 'a'" in outcome.error
+    path = tmp_path / "dup.json"
+    _write(path, {"schema": "k3ord/1", "payload": payload})
+    assert main(["h1", str(path), "--format", "json"]) == 2
+    tree = json.loads(capsys.readouterr().out)
+    assert tree["verdict"] == ERROR
+    assert "duplicate class name 'a'" in tree["checks"][0]["error"]
+
+
 def test_run_check_without_expected_passes_on_success():
     outcome = run_check("h1", "h1", _h1_payload(), None)
     assert outcome.verdict == PASS

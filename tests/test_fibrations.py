@@ -7,7 +7,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import k3ord.fibrations as fibrations
@@ -37,7 +37,6 @@ from k3ord.fibrations import (
     h1_structured,
     mw_sum_rational_elliptic,
     negation_endo,
-    norm_element,
     section_line_bundle,
     trivial_endo,
 )
@@ -234,23 +233,85 @@ def test_invariant_factor_normalization():
 # --- cocycle and coboundary checks --------------------------------------------------
 
 
-def test_norm_element_is_invariant():
-    model = AbGroupModel(free_rank=2, finite_cyclic=(6,), elliptic_count=2)
-    endo = BlockEndo(
-        IntMatrix.from_rows([[0, -1], [1, 0]]), (5,), ((1, 1), (-1, 0)), 4
-    )
+# (free action, its period) at ranks 0, 1 and 2
+FREE_ACTIONS = [
+    (IntMatrix.identity(0), 1),
+    (IntMatrix.identity(1), 1),
+    (IntMatrix.from_rows([[-1]]), 2),
+    (IntMatrix.identity(2), 1),
+    (IntMatrix.from_rows([[0, 1], [1, 0]]), 2),
+    (IntMatrix.from_rows([[1, 1], [0, -1]]), 2),
+    (IntMatrix.from_rows([[0, -1], [1, -1]]), 3),
+    (IntMatrix.from_rows([[0, -1], [1, 0]]), 4),
+    (IntMatrix.from_rows([[1, -1], [1, 0]]), 6),
+]
+
+
+@st.composite
+def _twisted_elements(draw):
+    """(endo, x): a block action at an order every block admits, and an
+    element whose points are multiples of one symbol."""
+    free_action, period = draw(st.sampled_from(FREE_ACTIONS))
+    moduli = draw(st.lists(st.integers(2, 9), max_size=2))
+    units = [
+        draw(st.sampled_from([u for u in range(1, m) if math.gcd(u, m) == 1]))
+        for m in moduli
+    ]
+    count = draw(st.integers(0, 4))
+    images = draw(st.permutations(range(count)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=count, max_size=count))
+    periods = [period]
+    periods += [next(k for k in range(1, m) if pow(u, k, m) == 1) for u, m in zip(units, moduli)]
+    seen = set()
+    for start in range(count):
+        cycle = []
+        while start not in seen:
+            seen.add(start)
+            cycle.append(start)
+            start = images[start]
+        if cycle:
+            # a sign-reversing cycle of length k needs an even multiple of k
+            net = math.prod(signs[i] for i in cycle)
+            periods.append(len(cycle) * (1 if net == 1 else 2))
+    order = math.lcm(*periods) * draw(st.integers(1, 3))
+    endo = BlockEndo(free_action, tuple(units), tuple(zip(signs, images)), order)
+    point_order = draw(st.integers(1, 8))
+    points = st.none() | st.integers(-8, 8).map(lambda k: TorsionPoint("p", point_order, k))
+    model = AbGroupModel(free_action.rows, tuple(moduli), count)
     x = GroupElement(
-        model, (2, -3), (4,), (TorsionPoint("p", 8, 3), TorsionPoint("p", 8, 5))
+        model,
+        tuple(draw(st.integers(-3, 3)) for _ in range(model.free_rank)),
+        tuple(draw(st.integers(0, m - 1)) for m in moduli),
+        tuple(draw(points) for _ in range(count)),
     )
-    nx = norm_element(endo, x)
-    assert apply_endo(endo, nx) == nx
-    for order in (4, 8):
-        endo = BlockEndo(endo.free_action, (5,), ((1, 1), (-1, 0)), order)
-        total = current = x
-        for _ in range(order - 1):
-            current = apply_endo(endo, current)
-            total = total + current
-        assert norm_element(endo, x) == total, order
+    return endo, x
+
+
+@given(_twisted_elements())
+@example((
+    # a net +1 cycle of two sign changes: the cycle sum is p - p = 0
+    BlockEndo(IntMatrix.identity(0), (), ((-1, 1), (-1, 0)), 2),
+    GroupElement(AbGroupModel(elliptic_count=2), elliptic=(TorsionPoint("p", 4),) * 2),
+))
+@example((
+    BlockEndo(IntMatrix.from_rows([[0, -1], [1, 0]]), (5,), ((1, 1), (-1, 0)), 8),
+    GroupElement(
+        AbGroupModel(2, (6,), 2),
+        (2, -3), (4,), (TorsionPoint("p", 8, 3), TorsionPoint("p", 8, 5)),
+    ),
+))
+@seed(20261018)
+@settings(max_examples=200, deadline=None, database=None)
+def test_cocycle_check_matches_the_summed_orbit(case):
+    endo, x = case
+    total = current = x
+    for _ in range(endo.order - 1):
+        current = apply_endo(endo, current)
+        total = total + current
+    assert cocycle_check(endo, x) == total.is_zero
+    difference = x + _minus(apply_endo(endo, x))
+    assert cocycle_check(endo, difference)
+    assert coboundary_check(endo, difference)
 
 
 def test_work_follows_the_period_not_the_declared_order(monkeypatch):
@@ -275,6 +336,22 @@ def test_non_periodic_free_action_is_rejected_within_the_rank_bound():
     with pytest.raises(UnsupportedAction, match="not periodic of order 1000000$"):
         BlockEndo(IntMatrix.from_rows([[2, 1], [1, 1]]), (), (), 10**6)
     assert time.perf_counter() - start < 1
+
+
+def test_non_periodic_action_is_rejected_by_its_trace():
+    # every power of a finite-order action has |trace| <= rank; the first
+    # power of this one has trace 23 on rank 22
+    rows = [[0] * 22 for _ in range(22)]
+    rows[0][:2], rows[1][:2] = [2, 1], [1, 1]
+    for i in range(2, 22):
+        rows[i][i] = 1
+    action = IntMatrix.from_rows(rows)
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedAction, match="^free action is not periodic of order 1000000$"):
+        BlockEndo(action, (), (), 10**6)
+    with pytest.raises(UnsupportedParameter, match=r"^sigma\^1000000 is not the identity$"):
+        GLattice(Lattice(IntMatrix.zeros(22, 22)), action, 10**6)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_geometric_sum_matches_plain_sum():
@@ -306,6 +383,45 @@ def test_finite_norms_do_not_walk_the_orbit(tmp_path, capsys, command, payload, 
     assert time.perf_counter() - start < 1
     (check,) = json.loads(capsys.readouterr().out)["checks"]
     assert computed.items() <= check["computed"].items()
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+@pytest.mark.parametrize("command", [["twist", "check"], ["fibration", "h1"]])
+def test_elliptic_cycles_do_not_walk_whole_elements(tmp_path, capsys, command):
+    # 100 summands in cycles of the first nine primes: a whole element's
+    # orbit has 223,092,870 points, each cycle is walked once
+    order = math.prod(PRIMES)
+    pairs, points = [], []
+    for p in PRIMES:
+        offset = len(pairs)
+        for k in range(p):
+            pairs.append(["1", str(offset + (k + 1) % p)])
+            points.append({"symbol": "p", "order": "1000", "mult": str(k + 1)})
+    doc = {"schema": "k3ord/1", "payload": {
+        "model": {"elliptic_count": str(len(pairs))},
+        "endo": {"order": str(order), "elliptic_action": pairs},
+        "element": {"elliptic": points},
+    }}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main([*command, str(path), "--format", "json"]) == 0
+    assert time.perf_counter() - start < 1
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    # a cycle of length p carries 1 + 2 + ... + p once around, order/p times
+    sums = [p * (p + 1) // 2 for p in PRIMES]
+    expected = {
+        "twist-check": {
+            "cocycle": all(order // p * t % 1000 == 0 for p, t in zip(PRIMES, sums)),
+            "coboundary": all(t % 1000 == 0 for t in sums),
+        },
+        "fibration-h1": {
+            "elliptic_factors": [str(order // p) for p in PRIMES for _ in "xy"],
+        },
+    }[check["kind"]]
+    assert expected.items() <= check["computed"].items()
 
 
 def test_cocycle_golden_cases():
