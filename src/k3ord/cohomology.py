@@ -13,7 +13,9 @@ and the Smith normal form U.C.V = diag(d) reads off the invariant factors.
 One representative cocycle per torsion factor d_i > 1 is D.V.e_i / d_i,
 an exact division: C.V.e_i = d_i U^-1.e_i, so D.V.e_i / d_i = K.U^-1.e_i,
 the i-th basis vector of ker N in the Smith basis.  Each generator can be
-checked directly: it is killed by N and is not an image of D.
+checked directly: it is killed by N and is not an image of D.  The
+generators are representatives read off V, which is not unique, so they are
+not canonical vectors: another V can give other generators of the same group.
 
 Multiplying any cocycle by n lands in im D, so the quotient is always
 n-torsion; free_rank is recorded for completeness and equals 0 for every

@@ -31,7 +31,7 @@ from typing import Optional
 from .embeddings import Embedding, orthogonal_complement
 from .errors import ActionNotIsometric, DimensionMismatch, SingularFrame
 from .lattices import Lattice
-from .matrices import IntMatrix, RatMatrix, det
+from .matrices import IntMatrix, RatMatrix
 
 EXTENSION_ASSUMPTIONS = (
     "acts as -1 on the orthogonal complement of the embedded sublattice",
@@ -75,12 +75,16 @@ def extend_by_minus_one(
 
     t = complement if complement is not None else orthogonal_complement(pic).complement.matrix
     frame = pic.matrix.hstack(t)
-    if not frame.is_square or det(frame) == 0:
+    a = frame.to_rat()
+    try:
+        a_inv = a.inverse() if frame.is_square else None
+    except ValueError:  # singular
+        a_inv = None
+    if a_inv is None:
         raise SingularFrame("embedding and complement do not span the ambient space")
 
     blocks = IntMatrix.block_diag([action, IntMatrix.identity(t.cols).scale(-1)])
-    a = frame.to_rat()
-    phi = a @ blocks.to_rat() @ a.inverse()
+    phi = a @ blocks.to_rat() @ a_inv
 
     g = target.gram.to_rat()
     orthogonal = phi.transpose() @ g @ phi == g

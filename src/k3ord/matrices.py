@@ -25,12 +25,10 @@ Provided operations:
 
 Conventions, pinned so outputs are reproducible:
 
-* SNF pivoting picks the nonzero entry of minimal absolute value, ties
-  broken in reading order (left to right inside a row, rows top to bottom).
 * SNF diagonal entries are normalized nonnegative and each divides the next.
-* The one echelon elimination behind `hermite_row_basis`, `integer_kernel`
-  and `solve_columns` pivots on the nonzero entry of minimal absolute value
-  in the column, ties broken by row index.
+* The one echelon elimination behind `snf`, `hermite_row_basis`,
+  `integer_kernel` and `solve_columns` pivots on the nonzero entry of minimal
+  absolute value in the column, ties broken by row index.
 * `integer_kernel` returns the unique column Hermite basis of the kernel.
 * When the signature diagonalization meets a zero diagonal entry it first
   looks for a nonzero diagonal entry to swap in; failing that it adds row j
@@ -95,10 +93,7 @@ class IntMatrix:
 
     @classmethod
     def from_cols(cls, cols: Iterable[Sequence[int]]) -> "IntMatrix":
-        cols = [list(c) for c in cols]
-        if not cols:
-            return cls(0, 0, ())
-        return cls.from_rows(list(map(list, zip(*cols))))
+        return cls.from_rows(cols).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -271,29 +266,23 @@ class SNFResult:
         return len(self.invariant_factors)
 
 
-def _pick_pivot(d: list[list[int]], t: int, nrows: int, ncols: int) -> Optional[tuple[int, int]]:
-    """Nonzero entry of minimal absolute value in the trailing block,
-    ties broken in reading order."""
-    best = None
-    best_abs = None
-    for i in range(t, nrows):
-        di = d[i]
-        for j in range(t, ncols):
-            x = di[j]
-            if x != 0:
-                a = -x if x < 0 else x
-                if best_abs is None or a < best_abs:
-                    best, best_abs = (i, j), a
-                    if a == 1:
-                        return best
-    return best
-
-
 def snf(a: IntMatrix) -> SNFResult:
     """Smith normal form with transforms.
 
     Returns SNFResult(U, D, V) with U * a * V = D, U and V unimodular,
-    D diagonal with nonnegative entries in a divisibility chain.
+    D diagonal with nonnegative entries in a divisibility chain, zeros last.
+
+    D is brought to row echelon form by `_echelon` on its rows (recorded in
+    U) and then on its columns, the rows of D^T (recorded in V^T), in turn
+    until it is diagonal; `_echelon` leaves its pivots positive and its zero
+    rows last.  If then some d_i does not divide a later d_j, row j is added
+    to row i and the alternation starts again (Kannan and Bachem 1979).
+    This ends: the leading entry d_0 is the gcd of its column after a row
+    pass and of its row after a column pass, so it never grows, and a pass
+    that leaves other entries in its row or column lowers it strictly; once
+    they are all zero no later pass touches row or column 0, and the
+    trailing block follows by induction.  A repair at d_i lowers d_i
+    strictly to gcd(d_i, d_j) and leaves d_0, ..., d_(i-1) alone.
 
     >>> r = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
     >>> r.diagonal
@@ -301,80 +290,27 @@ def snf(a: IntMatrix) -> SNFResult:
     """
     nrows, ncols = a.rows, a.cols
     d = [list(a.row(i)) for i in range(nrows)]
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def row_sub(i: int, k: int, q: int) -> None:
-        if q:
-            d[i] = [x - q * y for x, y in zip(d[i], d[k])]
-            u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-
-    def row_add(i: int, k: int) -> None:
-        d[i] = [x + y for x, y in zip(d[i], d[k])]
-        u[i] = [x + y for x, y in zip(u[i], u[k])]
-
-    def col_sub(j: int, k: int, q: int) -> None:
-        if q:
-            for r in d:
-                r[j] -= q * r[k]
-            for r in v:
-                r[j] -= q * r[k]
-
-    def swap_rows(i: int, k: int) -> None:
-        if i != k:
-            d[i], d[k] = d[k], d[i]
-            u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j: int, k: int) -> None:
-        if j != k:
-            for r in d:
-                r[j], r[k] = r[k], r[j]
-            for r in v:
-                r[j], r[k] = r[k], r[j]
-
-    for t in range(min(nrows, ncols)):
-        pos = _pick_pivot(d, t, nrows, ncols)
-        if pos is None:
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    vt = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    while True:
+        list(_echelon(d, ncols, u))
+        dt = [[r[j] for r in d] for j in range(ncols)]
+        rank = len(list(_echelon(dt, nrows, vt)))
+        d = [[r[i] for r in dt] for i in range(nrows)]
+        if any(x for i, r in enumerate(d) for j, x in enumerate(r) if i != j):
+            continue
+        bad = next((
+            (i, j) for i in range(rank) for j in range(i + 1, rank) if d[j][j] % d[i][i]
+        ), None)
+        if bad is None:
             break
-        while True:
-            swap_rows(t, pos[0])
-            swap_cols(t, pos[1])
-            # clear below and to the right of the pivot
-            for i in range(t + 1, nrows):
-                if d[i][t] != 0:
-                    row_sub(i, t, d[i][t] // d[t][t])
-            for j in range(t + 1, ncols):
-                if d[t][j] != 0:
-                    col_sub(j, t, d[t][j] // d[t][t])
-            if any(d[i][t] for i in range(t + 1, nrows)) or any(
-                d[t][j] for j in range(t + 1, ncols)
-            ):
-                # remainders survive; re-pick a (smaller) pivot and repeat
-                pos = _pick_pivot(d, t, nrows, ncols)
-                continue
-            # divisibility: the pivot must divide the whole trailing block
-            p = d[t][t]
-            offender = None
-            for i in range(t + 1, nrows):
-                di = d[i]
-                for j in range(t + 1, ncols):
-                    if di[j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_add(t, offender)
-            pos = _pick_pivot(d, t, nrows, ncols)
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-
+        i, j = bad
+        d[i] = [x + y for x, y in zip(d[i], d[j])]
+        u[i] = [x + y for x, y in zip(u[i], u[j])]
     return SNFResult(
-        U=IntMatrix.from_rows(u) if nrows else IntMatrix(0, 0, ()),
-        D=IntMatrix.from_rows(d) if nrows else IntMatrix(0, ncols, ()),
-        V=IntMatrix.from_rows(v) if ncols else IntMatrix(0, 0, ()),
+        U=IntMatrix(nrows, nrows, tuple([x for r in u for x in r])),
+        D=IntMatrix(nrows, ncols, tuple([x for r in d for x in r])),
+        V=IntMatrix(ncols, ncols, tuple([x for r in vt for x in r])).transpose(),
     )
 
 

@@ -204,6 +204,11 @@ def _run_ample_cert(payload: dict):
             DivisorClass(as_int_vector(v, "generator"))
             for v in as_list(gens_node, "generators")
         ]
+        for i, g in enumerate(gens):
+            if len(g.coords) != lattice.rank:
+                raise SchemaError(
+                    f"generator {i} has length {len(g.coords)} on rank {lattice.rank}"
+                )
     cert = nakai_certificate(lattice, candidate, gens)
     computed = {
         "passed": cert.verdict.passed,

@@ -181,6 +181,25 @@ def test_duplicate_class_names_rejected(tmp_path, capsys):
     assert "duplicate class name 'a'" in tree["checks"][0]["error"]
 
 
+@pytest.mark.parametrize("generators, length", [
+    ([["1", "0"], ["0"]], 1),
+    ([["1", "0"], ["0", "1", "0"]], 3),
+])
+def test_ample_cert_generator_length_is_schema_error(tmp_path, capsys, generators, length):
+    # a short generator used to read as "generators do not span", a long one
+    # as a DimensionMismatch from the pairing
+    payload = {"gram": [["2", "0"], ["0", "2"]], "candidate": ["1", "1"], "generators": generators}
+    message = f"generator 1 has length {length} on rank 2"
+    outcome = run_check("ample", "ample-cert", payload, None)
+    assert outcome.verdict == ERROR
+    assert outcome.error == f"SchemaError: {message}"
+    path = tmp_path / "ample.json"
+    _write(path, {"schema": "k3ord/1", "payload": payload})
+    assert main(["ample", str(path), "--format", "json"]) == 2
+    tree = json.loads(capsys.readouterr().out)
+    assert tree["checks"][0]["error"] == f"SchemaError: {message}"
+
+
 def test_run_check_without_expected_passes_on_success():
     outcome = run_check("h1", "h1", _h1_payload(), None)
     assert outcome.verdict == PASS

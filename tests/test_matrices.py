@@ -49,6 +49,9 @@ def test_shape_validation():
         IntMatrix(2, 2, (1, 2, 3))
     with pytest.raises(DimensionMismatch):
         IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.from_cols([[1, 0], [0]])
+    assert IntMatrix.from_cols([[], []]) == IntMatrix(0, 2, ())
     with pytest.raises(TypeError):
         IntMatrix.from_rows([[1.5, 2], [3, 4]])
 
@@ -133,11 +136,45 @@ def test_snf_random_suite():
         _check_snf(random_int_matrix(rng, rows, cols, -9, 9))
 
 
-@given(st.lists(st.lists(st.integers(-30, 30), min_size=1, max_size=4), min_size=1, max_size=4)
-       .filter(lambda rows: len({len(r) for r in rows}) == 1))
-@settings(max_examples=60, deadline=None)
-def test_snf_property(rows):
-    _check_snf(IntMatrix.from_rows(rows))
+@pytest.mark.parametrize("rows, diagonal", [
+    ([[2, 0], [0, 3]], (1, 6)),
+    ([[4, 0], [0, 6]], (2, 12)),
+    ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], (1, 30, 30)),
+    ([[0, 0], [0, 5]], (5, 0)),
+    ([[2, 0, 0], [0, 3, 0]], (1, 6)),
+    ([[2, 0], [0, 3], [0, 0]], (1, 6)),
+])
+def test_snf_divisibility_repair(rows, diagonal):
+    a = IntMatrix.from_rows(rows)
+    _check_snf(a)
+    assert snf(a).diagonal == diagonal
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0)])
+def test_snf_empty_shapes(rows, cols):
+    a = IntMatrix(rows, cols, ())
+    _check_snf(a)
+    r = snf(a)
+    assert (r.U.rows, r.U.cols) == (rows, rows)
+    assert (r.D.rows, r.D.cols) == (rows, cols)
+    assert (r.V.rows, r.V.cols) == (cols, cols)
+
+
+@st.composite
+def _snf_inputs(draw):
+    """Up to 6x6, about half the entries zero, so that diagonal inputs,
+    zero rows and columns and divisibility repairs all come up."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-30, 30))
+    n = rows * cols
+    return IntMatrix(rows, cols, tuple(draw(st.lists(entry, min_size=n, max_size=n))))
+
+
+@given(_snf_inputs())
+@seed(20261020)
+@settings(max_examples=200, deadline=None, database=None)
+def test_snf_property(a):
+    _check_snf(a)
 
 
 def test_kernel_examples():
