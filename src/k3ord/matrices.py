@@ -17,9 +17,9 @@ Provided operations:
   pivot that does not divide, or a remainder left when the pivots are used
   up, certifies that no solution exists.  `solve_integer` is its one-column
   case.
-* `det`: fraction-free (Bareiss) determinant.
-* `adjugate`: determinant and adjugate by fraction-free Gauss-Jordan;
-  `RatMatrix.inverse` is the adjugate over the determinant.
+* `det` and `adjugate`: one forward fraction-free (Bareiss) elimination, of
+  A or of [A | I]; the adjugate is then read off by exact back-substitution,
+  and `RatMatrix.inverse` is the adjugate over the determinant.
 * `signature`: exact signature of a symmetric matrix by congruence
   diagonalization over Z, each step scaled by a positive pivot.
 
@@ -110,17 +110,12 @@ class IntMatrix:
 
     @classmethod
     def block_diag(cls, blocks: Sequence["IntMatrix"]) -> "IntMatrix":
-        nrows = sum(b.rows for b in blocks)
         ncols = sum(b.cols for b in blocks)
-        out = [[0] * ncols for _ in range(nrows)]
-        r0 = c0 = 0
+        out, c0 = [], 0
         for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    out[r0 + i][c0 + j] = b.entry(i, j)
-            r0 += b.rows
+            out += [[0] * c0 + list(r) + [0] * (ncols - c0 - b.cols) for r in b.to_rows()]
             c0 += b.cols
-        return cls.from_rows(out)
+        return cls(len(out), ncols, tuple([x for r in out for x in r]))
 
     # -- access ---------------------------------------------------------
 
@@ -450,39 +445,47 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[IntVector]:
     return solve_columns(a, [b])[0]
 
 
+def _bareiss(m: list[list[int]]) -> int:
+    """Forward fraction-free (Bareiss) elimination of the n rows of `m` in
+    place (rows may be longer): the first nonzero entry p of column k at or
+    below row k is swapped up, and each row below becomes
+    (p * row_i - m_ik * row_k) // prev, exact by Sylvester's identity
+    (Bareiss 1968).  Returns det of the leading n x n block, the last pivot
+    signed by the swaps, or 0 at the first column with no pivot."""
+    n = len(m)
+    sign = prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv], sign = m[piv], m[k], -sign
+        rk, p = m[k], m[k][k]
+        for i in range(k + 1, n):
+            r = m[i]
+            c, r[k] = r[k], 0
+            for j in range(k + 1, len(r)):
+                r[j] = (p * r[j] - c * rk[j]) // prev
+        prev = p
+    return sign * prev
+
+
 def det(a: IntMatrix) -> int:
-    """Fraction-free (Bareiss) determinant.
+    """Determinant by `_bareiss`; 1 for the 0x0 matrix.
 
     >>> det(IntMatrix.from_rows([[0, 1], [1, 0]]))
     -1
     """
     if not a.is_square:
         raise NonSquare(f"determinant of a {a.rows}x{a.cols} matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = [list(a.row(i)) for i in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return _bareiss([list(a.row(i)) for i in range(a.rows)])
 
 
 def adjugate(a: IntMatrix) -> tuple[int, IntMatrix]:
-    """(det a, adj a), a @ adj == det * I, by fraction-free Gauss-Jordan on
-    [a | I]: row_i <- (p * row_i - a_ik * row_k) // prev, exact by Sylvester's
-    identity (Bareiss 1968). Raises ValueError when `a` is singular.
+    """(d, adj a) with d = det a, a @ adj == d * I; ValueError if singular.
+    `_bareiss` on [a | I] leaves [R | L], R = L * a upper triangular; then
+    adj a = d * a^(-1) is the X with R * X = d * L, by back-substitution
+    from the last row, each division by R_ii exact as X is integral.
 
     >>> adjugate(IntMatrix.from_rows([[1, 2], [3, 4]]))[1].to_rows()
     ((4, -2), (-3, 1))
@@ -491,21 +494,17 @@ def adjugate(a: IntMatrix) -> tuple[int, IntMatrix]:
         raise NonSquare("only square matrices have inverses")
     n = a.rows
     m = [list(a.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
-    sign = prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != k:
-            m[k], m[piv], sign = m[piv], m[k], -sign
-        rk, p = m[k], m[k][k]
-        for i in range(n):
-            if i != k:
-                c = m[i][k]
-                m[i] = [(p * x - c * y) // prev for x, y in zip(m[i], rk)]
-        prev = p
-    # the left half is now prev * I and prev = det of the row-swapped a
-    return sign * prev, IntMatrix.from_rows([[sign * x for x in r[n:]] for r in m])
+    d = _bareiss(m)
+    if not d:
+        raise ValueError("matrix is singular")
+    x = [[]] * n
+    for i in reversed(range(n)):
+        r, acc = m[i], [d * y for y in m[i][n:]]
+        for j in range(i + 1, n):
+            if r[j]:
+                acc = [s - r[j] * t for s, t in zip(acc, x[j])]
+        x[i] = [s // r[i] for s in acc]
+    return d, IntMatrix.from_rows(x)
 
 
 def signature(g: IntMatrix) -> tuple[int, int, int]:

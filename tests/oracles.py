@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -173,18 +174,20 @@ def h1_box_class_count(sigma: IntMatrix, order: int, box: int = 3) -> int:
     enough to reach every class this is |ker N / im D|.
     """
     n = sigma.rows
-    npow = IntMatrix.identity(n)
-    nmat = IntMatrix.zeros(n, n)
+    rows = [list(r) for r in sigma.to_rows()]
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    npow = eye
+    nmat = [[0] * n for _ in range(n)]
     for _ in range(order):
-        nmat = nmat + npow
-        npow = npow @ sigma
-    assert npow == IntMatrix.identity(n), "sigma^order must be the identity"
-    dmat = IntMatrix.identity(n) - sigma
-    basis = _echelon_column_basis([dmat.col(j) for j in range(n)], n)
-    zero = (0,) * n
+        nmat = [[x + y for x, y in zip(r, s)] for r, s in zip(nmat, npow)]
+        npow = [[sum(r[k] * rows[k][j] for k in range(n)) for j in range(n)] for r in npow]
+    assert npow == eye, "sigma^order must be the identity"
+    dcols = [[int(i == j) - rows[i][j] for i in range(n)] for j in range(n)]
+    basis = _echelon_column_basis(dcols, n)
+    nrows = [r for r in nmat if any(r)]
     reps = set()
     for v in itertools.product(range(-box, box + 1), repeat=n):
-        if nmat.mul_vec(v) == zero:
+        if not any(sum(map(operator.mul, r, v)) for r in nrows):
             reps.add(_reduce_mod_lattice(v, basis))
     return len(reps)
 

@@ -1,6 +1,7 @@
 """Tests for the JSON conventions, the scenario runner, and the CLI."""
 
 import ast
+import hashlib
 import importlib.util
 import json
 import sys
@@ -261,6 +262,12 @@ def test_corpus_runs_are_byte_identical():
     first = jsonio.dumps_canonical(summary_tree(run_corpus(CORPUS)))
     second = jsonio.dumps_canonical(summary_tree(run_corpus(CORPUS)))
     assert first == second
+    # The bytes of `k3ord corpus run --format json`, pinned across commits.
+    # A change that alters the corpus bytes on purpose re-records this digest
+    # and says so in CHANGES.md.
+    assert hashlib.sha256(first.encode()).hexdigest() == (
+        "b7ef6e655635ec47abf0bb434eb8fa5e200014bbe7091ba5ba31f0eee233b260"
+    )
 
 
 def test_package_has_no_assert_statements():

@@ -1,6 +1,7 @@
 """Unit and property tests for the exact matrix kernel."""
 
 import doctest
+import itertools
 import random
 from enum import IntEnum
 from fractions import Fraction
@@ -85,6 +86,7 @@ def test_basic_ops():
     assert (a - a) == IntMatrix.zeros(2, 2)
     assert a.hstack(a).row(0) == (1, 2, 1, 2)
     assert IntMatrix.block_diag([a, IntMatrix.identity(1)]).row(2) == (0, 0, 1)
+    assert IntMatrix.block_diag([IntMatrix(0, 2, ()), IntMatrix(0, 1, ())]) == IntMatrix(0, 3, ())
     with pytest.raises(DimensionMismatch):
         a.mul_vec((1, 2, 3))
 
@@ -392,6 +394,24 @@ def test_det_against_cofactor_oracle():
         n = rng.randint(1, 6)
         a = random_int_matrix(rng, n, n, -9, 9)
         assert det(a) == det_cofactor(a)
+    # every 3x3 over {-1, 0, 1}: many need a row swap, and many are singular
+    singular = 0
+    for entries in itertools.product((-1, 0, 1), repeat=9):
+        a = IntMatrix(3, 3, entries)
+        d = det(a)
+        assert d == det_cofactor(a), a
+        expected = fraction_inverse(a)
+        if expected is None:
+            singular += 1
+            assert d == 0
+            with pytest.raises(ValueError, match="matrix is singular"):
+                matrices.adjugate(a)
+            continue
+        d_adj, adj = matrices.adjugate(a)
+        assert d_adj == d
+        assert [list(r) for r in adj.to_rows()] == [[d * x for x in r] for r in expected], a
+    assert singular == 7875
+    assert matrices.adjugate(IntMatrix(0, 0, ())) == (1, IntMatrix(0, 0, ()))
 
 
 def test_signature_examples():
