@@ -99,7 +99,10 @@ class GLattice:
     over the powers of sigma that validates the order.  The walk stops at
     period_bound(rank) steps, or at the first power whose |trace| exceeds
     the rank: the eigenvalues of a finite-order sigma are roots of unity,
-    so no power of it has a larger trace.
+    so no power of it has a larger trace.  It also stops at a power other
+    than I whose trace equals the rank, such as any power of a unipotent
+    sigma: a finite-order power with that trace has every eigenvalue 1 and
+    is diagonalizable, so it is I.
     """
 
     lattice: Lattice
@@ -119,15 +122,14 @@ class GLattice:
         if self.sigma.transpose() @ g @ self.sigma != g:
             raise ActionNotIsometric("sigma does not preserve the pairing")
 
+        eye = IntMatrix.identity(n)
+
         def step(power: IntMatrix) -> IntMatrix | None:
             power = power @ self.sigma
-            return power if abs(sum(power.entries[:: n + 1])) <= n else None
+            trace = sum(power.entries[:: n + 1])
+            return None if abs(trace) > n or (trace == n and power != eye) else power
 
-        powers = orbit(
-            step,
-            IntMatrix.identity(n),
-            min(self.order, period_bound(n)),
-        )
+        powers = orbit(step, eye, min(self.order, period_bound(n)))
         if powers is None or self.order % len(powers):
             raise UnsupportedParameter(
                 f"sigma^{self.order} is not the identity"

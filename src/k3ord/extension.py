@@ -1,21 +1,24 @@
 """Extending a Picard-lattice involution across the whole ambient lattice.
 
-Given a sublattice embedded by P, an isometry of it given by a matrix
-`action`, and the orthogonal complement T, there is a unique rational map of
-the ambient lattice restricting to the action on the image of P and to -1 on
-the span of T.  In the frame A = [P | T] it is
+Given a sublattice embedded by P into a lattice with Gram matrix G and an
+isometry `action` of it, there is a unique rational map of the ambient
+lattice restricting to the action on the image of P and to -1 on its
+orthogonal complement.  With M = P^T.G and Q = M.P it is
 
-    phi = A . blockdiag(action, -I) . A^(-1),
+    phi = -I + P.(action + I).Q^(-1).M:
 
-computed exactly over the integers: phi is an integer numerator over
-det A, from the adjugate of A, reduced to lowest terms.  phi preserves the
-integer lattice exactly when that reduced denominator is 1, never by a
-tolerance test.  The result records that integrality flag together with
+write x = P.a + t with t orthogonal to P; then M.x = Q.a, and
+phi(x) = P.action.a - t = -x + P.(action + I).a.  P.Q^(-1).M is the
+orthogonal projection onto the image of P, as in Nikulin's gluing of
+isometries of S + S^perp (1979), so no complement basis is chosen and only
+the n x n matrix Q is inverted.  Q is nonsingular exactly when the image of
+P and a basis T of ker M form a square nonsingular frame [P | T]: applying
+M to P.a + T.b = 0 gives Q.a = 0, and Q.a = 0 puts P.a in ker M.
+
+phi is an integer numerator over the denominator of Q^(-1), in lowest
+terms; it preserves the integer lattice exactly when that denominator is 1,
+never by a tolerance test.  The result records that integrality flag with
 exact orthogonality and involutivity certificates.
-
-The map is determined by its values on the two rational spans, so the choice
-of complement basis cannot change it; an alternative basis may still be
-supplied to exercise exactly that independence.
 
 Only the lattice-side conditions are certified.  Whether the extension is
 induced by a geometric symmetry involves conditions on the transcendental
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .embeddings import Embedding, orthogonal_complement
+from .embeddings import Embedding
 from .errors import ActionNotIsometric, DimensionMismatch, SingularFrame
 from .lattices import Lattice
 from .matrices import IntMatrix, RatMatrix
@@ -51,16 +54,12 @@ class ExtensionResult:
     assumptions: tuple[str, ...] = EXTENSION_ASSUMPTIONS
 
 
-def extend_by_minus_one(
-    target: Lattice,
-    pic: Embedding,
-    action: IntMatrix,
-    complement: Optional[IntMatrix] = None,
-) -> ExtensionResult:
+def extend_by_minus_one(target: Lattice, pic: Embedding, action: IntMatrix) -> ExtensionResult:
     """Extend `action` on the image of `pic` by -1 on its complement.
 
-    `complement` overrides the computed complement basis; any basis of the
-    same rational span yields the same phi.
+    phi = -I + P.(action + I).Q^(-1).M with M = P^T.G and Q = M.P; raises
+    SingularFrame exactly when det Q = 0, that is when the image of P and
+    its orthogonal complement do not span the ambient space.
     """
     if pic.target.gram != target.gram:
         raise DimensionMismatch("embedding target does not match the given lattice")
@@ -73,18 +72,14 @@ def extend_by_minus_one(
     if action.transpose() @ q @ action != q:
         raise ActionNotIsometric("action does not preserve the sublattice pairing")
 
-    t = complement if complement is not None else orthogonal_complement(pic).complement.matrix
-    frame = pic.matrix.hstack(t)
-    a = frame.to_rat()
+    p = pic.matrix
+    m = p.transpose() @ target.gram
     try:
-        a_inv = a.inverse() if frame.is_square else None
+        q_inv = (m @ p).to_rat().inverse()
     except ValueError:  # singular
-        a_inv = None
-    if a_inv is None:
-        raise SingularFrame("embedding and complement do not span the ambient space")
-
-    blocks = IntMatrix.block_diag([action, IntMatrix.identity(t.cols).scale(-1)])
-    phi = a @ blocks.to_rat() @ a_inv
+        raise SingularFrame("embedding and complement do not span the ambient space") from None
+    lift = p @ (action + IntMatrix.identity(n)) @ q_inv.num @ m
+    phi = RatMatrix(lift - IntMatrix.identity(target.rank).scale(q_inv.den), q_inv.den)
 
     g = target.gram.to_rat()
     orthogonal = phi.transpose() @ g @ phi == g

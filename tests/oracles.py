@@ -15,28 +15,39 @@ from fractions import Fraction
 from k3ord.matrices import IntMatrix
 
 
+def _cofactor_det(rs: list[list[int]]) -> int:
+    """Determinant of a square list of rows by expansion along the first row."""
+    k = len(rs)
+    if k == 0:
+        return 1
+    if k == 1:
+        return rs[0][0]
+    total = 0
+    for j in range(k):
+        if rs[0][j] == 0:
+            continue
+        minor = [r[:j] + r[j + 1:] for r in rs[1:]]
+        sign = -1 if j % 2 else 1
+        total += sign * rs[0][j] * _cofactor_det(minor)
+    return total
+
+
 def det_cofactor(m: IntMatrix) -> int:
     """Cofactor-expansion determinant, practical up to about 7x7."""
-    n = m.rows
-    assert m.is_square and n <= 8
+    assert m.is_square and m.rows <= 8
+    return _cofactor_det([list(r) for r in m.to_rows()])
+
+
+def adjugate_cofactor(m: IntMatrix) -> list[list[int]]:
+    """adj(m) entry by entry: (-1)^(i+j) times the cofactor determinant of m
+    without row j and column i."""
+    assert m.is_square and m.rows <= 8
     rows = [list(r) for r in m.to_rows()]
-
-    def rec(rs):
-        k = len(rs)
-        if k == 0:
-            return 1
-        if k == 1:
-            return rs[0][0]
-        total = 0
-        for j in range(k):
-            if rs[0][j] == 0:
-                continue
-            minor = [r[:j] + r[j + 1:] for r in rs[1:]]
-            sign = -1 if j % 2 else 1
-            total += sign * rs[0][j] * rec(minor)
-        return total
-
-    return rec(rows)
+    return [
+        [(-1) ** (i + j) * _cofactor_det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+         for j in range(m.rows)]
+        for i in range(m.rows)
+    ]
 
 
 def rational_kernel_basis(m: IntMatrix) -> list[list[Fraction]]:
@@ -272,6 +283,27 @@ def fraction_inverse(m: IntMatrix) -> list[list[Fraction]] | None:
                 c = aug[i][k]
                 aug[i] = [a - c * b for a, b in zip(aug[i], aug[k])]
     return [r[n:] for r in aug]
+
+
+def frame_extension(p: IntMatrix, t: IntMatrix, action: IntMatrix) -> list[list[Fraction]] | None:
+    """A.diag(action, -I).A^-1 in the frame A = [p | t], over Fraction.
+
+    The map that is action on the columns of p and -1 on those of t; None
+    when A is not square or is singular.
+    """
+    n, k = p.rows, p.cols
+    if k + t.cols != n:
+        return None
+    a = [list(pr) + list(tr) for pr, tr in zip(p.to_rows(), t.to_rows())]
+    a_inv = fraction_inverse(IntMatrix.from_rows(a))
+    if a_inv is None:
+        return None
+    a_diag = [
+        [sum(map(operator.mul, r[:k], action.col(j))) for j in range(k)] + [-x for x in r[k:]]
+        for r in a
+    ]
+    nonzero = [[(l, x) for l, x in enumerate(r) if x] for r in a_diag]
+    return [[sum(x * a_inv[l][j] for l, x in r) for j in range(n)] for r in nonzero]
 
 
 def fraction_signature(g: IntMatrix) -> tuple[int, int, int]:

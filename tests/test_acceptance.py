@@ -8,6 +8,7 @@ this file is deliberately redundant with them and should stay that way.
 
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,7 @@ from k3ord.orders import (
 from k3ord.runner import PASS, run_scenario
 
 from oracles import (
+    frame_extension,
     h0_pushforward,
     h1_box_class_count,
     random_symmetric,
@@ -299,18 +301,20 @@ def test_property_suites_agree_between_routes():
         assert moved.invariant_factors == reference.invariant_factors
         assert moved.free_rank == reference.free_rank
 
-    # Extension does not depend on the complement basis: 50 re-bases.
+    # The extension is the frame oracle's map on the computed complement
+    # and on 50 re-bases of it.
     target = build_K3()
-    models = list(REFERENCE_MODELS.values())
-    for i in range(50):
-        model = models[i % len(models)]
+    frames = []
+    for model in REFERENCE_MODELS.values():
+        phi = extend_by_minus_one(target, model.embedding, model.action).phi
+        expected = [[Fraction(x, phi.den) for x in r] for r in phi.num.to_rows()]
         t = orthogonal_complement(model.embedding).complement.matrix
+        assert frame_extension(model.embedding.matrix, t, model.action) == expected
+        frames.append((model, t, expected))
+    for i in range(50):
+        model, t, expected = frames[i % len(frames)]
         w, _ = random_unimodular(rng, t.cols)
-        default = extend_by_minus_one(target, model.embedding, model.action)
-        rebased = extend_by_minus_one(
-            target, model.embedding, model.action, complement=t @ w
-        )
-        assert rebased.phi == default.phi
+        assert frame_extension(model.embedding.matrix, t @ w, model.action) == expected
 
     # Exhaustive rank <= 3 sweep against the box-counting oracle.
     checked = 0

@@ -2,17 +2,23 @@
 
 import itertools
 import random
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from k3ord import catalog
+from k3ord import catalog, jsonio, matrices
 from k3ord.embeddings import Embedding, orthogonal_complement
 from k3ord.errors import ActionNotIsometric, DimensionMismatch, SingularFrame
 from k3ord.extension import extend_by_minus_one
 from k3ord.lattices import Lattice, build_H, build_K3, direct_sum
 from k3ord.matrices import IntMatrix, RatMatrix
+from k3ord.runner import PASS, load_expected, run_check
 
-from oracles import random_unimodular
+from oracles import frame_extension, random_int_matrix, random_symmetric, random_unimodular
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_rank18_extension_matches_reference():
@@ -85,16 +91,23 @@ def _fixes(res, v, pic):
     return res.phi.num.mul_vec(w) == tuple(res.phi.den * x for x in w)
 
 
+def _fractions(phi):
+    """The rational matrix phi as rows of Fractions, the oracle's form."""
+    return [[Fraction(x, phi.den) for x in r] for r in phi.num.to_rows()]
+
+
+def _agrees_on_rebases(target, e, action, rng, count):
+    """phi equals the frame oracle on the computed complement and on count
+    random unimodular re-bases of it."""
+    phi = _fractions(extend_by_minus_one(target, e, action).phi)
+    t = orthogonal_complement(e).complement.matrix
+    bases = [t] + [t @ random_unimodular(rng, t.cols)[0] for _ in range(count)]
+    return all(frame_extension(e.matrix, b, action) == phi for b in bases)
+
+
 def test_complement_basis_independence():
-    k3 = build_K3()
     m = catalog.quadric_model()
-    t = orthogonal_complement(m.embedding).complement.matrix
-    base = extend_by_minus_one(k3, m.embedding, m.action)
-    rng = random.Random(5)
-    for _ in range(8):
-        b, _ = random_unimodular(rng, t.cols)
-        res = extend_by_minus_one(k3, m.embedding, m.action, complement=t @ b)
-        assert res.phi == base.phi
+    assert _agrees_on_rebases(build_K3(), m.embedding, m.action, random.Random(5), 8)
 
 
 def test_complement_basis_independence_small():
@@ -103,13 +116,7 @@ def test_complement_basis_independence_small():
     sub = Lattice(IntMatrix.from_rows([[0, 1], [1, 0]]))
     e = Embedding(sub, target, IntMatrix.from_cols(cols))
     swap = IntMatrix.from_rows([[0, 1], [1, 0]])
-    t = orthogonal_complement(e).complement.matrix
-    base = extend_by_minus_one(target, e, swap)
-    rng = random.Random(6)
-    for _ in range(30):
-        b, _ = random_unimodular(rng, t.cols)
-        res = extend_by_minus_one(target, e, swap, complement=t @ b)
-        assert res.phi == base.phi
+    assert _agrees_on_rebases(target, e, swap, random.Random(6), 30)
 
 
 def test_action_must_be_isometry():
@@ -128,14 +135,89 @@ def test_action_shape_checked():
 
 
 def test_singular_frame_rejected():
-    k3 = build_K3()
-    m = catalog.sextic_model(3)
-    t = orthogonal_complement(m.embedding).complement.matrix
-    degenerate = IntMatrix.from_cols(
-        [list(t.col(0))] * 2 + [list(t.col(j)) for j in range(2, t.cols)]
-    )
-    with pytest.raises(SingularFrame):
-        extend_by_minus_one(k3, m.embedding, m.action, complement=degenerate)
+    target = direct_sum(build_H(), build_H())
+    ident = IntMatrix.identity(2)
+    for cols in [
+        [[1, 0, 0, 0], [0, 0, 1, 0]],  # u1, u2: an isotropic pair in H + H
+        [[1, 0, 0, 0], [2, 0, 0, 0]],  # u1, 2 u1: not injective
+        [[1, 1, 0, 0], [2, 2, 0, 0]],  # v, 2 v with v.v = 2: not injective
+    ]:
+        p = IntMatrix.from_cols(cols)
+        e = Embedding(Lattice(p.transpose() @ target.gram @ p), target, p)
+        t = orthogonal_complement(e).complement.matrix
+        assert frame_extension(p, t, ident) is None
+        message = "^embedding and complement do not span the ambient space$"
+        with pytest.raises(SingularFrame, match=message):
+            extend_by_minus_one(target, e, ident)
+
+
+def test_extension_matches_frame_oracle_on_small_cases():
+    """2,000 seeded cases on ambient ranks up to 5, degenerate target forms
+    included: phi is the frame oracle's map on the computed complement, and
+    SingularFrame is raised exactly when that frame is singular."""
+    rng = random.Random(20261018)
+    outcomes = {"integral": 0, "nonintegral": 0, "singular": 0, "permuting": 0}
+    for _ in range(2000):
+        rank, n = rng.randint(1, 5), rng.randint(0, 3)
+        g = _rank_one(rng, rank) if rng.random() < 0.25 else random_symmetric(rng, rank, -3, 3)
+        p = random_int_matrix(rng, rank, n, -2, 2)
+        q = p.transpose() @ g @ p
+        perm = rng.sample(range(n), n)
+        action = IntMatrix.from_rows(
+            [[rng.choice((1, -1)) if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+        )
+        if action.transpose() @ q @ action != q:
+            action = IntMatrix.identity(n).scale(rng.choice((1, -1)))
+        elif perm != sorted(perm):
+            outcomes["permuting"] += 1
+        target = Lattice(g)
+        e = Embedding(Lattice(q), target, p)
+        expected = frame_extension(p, orthogonal_complement(e).complement.matrix, action)
+        if expected is None:
+            outcomes["singular"] += 1
+            with pytest.raises(SingularFrame):
+                extend_by_minus_one(target, e, action)
+            continue
+        res = extend_by_minus_one(target, e, action)
+        assert _fractions(res.phi) == expected, (g, p, action)
+        assert res.integral == all(x.denominator == 1 for r in expected for x in r)
+        outcomes["integral" if res.integral else "nonintegral"] += 1
+    assert min(outcomes.values()) > 50, outcomes
+
+
+def _rank_one(rng, rank):
+    """The form v.v^T of rank at most 1, for a random integer vector v."""
+    v = [rng.randint(-2, 2) for _ in range(rank)]
+    return IntMatrix.from_rows([[x * y for y in v] for x in v])
+
+
+def test_isometry_extend_inverts_only_the_sublattice_gram(monkeypatch):
+    """The rank-18 corpus check runs without a complement or a kernel, and
+    inverts nothing larger than the 18x18 matrix Q."""
+
+    def refuse(*args):
+        raise AssertionError("unexpected call")
+
+    shapes = []
+    adjugate = matrices.adjugate
+
+    def spy(a):
+        shapes.append((a.rows, a.cols))
+        return adjugate(a)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("k3ord")]:
+        for name, replacement in [
+            ("orthogonal_complement", refuse), ("integer_kernel", refuse), ("adjugate", spy),
+        ]:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, replacement)
+    case = CORPUS / "sextic-n18"
+    (node,) = [c for c in jsonio.load_file(case / "scenario.json")["checks"]
+               if c["kind"] == "isometry-extend"]
+    expected = load_expected(case / "expected.json")[node["name"]]
+    outcome = run_check(node["name"], node["kind"], node["payload"], expected)
+    assert outcome.verdict == PASS, outcome
+    assert shapes == [(18, 18)]
 
 
 def test_nonintegral_witness_from_catalog():

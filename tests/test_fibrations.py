@@ -354,6 +354,46 @@ def test_non_periodic_action_is_rejected_by_its_trace():
     assert time.perf_counter() - start < 0.1
 
 
+def _rank22_with_block(block):
+    """The rank-22 identity with its last rows and columns replaced by block."""
+    k = len(block)
+    rows = [[int(i == j) for j in range(22)] for i in range(22)]
+    for i, row in enumerate(block):
+        rows[22 - k + i][22 - k:] = row
+    return IntMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("action", [
+    _rank22_with_block([[1, 1], [0, 1]]),  # unipotent: every power has trace 22
+    _rank22_with_block([[-1, 1], [0, -1]]),  # its square is unipotent
+])
+def test_non_semisimple_action_is_rejected_at_once(monkeypatch, tmp_path, capsys, action):
+    calls = []
+    matmul = IntMatrix.__matmul__
+    monkeypatch.setattr(
+        IntMatrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b)
+    )
+    with pytest.raises(UnsupportedParameter, match=r"^sigma\^1000000 is not the identity$"):
+        GLattice(Lattice(IntMatrix.zeros(22, 22)), action, 10**6)
+    assert len(calls) <= 10
+    calls.clear()
+    with pytest.raises(UnsupportedAction, match="^free action is not periodic of order 1000000$"):
+        BlockEndo(action, (), (), 10**6)
+    assert len(calls) <= 10
+    calls.clear()
+    doc = {"schema": "k3ord/1", "payload": {
+        "gram": [["0"] * 22] * 22,
+        "action": [[str(x) for x in row] for row in action.to_rows()],
+        "order": str(10**6),
+    }}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["h1", str(path), "--format", "json"]) == 2
+    assert len(calls) <= 10
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert "sigma^1000000 is not the identity" in check["error"]
+
+
 def test_geometric_sum_matches_plain_sum():
     for m in range(2, 41):
         units = [u for u in range(1, m) if math.gcd(u, m) == 1]
