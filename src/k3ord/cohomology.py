@@ -6,20 +6,24 @@ H^1 is the homology of the periodic pair
     N = 1 + sigma + ... + sigma^(n-1),      D = 1 - sigma,
 
 namely ker N / im D.  N is built from the period k of sigma, which divides
-n, as (n/k)(1 + sigma + ... + sigma^(k-1)).  The quotient is computed
-exactly: one elimination of a saturated basis K of ker N solves K.C = D for
-the K-coordinates C of every column of D at once (possible since N.D = 0),
-and the Smith normal form U.C.V = diag(d) reads off the invariant factors.
-One representative cocycle per torsion factor d_i > 1 is D.V.e_i / d_i,
-an exact division: C.V.e_i = d_i U^-1.e_i, so D.V.e_i / d_i = K.U^-1.e_i,
-the i-th basis vector of ker N in the Smith basis.  Each generator can be
-checked directly: it is killed by N and is not an image of D.  The
-generators are representatives read off V, which is not unique, so they are
-not canonical vectors: another V can give other generators of the same group.
+n, as (n/k)(1 + sigma + ... + sigma^(k-1)).
 
-Multiplying any cocycle by n lands in im D, so the quotient is always
-n-torsion; free_rank is recorded for completeness and equals 0 for every
-valid action.
+The quotient is read off D alone.  A sigma of finite order is semisimple
+over Q, so Q^r = ker(1 - sigma) + im(1 - sigma) is a direct sum; N is
+multiplication by n on the first summand and 0 on the second, so ker N and
+im D span the same subspace over Q.  ker N is saturated, being a kernel, so
+it is the saturation of im D, and ker N / im D is the torsion subgroup of
+Z^r / im D.  One Smith normal form U.D.V = diag(d) gives it as the sum of
+Z/d_i over the d_i > 1.  One representative cocycle per such factor is
+D.V.e_i / d_i, an exact division: D.V.e_i = d_i U^-1.e_i, and U^-1.e_i lies
+in the saturation of im D, so N kills it.  Each generator can be checked
+directly: it is killed by N and is not an image of D.  The generators are
+representatives read off V, which is not unique, so they are not canonical
+vectors: another V can give other generators of the same group.
+
+Since ker N / im D is the torsion of Z^r / im D, H^1 has no free part (as
+for any finite group, n times a cocycle lies in im D); free_rank is always
+0 and is kept in the result for completeness.
 
 The fixed sublattice ker(1 - sigma) is returned as a saturated embedding.
 For an involution whose fixed pairing is uniformly even, halving that Gram
@@ -40,7 +44,7 @@ from .errors import (
     UnsupportedParameter,
 )
 from .lattices import Lattice
-from .matrices import IntMatrix, IntVector, integer_kernel, snf, solve_columns
+from .matrices import IntMatrix, IntVector, integer_kernel, snf
 
 
 def orbit(step, start, limit: int) -> list | None:
@@ -157,7 +161,11 @@ def norm_and_diff(gl: GLattice) -> tuple[IntMatrix, IntMatrix]:
 
 
 def h1(gl: GLattice) -> CohResult:
-    """ker N / im D with explicit torsion generators.
+    """ker N / im D with explicit torsion generators, from one Smith form of D.
+
+    The torsion of Z^r / im D is ker N / im D because ker N is the
+    saturation of im D (see the module docstring), so N itself is never
+    eliminated and free_rank is 0.
 
     >>> from .lattices import Lattice
     >>> minus = IntMatrix.from_rows([[-1, 0], [0, -1]])
@@ -165,24 +173,15 @@ def h1(gl: GLattice) -> CohResult:
     >>> res.invariant_factors
     (2, 2)
     """
-    norm, diff = norm_and_diff(gl)
-    kernel = integer_kernel(norm)
-    k = kernel.cols
-    if k == 0:
-        return CohResult((), 0, ())
-    # K has full column rank, so K.C = D has at most one solution C
-    coords = solve_columns(kernel, [diff.col(j) for j in range(diff.cols)])
-    if None in coords:
-        raise UnsupportedParameter("im D does not lie in the saturated ker N")
-    res = snf(IntMatrix.from_cols(coords))
-    torsion = tuple([d for d in res.invariant_factors if d > 1])
-    free_rank = k - res.rank
+    _, diff = norm_and_diff(gl)
+    res = snf(diff)
+    torsion = tuple([d for d in res.diagonal if d > 1])
     generators = tuple([
         tuple([x // d for x in diff.mul_vec(res.V.col(i))])
         for i, d in enumerate(res.diagonal)
         if d > 1
     ])
-    return CohResult(torsion, free_rank, generators)
+    return CohResult(torsion, 0, generators)
 
 
 def fixed_sublattice(gl: GLattice) -> Embedding:

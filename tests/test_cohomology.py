@@ -6,6 +6,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import k3ord.cohomology as cohomology
 from k3ord import catalog
@@ -26,7 +28,13 @@ from k3ord.errors import (
 )
 from k3ord.lattices import Lattice
 import k3ord.matrices as matrices
-from k3ord.matrices import IntMatrix, integer_kernel, snf, solve_integer
+from k3ord.matrices import (
+    IntMatrix,
+    hermite_row_basis,
+    integer_kernel,
+    snf,
+    solve_integer,
+)
 
 from oracles import h1_box_class_count, random_unimodular
 
@@ -184,25 +192,11 @@ def test_non_periodic_action_is_rejected_within_the_rank_bound():
     assert time.perf_counter() - start < 1
 
 
-def _generators_through_the_inverse(gl):
-    """The generators K.U^-1.e_i of the route that inverts the Smith
-    transform of the coordinate matrix C, with K.C = D read through a
-    Smith form of K."""
-    norm, diff = norm_and_diff(gl)
-    kernel = integer_kernel(norm)
-    k = kernel.cols
-    basis = snf(kernel)
-    moved = basis.U @ diff
-    assert not any(moved.entries[k * moved.cols:])
-    coords = basis.V @ IntMatrix(k, moved.cols, moved.entries[:k * moved.cols])
-    res = snf(coords)
-    u_inv = res.U.to_rat().inverse().to_int()
-    return tuple([
-        (d, kernel.mul_vec(u_inv.col(i))) for i, d in enumerate(res.diagonal) if d > 1
-    ])
-
-
-def test_h1_generators_match_the_inverse_route():
+def test_h1_generators_are_a_basis_of_the_quotient():
+    # Each g_i is a cocycle whose class is nonzero and killed by d_i, and
+    # [g_1 ... g_t | D] spans ker N; with the right invariant factors the
+    # classes of the g_i are then a basis of ker N / im D, whatever route
+    # produced them.
     rng = random.Random(808)
     for model in cover_models():
         n = model.pic.rank
@@ -211,35 +205,113 @@ def test_h1_generators_match_the_inverse_route():
             gl = GLattice(
                 Lattice(p.transpose() @ model.pic.gram @ p), p_inv @ model.action @ p, order
             )
-            expected = _generators_through_the_inverse(gl)
+            norm, diff = norm_and_diff(gl)
             res = h1(gl)
-            assert res.generators == tuple([g for _, g in expected]), (model.name, order)
-            _, diff = norm_and_diff(gl)
-            for d, g in expected:
+            expected = tuple([2] * len(model.h1_generators))
+            assert res.invariant_factors == expected, (model.name, order)
+            for g, d in zip(res.generators, res.invariant_factors):
+                assert not any(norm.mul_vec(g))
                 assert solve_integer(diff, [d * x for x in g]) is not None
+                assert solve_integer(diff, g) is None
+            spanned = IntMatrix.from_cols(res.generators).hstack(diff)
+            assert hermite_row_basis(spanned.transpose()) == integer_kernel(norm).transpose()
 
 
 def test_h1_inverts_nothing_and_multiplies_no_matrices(monkeypatch):
     def refuse(*args):
         raise AssertionError("unexpected call")
 
+    cases = [(model, model_glattice(model)) for model in cover_models()]
     monkeypatch.setattr(matrices, "adjugate", refuse)
-    for model in cover_models():
-        gl = model_glattice(model)
+    monkeypatch.setattr(matrices, "integer_kernel", refuse)
+    monkeypatch.setattr(matrices, "solve_columns", refuse)
+    monkeypatch.setattr(cohomology, "integer_kernel", refuse)
+    monkeypatch.setattr(cohomology, "solve_columns", refuse, raising=False)
+    snf_calls = []
+    monkeypatch.setattr(cohomology, "snf", lambda a: snf_calls.append(a) or snf(a))
+    for model, gl in cases:
+        snf_calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(IntMatrix, "__matmul__", refuse)
             norm_and_diff(gl)
             assert h1(gl).invariant_factors == tuple([2] * len(model.h1_generators))
+        assert len(snf_calls) == 1, model.name
 
 
-def test_h1_rejects_image_outside_the_kernel_basis(monkeypatch):
-    # a basis that misses im D must raise, not fail an assert
-    monkeypatch.setattr(
-        cohomology, "integer_kernel", lambda m: IntMatrix.from_rows([[1], [0]])
-    )
-    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
-    with pytest.raises(UnsupportedParameter):
-        h1(GLattice(Lattice(IntMatrix.zeros(2, 2)), swap, 2))
+def _cyclotomic(m):
+    """Coefficients of Phi_m, constant term first: x^m - 1 divided by every
+    Phi_d with d a proper divisor of m."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            den = _cyclotomic(d)
+            quot = [0] * (len(poly) - len(den) + 1)
+            for k in reversed(range(len(quot))):
+                quot[k] = c = poly[k + len(den) - 1]
+                for j, b in enumerate(den):
+                    poly[k + j] -= c * b
+            assert not any(poly)
+            poly = quot
+    return poly
+
+
+def _companion(poly):
+    """The companion matrix of a monic polynomial: multiplication by x on
+    the basis 1, x, ..., x^(k-1) of Z[x]/(poly)."""
+    k = len(poly) - 1
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        if i + 1 < k:
+            rows[i + 1][i] = 1
+        rows[i][k - 1] = -poly[i]
+    return IntMatrix.from_rows(rows)
+
+
+def _prime_of_power(m):
+    """p when m is a power p^a with a >= 1, else None."""
+    p = next((q for q in range(2, m + 1) if m % q == 0), None)
+    while p and m % p == 0:
+        m //= p
+    return p if m == 1 else None
+
+
+@st.composite
+def _cyclotomic_actions(draw):
+    ms = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(
+        lambda ms: sum(len(_cyclotomic(m)) - 1 for m in ms) <= 12
+    ))
+    return ms, draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1))
+
+
+@given(_cyclotomic_actions())
+@seed(20261019)
+@settings(max_examples=60, deadline=None, database=None)
+def test_h1_of_cyclotomic_blocks_matches_the_closed_form(case):
+    # On the companion block of Phi_m, m > 1, sigma is multiplication by a
+    # primitive m-th root of unity z on Z[z] and N is 0, so H^1 is
+    # Z[z]/(1 - z) = Z/Phi_m(1): Z/p for m = p^a and 0 otherwise.  On the
+    # block of Phi_1, sigma is 1 and H^1 = Hom(Z/n, Z) = 0.
+    ms, multiple, unimodular_seed = case
+    sigma = IntMatrix.block_diag([_companion(_cyclotomic(m)) for m in ms])
+    r = sigma.rows
+    p, p_inv = random_unimodular(random.Random(unimodular_seed), r, steps=2 * r)
+    gl = GLattice(Lattice(IntMatrix.zeros(r, r)), p_inv @ sigma @ p, math.lcm(*ms) * multiple)
+    counts = {}
+    for m in ms:
+        if q := _prime_of_power(m):
+            counts[q] = counts.get(q, 0) + 1
+    length = max(counts.values(), default=0)
+    # the sum of Z/p over the blocks, as a divisibility chain d_1 | ... | d_t
+    chain = tuple([
+        math.prod([q for q, c in counts.items() if c >= length - i]) for i in range(length)
+    ])
+    res = h1(gl)
+    assert res.invariant_factors == chain, ms
+    assert res.free_rank == 0
+    norm, diff = norm_and_diff(gl)
+    for g, d in zip(res.generators, res.invariant_factors):
+        assert not any(norm.mul_vec(g))
+        assert solve_integer(diff, [d * x for x in g]) is not None
 
 
 def test_norm_and_diff_rank3():
