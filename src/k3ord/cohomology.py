@@ -5,11 +5,17 @@ H^1 is the homology of the periodic pair
 
     N = 1 + sigma + ... + sigma^(n-1),      D = 1 - sigma,
 
-namely ker N / im D.  N is built from the period k of sigma, which divides
-n, as (n/k)(1 + sigma + ... + sigma^(k-1)).
+namely ker N / im D.
 
-The quotient is read off D alone.  A sigma of finite order is semisimple
-over Q, so Q^r = ker(1 - sigma) + im(1 - sigma) is a direct sum; N is
+The test sigma^n = I and N both use the minimal polynomial mu of sigma, the
+first integer relation among I, sigma, ..., sigma^rank.  sigma^n = I exactly
+when mu divides the squarefree x^n - 1: mu is a product of distinct
+cyclotomic polynomials Phi_m, each m dividing n.  Then sigma is semisimple
+over Q and N is n on the eigenvalue 1 and 0 on the others, as is
+(n / g(1)) g(sigma) for mu = (x - 1) g, or 0 if mu(1) != 0.
+
+The quotient is read off D alone.  As sigma is semisimple over Q,
+Q^r = ker(1 - sigma) + im(1 - sigma) is a direct sum; N is
 multiplication by n on the first summand and 0 on the second, so ker N and
 im D span the same subspace over Q.  ker N is saturated, being a kernel, so
 it is the saturation of im D, and ker N / im D is the torsion subgroup of
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from operator import mul
 
 from .embeddings import Embedding
 from .errors import (
@@ -44,69 +50,56 @@ from .errors import (
     UnsupportedParameter,
 )
 from .lattices import Lattice
-from .matrices import IntMatrix, IntVector, integer_kernel, snf
+from .matrices import IntMatrix, IntVector, _echelon, integer_kernel, snf
 
 
-def orbit(step, start, limit: int) -> list | None:
-    """[start, step(start), ...] up to the first return to start.
+def _divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a monic b, coefficients constant term first."""
+    a, k = list(a), len(b) - 1
+    q = [0] * (len(a) - k)
+    for i in reversed(range(len(q))):
+        q[i] = c = a[i + k]
+        a[i:i + k + 1] = [x - c * y for x, y in zip(a[i:i + k + 1], b)]
+    return q, a[:k]
 
-    None when that return takes more than limit steps, or when a step gives
-    None.  A sum over a cyclic group of order n is n/k times the sum over an
-    orbit of length k.
+
+def _cyclotomic_orders(mu: list[int]) -> list[int] | None:
+    """The m with mu the product of the distinct Phi_m, or None if it is not.
+
+    Each Phi_m with phi(m) at most the degree left is divided out once, so a
+    repeated or non-cyclotomic factor stays; phi(m) >= sqrt(m) for m > 6
+    bounds m.  Phi_m is x^m - 1 over the built Phi_e, e | m, and m less their
+    degrees is phi(m), or more when some e had phi(e) too large to be built.
     """
-    points = [start]
-    while (current := step(points[-1])) != start:
-        if current is None or len(points) == limit:
-            return None
-        points.append(current)
-    return points
-
-
-@cache
-def period_bound(rank: int) -> int:
-    """An upper bound on the order of every finite-order element of GL_rank(Z).
-
-    Such an element is diagonalizable over C with roots of unity, and its
-    minimal polynomial is a product of distinct cyclotomic polynomials
-    Phi_m_i with sum phi(m_i) <= rank; its order is lcm(m_i).  Split each
-    m_i into prime powers q.  Every q != 2 has phi(q) >= 2, and a product of
-    numbers >= 2 is at least their sum, while phi(2) = 1 leaves the product
-    alone, so phi(m_i) >= sum of phi(q) over its q != 2.  Hence the largest
-    power q of each prime p != 2 in the lcm, and the power of 2 if it is
-    4 or more, come from distinct primes with sum phi(q) <= rank, and the
-    lcm is at most twice their product.  The bound is twice the largest such
-    product, found by a knapsack over primes: 2 at rank 1, 8 at rank 2,
-    5040 at rank 22, against the true maxima 2, 6 and 2520 (Levitt and
-    Nicolas, J. Algebra 1998).
-    """
-    best = [1] * (rank + 1)  # best[b]: largest product with sum phi(q) <= b
-    for p in range(2, rank + 2):
-        if any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
-            continue
-        powers = []
-        q = 4 if p == 2 else p
-        while (phi := q - q // p) <= rank:
-            powers.append((q, phi))
-            q *= p
-        for b in range(rank, 0, -1):
-            for q, phi in powers:
-                if phi <= b:
-                    best[b] = max(best[b], best[b - phi] * q)
-    return 2 * best[rank]
+    built, ms, m = {}, [], 0
+    while len(mu) > 1 and (m := m + 1) <= max(6, (len(mu) - 1) ** 2):
+        below = [f for e, f in built.items() if m % e == 0]
+        if m - sum(len(f) - 1 for f in below) < len(mu):
+            poly = [-1] + [0] * (m - 1) + [1]
+            for f in below:
+                poly = _divide(poly, f)[0]
+            built[m] = poly
+            quotient, rest = _divide(mu, poly)
+            if not any(rest):
+                mu, ms = quotient, ms + [m]
+    return ms if mu == [1] else None
 
 
 @dataclass(frozen=True)
 class GLattice:
     """A lattice together with an isometry generating a finite cyclic group.
 
-    `norm` is N = 1 + sigma + ... + sigma^(order-1), summed from the walk
-    over the powers of sigma that validates the order.  The walk stops at
-    period_bound(rank) steps, or at the first power whose |trace| exceeds
-    the rank: the eigenvalues of a finite-order sigma are roots of unity,
-    so no power of it has a larger trace.  It also stops at a power other
-    than I whose trace equals the rank, such as any power of a unipotent
-    sigma: a finite-order power with that trace has every eigenvalue 1 and
-    is diagonalizable, so it is I.
+    sigma^order = I when the minimal polynomial of sigma is a product of
+    distinct Phi_m, each m dividing `order` (see the module docstring), and
+    UnsupportedParameter is raised otherwise.  `norm` is N = sum_{i<order} sigma^i.
+
+    >>> phi6 = IntMatrix.from_rows([[0, -1], [1, 1]])
+    >>> GLattice(Lattice(IntMatrix.zeros(2, 2)), phi6, 6).norm == IntMatrix.zeros(2, 2)
+    True
+    >>> GLattice(Lattice(IntMatrix.zeros(2, 2)), phi6, 4)
+    Traceback (most recent call last):
+      ...
+    k3ord.errors.UnsupportedParameter: sigma^4 is not the identity
     """
 
     lattice: Lattice
@@ -122,23 +115,27 @@ class GLattice:
             )
         if self.order < 1:
             raise UnsupportedParameter(f"group order {self.order} < 1")
-        g = self.lattice.gram
-        if self.sigma.transpose() @ g @ self.sigma != g:
+        gram = self.lattice.gram
+        if self.sigma.transpose() @ gram @ self.sigma != gram:
             raise ActionNotIsometric("sigma does not preserve the pairing")
 
-        eye = IntMatrix.identity(n)
-
-        def step(power: IntMatrix) -> IntMatrix | None:
-            power = power @ self.sigma
-            trace = sum(power.entries[:: n + 1])
-            return None if abs(trace) > n or (trace == n and power != eye) else power
-
-        powers = orbit(step, eye, min(self.order, period_bound(n)))
-        if powers is None or self.order % len(powers):
-            raise UnsupportedParameter(
-                f"sigma^{self.order} is not the identity"
-            )
-        norm = sum(powers[1:], powers[0]).scale(self.order // len(powers))
+        # W * powers is an echelon form, W unimodular.  The first dependent
+        # power sigma^k lies in the integer span of the ones below (mu is
+        # monic), so its row is reduced without a swap and row k of W is mu
+        powers, rows, w = [IntMatrix.identity(n)], [], []
+        while True:
+            rows.append(list(powers[-1].entries))
+            w = [r + [0] for r in w] + [[0] * len(w) + [1]]
+            if len(list(_echelon(rows, n * n, w))) < len(rows):
+                break
+            powers.append(self.sigma if len(rows) == 1 else powers[-1] @ self.sigma)
+        mu = w[-1]
+        if (ms := _cyclotomic_orders(mu)) is None or any(self.order % m for m in ms):
+            raise UnsupportedParameter(f"sigma^{self.order} is not the identity")
+        # g(1) divides lcm(ms), so order // g(1) is exact
+        g, (mu_at_1,) = _divide(mu, [-1, 1])
+        g_sigma = [sum(map(mul, g, col)) for col in zip(*[p.entries for p in powers])]
+        norm = IntMatrix(n, n, tuple(g_sigma)).scale(0 if mu_at_1 else self.order // sum(g))
         object.__setattr__(self, "norm", norm)
 
 

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
-from .cohomology import CohResult, GLattice, h1, norm_and_diff, orbit
+from .cohomology import CohResult, GLattice, h1, norm_and_diff
 from .divisors import DivisorClass
 from .errors import (
     DimensionMismatch,
@@ -113,7 +113,9 @@ def _signed_cycles(
     seen: set[int] = set()
     for start in range(len(elliptic_action)):
         if start not in seen:
-            cycle = orbit(lambda i: elliptic_action[i][1], start, len(elliptic_action))
+            cycle = [start]
+            while (image := elliptic_action[cycle[-1]][1]) != start:
+                cycle.append(image)
             seen.update(cycle)
             yield cycle, math.prod(elliptic_action[i][0] for i in cycle)
 

@@ -1,12 +1,13 @@
 """Tests for cyclic group cohomology on lattices."""
 
 import doctest
+import json
 import math
 import random
 import time
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import k3ord.cohomology as cohomology
@@ -18,14 +19,16 @@ from k3ord.cohomology import (
     h1,
     half_gram_quotient,
     norm_and_diff,
-    period_bound,
 )
+from k3ord.cli import main
 from k3ord.errors import (
     ActionNotIsometric,
     DimensionMismatch,
     OddEntry,
+    UnsupportedAction,
     UnsupportedParameter,
 )
+from k3ord.fibrations import BlockEndo
 from k3ord.lattices import Lattice
 import k3ord.matrices as matrices
 from k3ord.matrices import (
@@ -117,34 +120,6 @@ def test_work_follows_the_period_not_the_declared_order(monkeypatch):
     assert len(calls) <= 10
 
 
-def _cyclotomic(m):
-    """Coefficients of the m-th cyclotomic polynomial, constant term first:
-    x^m - 1 divided by every Phi_d with d a proper divisor of m."""
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            divisor = _cyclotomic(d)
-            quotient = [0] * (len(poly) - len(divisor) + 1)
-            for i in reversed(range(len(quotient))):
-                quotient[i] = poly[i + len(divisor) - 1]
-                for j, c in enumerate(divisor):
-                    poly[i + j] -= quotient[i] * c
-            assert not any(poly)
-            poly = quotient
-    return poly
-
-
-def _companion(poly):
-    """Companion matrix of a monic polynomial, constant term first."""
-    d = len(poly) - 1
-    rows = [[0] * d for _ in range(d)]
-    for i in range(d):
-        if i + 1 < d:
-            rows[i + 1][i] = 1
-        rows[i][d - 1] = -poly[i]
-    return IntMatrix.from_rows(rows)
-
-
 def _largest_finite_order(rank):
     """(max lcm(m_i), the m_i) over distinct m_i >= 2 with sum phi(m_i) <= rank,
     by exhaustive search: the largest order of a finite-order element of
@@ -167,13 +142,11 @@ def _largest_finite_order(rank):
     return best
 
 
-def test_period_bound_covers_the_largest_finite_orders():
-    assert [period_bound(r) for r in (1, 2, 4, 18, 22)] == [2, 8, 24, 2520, 5040]
+def test_largest_finite_orders_are_accepted_exactly_at_their_order():
     largest = {1: 2, 2: 6, 3: 6, 4: 12, 5: 12, 6: 30, 7: 30, 8: 60}
     for rank, expected in largest.items():
         order, ms = _largest_finite_order(rank)
         assert order == expected
-        assert period_bound(rank) >= order
         blocks = [_companion(_cyclotomic(m)) for m in ms]
         blocks += [IntMatrix.identity(1)] * (rank - sum(b.rows for b in blocks))
         sigma = IntMatrix.block_diag(blocks)
@@ -183,7 +156,7 @@ def test_period_bound_covers_the_largest_finite_orders():
             GLattice(zero, sigma, order - 1)
 
 
-def test_non_periodic_action_is_rejected_within_the_rank_bound():
+def test_non_periodic_action_is_rejected_by_its_minimal_polynomial():
     cat = IntMatrix.from_rows([[2, 1], [1, 1]])
     zero = Lattice(IntMatrix.zeros(2, 2))
     start = time.perf_counter()
@@ -314,6 +287,91 @@ def test_h1_of_cyclotomic_blocks_matches_the_closed_form(case):
         assert solve_integer(diff, [d * x for x in g]) is not None
 
 
+def _times(a, b):
+    """The product of two polynomials, constant term first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# each gives an action of infinite order or one that is not semisimple
+_BAD_BLOCKS = [[1, -3, 1], [-1, -1, 0, 1]] + [
+    _times(_cyclotomic(m), _cyclotomic(m)) for m in (1, 2, 3, 4, 6)
+]
+
+
+def _companion_sum(polys):
+    return IntMatrix.block_diag([_companion(q) for q in polys])
+
+
+@st.composite
+def _companion_sums(draw):
+    ms, bad = draw(st.tuples(
+        st.lists(st.integers(1, 12), max_size=3),
+        st.one_of(st.just([]), st.sampled_from(_BAD_BLOCKS).map(lambda q: [q])),
+    ).filter(lambda c: 0 < _companion_sum([_cyclotomic(m) for m in c[0]] + c[1]).rows <= 12))
+    multiple, other = draw(st.integers(1, 3)), draw(st.integers(1, 400))
+    return ms, bad, multiple, other, draw(st.integers(0, 2**32 - 1))
+
+
+@given(_companion_sums())
+@example(([], [], 1, 7, 0))
+@seed(20261020)
+@settings(max_examples=60, deadline=None, database=None)
+def test_glattice_decides_the_order_of_companion_block_sums(case):
+    # A block sum of companions of Phi_m has period lcm(m) and N the plain
+    # sum of its powers; one block from _BAD_BLOCKS makes every order fail.
+    # Rank 0 comes from the explicit example.
+    ms, bad, multiple, other, unimodular_seed = case
+    sigma = _companion_sum([_cyclotomic(m) for m in ms] + bad)
+    r = sigma.rows
+    if r:
+        p, p_inv = random_unimodular(random.Random(unimodular_seed), r, steps=2 * r)
+        sigma = p_inv @ sigma @ p
+    zero = Lattice(IntMatrix.zeros(r, r))
+    period = math.lcm(*ms)
+    divisors = [period // q for q in range(2, period + 1) if period % q == 0]
+    for order in [period * multiple, other] + divisors:
+        if bad or order % period:
+            with pytest.raises(UnsupportedParameter, match=rf"^sigma\^{order} is not the identity$"):
+                GLattice(zero, sigma, order)
+            message = f"^free action is not periodic of order {order}$"
+            with pytest.raises(UnsupportedAction, match=message):
+                BlockEndo(sigma, (), (), order)
+            continue
+        walk, power = IntMatrix.zeros(r, r), IntMatrix.identity(r)
+        for _ in range(order):
+            walk, power = walk + power, power @ sigma
+        assert power == IntMatrix.identity(r)
+        assert GLattice(zero, sigma, order).norm == walk, (ms, order)
+        assert BlockEndo(sigma, (), (), order).free.norm == walk
+
+
+@pytest.mark.parametrize("sigma, order, code", [
+    # period 2,520 = lcm(8, 9, 5, 7, 2, 1) on the largest rank
+    (_companion_sum([_cyclotomic(m) for m in (8, 9, 5, 7, 2, 1)]), 2520, 0),
+    # unipotent: the identity plus one off-diagonal 1
+    (IntMatrix.identity(22) + IntMatrix(22, 22, (0, 1) + (0,) * 482), 10**6, 2),
+    # x^22 - x - 1 has a real root above 1: infinite order
+    (_companion_sum([[-1, -1] + [0] * 20 + [1]]), 10**6, 2),
+])
+def test_h1_document_time_does_not_follow_the_period(tmp_path, capsys, sigma, order, code):
+    doc = {"schema": "k3ord/1", "payload": {
+        "gram": [["0"] * 22] * 22,
+        "action": [[str(x) for x in row] for row in sigma.to_rows()],
+        "order": str(order),
+    }}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["h1", str(path), "--format", "json"]) == code
+    assert time.perf_counter() - start < 1
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert ("sigma^1000000 is not the identity" in (check["error"] or "")) == bool(code)
+
+
 def test_norm_and_diff_rank3():
     gl = q_glattice(3)
     n, d = norm_and_diff(gl)
@@ -406,7 +464,9 @@ def test_h1_minus_identity():
 
 
 def test_h1_always_torsion():
-    # n times any cocycle telescopes into im D, so free_rank must vanish.
+    # H^1 is the finite group ker N / im D: its order is the number of
+    # classes met in a box, and every class of a signed permutation has a
+    # representative with entries in {0, 1}.
     rng = random.Random(11)
     for _ in range(30):
         r = rng.randint(1, 4)
@@ -423,7 +483,9 @@ def test_h1_always_torsion():
             power = power @ sigma
             order += 1
         gl = GLattice(Lattice(IntMatrix.zeros(r, r)), sigma, order)
-        assert h1(gl).free_rank == 0
+        res = h1(gl)
+        assert res.free_rank == 0
+        assert res.group_order == h1_box_class_count(sigma, order, box=3)
 
 
 def test_h1_matches_box_enumeration():
