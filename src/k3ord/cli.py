@@ -5,7 +5,9 @@ file, plus `corpus run` to execute the packaged worked examples.  The
 subcommands are built in a loop over `runner.KINDS`, the one table of
 check kinds: each row gives the command words (`h1`, or a group and a
 word such as `order classify`) and the help line, and every subcommand
-runs its document through `runner.run_check`.  All output is
+runs its document through `runner.run_check`.  The tree depends on
+nothing but `runner.KINDS`, so `build_parser` builds it once per process
+and every `main` call parses with that one tree.  All output is
 deterministic; `--timing` adds wall-clock fields and is off by default
 so that repeated runs emit identical bytes.
 
@@ -146,6 +148,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="k3ord",

@@ -49,6 +49,8 @@ def loads_strict(text: str):
         )
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("malformed JSON: nested too deeply") from exc
 
 
 def load_file(path: Union[str, Path]):
@@ -57,6 +59,8 @@ def load_file(path: Union[str, Path]):
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc}") from exc
     return loads_strict(text)
 
 

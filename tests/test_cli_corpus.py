@@ -1,5 +1,6 @@
 """Tests for the JSON conventions, the scenario runner, and the CLI."""
 
+import argparse
 import ast
 import hashlib
 import importlib.util
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from k3ord import jsonio
+from k3ord import cli, jsonio
 from k3ord.cli import main
 from k3ord.errors import MissingCorpus, ParseError, SchemaError
 from k3ord.matrices import IntMatrix
@@ -611,3 +612,113 @@ def test_cli_timing_opt_in(tmp_path, capsys):
         assert main([command, str(path), "--format", "json", "--timing"]) == 0
         tree = json.loads(capsys.readouterr().out)
         assert tree["checks"][0]["timing_ms"] is not None
+
+
+def test_cli_builds_its_parser_tree_once(monkeypatch, tmp_path, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    gram = tmp_path / "gram.json"
+    _write(gram, {"schema": "k3ord/1", "gram": [["2"]]})
+    h1 = tmp_path / "h1.json"
+    _write(h1, {"schema": "k3ord/1", "payload": _h1_payload()})
+    assert main(["signature", str(gram)]) == 0
+    tree_size = len(built)
+    assert tree_size > 0
+    assert main(["h1", str(h1), "--format", "json"]) == 0
+    assert main(["order", "classify", str(h1)]) == 2
+    assert main(["corpus", "run", "--corpus", str(tmp_path / "none")]) == 2
+    with pytest.raises(SystemExit):
+        main(["twist", "check", "--help"])
+    capsys.readouterr()
+    assert len(built) == tree_size
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+
+
+def test_shared_parser_leaks_no_state_between_calls(monkeypatch, tmp_path, capsys):
+    gram = tmp_path / "gram.json"
+    _write(gram, {"schema": "k3ord/1", "gram": [["0", "1"], ["1", "0"]]})
+    h1 = tmp_path / "h1.json"
+    _write(h1, {"schema": "k3ord/1", "payload": _h1_payload()})
+    expect_bad = tmp_path / "expect-bad.json"
+    _write(expect_bad, {"schema": "k3ord/1", "expected": {"invariant_factors": ["3"]}})
+    good = [
+        ["h1", str(h1), "--expect", str(expect_bad), "--format", "json"],
+        ["h1", str(h1)],
+        ["signature", str(gram), "--format", "json"],
+        ["corpus", "run", "--corpus", str(CORPUS), "--case", "f2"],
+        ["signature", str(gram)],
+    ]
+    # a missing file argument, a bad choice, help, and --timing between them
+    exits = [["h1"], ["h1", str(h1), "--format", "yaml"], ["--help"], ["corpus", "run", "--help"]]
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    shared = []
+    for argv, bad in zip(good, exits + [None]):
+        shared.append(run(argv))
+        if bad is not None:
+            with pytest.raises(SystemExit):
+                main(bad)
+            run(["signature", str(gram), "--timing"])
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run(argv) for argv in good]
+    assert [code for code, _ in fresh] == [1, 0, 0, 0, 0]
+    assert shared == fresh
+
+
+_UNREADABLE = {
+    "not-utf8": (b"\xff\xfe{}", "is not UTF-8"),
+    "nested": (b"[" * 100_000, "nested too deeply"),
+    "nested-closed": (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+}
+
+
+@pytest.mark.parametrize("name", _UNREADABLE)
+def test_cli_unreadable_document_exits_2(tmp_path, capsys, name):
+    content, message = _UNREADABLE[name]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    good = tmp_path / "gram.json"
+    _write(good, {"schema": "k3ord/1", "gram": [["2"]]})
+    for argv in (["signature", str(bad)], ["signature", str(good), "--expect", str(bad)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ParseError: ")
+        assert message in captured.err
+
+
+@pytest.mark.parametrize("file", ["scenario.json", "expected.json"])
+@pytest.mark.parametrize("name", _UNREADABLE)
+def test_corpus_run_reports_an_unreadable_case_and_goes_on(tmp_path, capsys, name, file):
+    content, message = _UNREADABLE[name]
+    for case in ("a-bad", "b-good"):
+        (tmp_path / case).mkdir()
+        _write(
+            tmp_path / case / "scenario.json",
+            {
+                "schema": "k3ord/1",
+                "id": case,
+                "checks": [
+                    {"name": "sig", "kind": "signature", "payload": {"gram": [["2"]]}}
+                ],
+            },
+        )
+    (tmp_path / "a-bad" / file).write_bytes(content)
+    bad, good = run_corpus(tmp_path)
+    assert (bad.case_id, bad.verdict) == ("a-bad", ERROR)
+    assert bad.error.startswith("ParseError: ") and message in bad.error
+    assert (good.case_id, good.verdict) == ("b-good", PASS)
+    assert main(["corpus", "run", "--corpus", str(tmp_path), "--format", "json"]) == 2
+    totals = json.loads(capsys.readouterr().out)["totals"]
+    assert totals == {"pass": "1", "fail": "0", "error": "1"}

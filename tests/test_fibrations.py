@@ -331,16 +331,16 @@ def test_work_follows_the_period_not_the_declared_order(monkeypatch):
     assert len(calls) <= 10
 
 
-def test_non_periodic_free_action_is_rejected_within_the_rank_bound():
+def test_non_periodic_free_action_is_rejected_by_its_minimal_polynomial():
     start = time.perf_counter()
     with pytest.raises(UnsupportedAction, match="not periodic of order 1000000$"):
         BlockEndo(IntMatrix.from_rows([[2, 1], [1, 1]]), (), (), 10**6)
     assert time.perf_counter() - start < 1
 
 
-def test_non_periodic_action_is_rejected_by_its_trace():
-    # every power of a finite-order action has |trace| <= rank; the first
-    # power of this one has trace 23 on rank 22
+def test_non_periodic_rank22_action_is_rejected_by_its_minimal_polynomial():
+    # the minimal polynomial (x - 1)(x^2 - 3x + 1) of this action has a
+    # factor that is not cyclotomic, so no power of it is the identity
     rows = [[0] * 22 for _ in range(22)]
     rows[0][:2], rows[1][:2] = [2, 1], [1, 1]
     for i in range(2, 22):
