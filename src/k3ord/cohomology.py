@@ -116,7 +116,7 @@ class GLattice:
         if self.order < 1:
             raise UnsupportedParameter(f"group order {self.order} < 1")
         gram = self.lattice.gram
-        if self.sigma.transpose() @ gram @ self.sigma != gram:
+        if any(gram.entries) and self.sigma.transpose() @ gram @ self.sigma != gram:
             raise ActionNotIsometric("sigma does not preserve the pairing")
 
         # W * powers is an echelon form, W unimodular.  The first dependent

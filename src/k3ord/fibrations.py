@@ -17,8 +17,10 @@ module computes H^1 and decides the cocycle and coboundary conditions
 for twisting the action block by block: Shapiro's lemma reduces a
 permutation cycle to the single summand it wraps around, so no walk
 follows a whole element, whose orbit is as long as the lcm of the cycle
-lengths.  It also maps section symbols to line-bundle expressions and
-adds numerical sections on the rank-ten elliptic model.
+lengths.  An element is data in block coordinates: nothing here adds
+whole elements or applies the action to one.  The module also maps
+section symbols to line-bundle expressions and adds numerical sections
+on the rank-ten elliptic model.
 """
 
 import math
@@ -191,9 +193,9 @@ def _scale_point(
 class GroupElement:
     """An element of a section-group model, in block coordinates.
 
-    Elliptic coordinates are symbolic torsion points (or None for the
-    zero point); arithmetic on them stays within the multiples of any
-    one named point.
+    Finite coordinates are reduced mod their moduli; elliptic coordinates
+    are symbolic torsion points reduced mod their orders, or None for the
+    zero point.
     """
 
     model: AbGroupModel
@@ -216,44 +218,6 @@ class GroupElement:
         object.__setattr__(self, "finite", tuple([c % m for c, m in finite]))
         object.__setattr__(self, "elliptic", tuple([_reduce_point(p) for p in self.elliptic]))
 
-    @classmethod
-    def zero(cls, model: AbGroupModel) -> "GroupElement":
-        return cls(
-            model,
-            (0,) * model.free_rank,
-            (0,) * len(model.finite_cyclic),
-            (None,) * model.elliptic_count,
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return (
-            all(c == 0 for c in self.free)
-            and all(c == 0 for c in self.finite)
-            and all(p is None for p in self.elliptic)
-        )
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        if self.model != other.model:
-            raise DimensionMismatch("elements live in different models")
-        return GroupElement(
-            self.model,
-            tuple([a + b for a, b in zip(self.free, other.free)]),
-            tuple([a + b for a, b in zip(self.finite, other.finite)]),
-            tuple([
-                _add_points(a, b)
-                for a, b in zip(self.elliptic, other.elliptic)
-            ]),
-        )
-
-    def scale(self, k: int) -> "GroupElement":
-        return GroupElement(
-            self.model,
-            tuple([k * a for a in self.free]),
-            tuple([k * a for a in self.finite]),
-            tuple([_scale_point(p, k) for p in self.elliptic]),
-        )
-
 
 def _check_compat(model: AbGroupModel, endo: BlockEndo) -> None:
     if (
@@ -267,21 +231,6 @@ def _check_compat(model: AbGroupModel, endo: BlockEndo) -> None:
             raise UnsupportedAction(
                 f"multiplier {u} is not periodic of order {endo.order} mod {m}"
             )
-
-
-def apply_endo(endo: BlockEndo, x: GroupElement) -> GroupElement:
-    """Image of an element under one application of the endomorphism."""
-    model = x.model
-    _check_compat(model, endo)
-    free = endo.free_action.mul_vec(x.free)
-    finite = tuple([
-        (u * c) % m
-        for u, c, m in zip(endo.finite_action, x.finite, model.finite_cyclic)
-    ])
-    elliptic: list[Optional[TorsionPoint]] = [None] * model.elliptic_count
-    for i, (sign, image) in enumerate(endo.elliptic_action):
-        elliptic[image] = _scale_point(x.elliptic[i], sign)
-    return GroupElement(model, free, finite, tuple(elliptic))
 
 
 def geometric_sum(u: int, n: int, m: int) -> int:
@@ -455,10 +404,6 @@ class FormalDivisor:
     """An integer combination of named divisor symbols."""
 
     terms: tuple[tuple[int, str], ...]
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.terms
 
     def __str__(self) -> str:
         if not self.terms:

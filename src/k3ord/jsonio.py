@@ -72,10 +72,6 @@ def dumps_canonical(data) -> str:
     )
 
 
-def write_file(path: Union[str, Path], data) -> None:
-    Path(path).write_text(dumps_canonical(data), encoding="utf-8")
-
-
 # --- encoding Python values into the file conventions -------------------------------
 
 

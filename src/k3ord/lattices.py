@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, NotSymmetric
-from .matrices import IntMatrix, IntVector
+from .matrices import IntMatrix
 
 E8_GRAM = IntMatrix.from_rows([
     [-2, 0, 0, 1, 0, 0, 0, 0],
@@ -117,10 +117,3 @@ def is_even(lattice: Lattice) -> bool:
     False
     """
     return all(lattice.gram.entry(i, i) % 2 == 0 for i in range(lattice.rank))
-
-
-def gram_of_vectors(lattice: Lattice, vectors: Sequence[IntVector]) -> IntMatrix:
-    """Gram matrix of the given vectors under the lattice pairing."""
-    return IntMatrix.from_rows(
-        [[pair(lattice, v, w) for w in vectors] for v in vectors]
-    )

@@ -21,7 +21,8 @@ Provided operations:
   A or of [A | I]; the adjugate is then read off by exact back-substitution,
   and `RatMatrix.inverse` is the adjugate over the determinant.
 * `signature`: exact signature of a symmetric matrix by congruence
-  diagonalization over Z, each step scaled by a positive pivot.
+  diagonalization over Z, on the same fraction-free step as `det`; the sign
+  of each pivot is read by Jacobi's rule.
 
 Conventions, pinned so outputs are reproducible:
 
@@ -33,7 +34,8 @@ Conventions, pinned so outputs are reproducible:
 * When the signature diagonalization meets a zero diagonal entry it first
   looks for a nonzero diagonal entry to swap in; failing that it adds row j
   and column j to row i and column i, where g[i][j] is the first nonzero
-  off-diagonal entry.
+  off-diagonal entry; failing that row i is zero, counts as a zero of the
+  form, and the previous pivot carries over to the next step.
 """
 
 from __future__ import annotations
@@ -188,11 +190,6 @@ class IntMatrix:
             out.extend(self.row(i))
             out.extend(other.row(i))
         return IntMatrix(self.rows, self.cols + other.cols, tuple(out))
-
-    def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[self.entry(i, j) for j in col_indices] for i in row_indices]
-        )
 
     def to_rat(self) -> "RatMatrix":
         return RatMatrix(self)
@@ -445,13 +442,25 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[IntVector]:
     return solve_columns(a, [b])[0]
 
 
+def _bareiss_step(m: list[list[int]], k: int, prev: int) -> int:
+    """One fraction-free step on the pivot p = m[k][k]: each row i below k
+    becomes (p * row_i - m_ik * row_k) // prev, exact by Sylvester's
+    identity (Bareiss 1968) when prev is the previous pivot.  Returns p."""
+    rk, p = m[k], m[k][k]
+    for i in range(k + 1, len(m)):
+        r = m[i]
+        c, r[k] = r[k], 0
+        for j in range(k + 1, len(r)):
+            r[j] = (p * r[j] - c * rk[j]) // prev
+    return p
+
+
 def _bareiss(m: list[list[int]]) -> int:
     """Forward fraction-free (Bareiss) elimination of the n rows of `m` in
-    place (rows may be longer): the first nonzero entry p of column k at or
-    below row k is swapped up, and each row below becomes
-    (p * row_i - m_ik * row_k) // prev, exact by Sylvester's identity
-    (Bareiss 1968).  Returns det of the leading n x n block, the last pivot
-    signed by the swaps, or 0 at the first column with no pivot."""
+    place (rows may be longer): the first nonzero entry of column k at or
+    below row k is swapped up, and `_bareiss_step` clears below it.
+    Returns det of the leading n x n block, the last pivot signed by the
+    swaps, or 0 at the first column with no pivot."""
     n = len(m)
     sign = prev = 1
     for k in range(n):
@@ -460,13 +469,7 @@ def _bareiss(m: list[list[int]]) -> int:
             return 0
         if piv != k:
             m[k], m[piv], sign = m[piv], m[k], -sign
-        rk, p = m[k], m[k][k]
-        for i in range(k + 1, n):
-            r = m[i]
-            c, r[k] = r[k], 0
-            for j in range(k + 1, len(r)):
-                r[j] = (p * r[j] - c * rk[j]) // prev
-        prev = p
+        prev = _bareiss_step(m, k, prev)
     return sign * prev
 
 
@@ -509,10 +512,14 @@ def adjugate(a: IntMatrix) -> tuple[int, IntMatrix]:
 
 def signature(g: IntMatrix) -> tuple[int, int, int]:
     """Counts (positive, negative, zero) after exact congruence
-    diagonalization of the symmetric matrix `g` over Z.  After a pivot p the
-    trailing block becomes sgn(p) * (p * m_ij - m_ik * m_kj) divided by the gcd
-    of its entries: a congruence and a positive scaling, which by Sylvester's
-    law of inertia keep the counts.
+    diagonalization of the symmetric matrix `g` over Z, by `_bareiss_step`
+    run symmetrically.  After each step the trailing block is the previous
+    pivot times the Schur complement, whose diagonal entry m_kk / prev is
+    the next LDL^T pivot, so pivot k is positive exactly when
+    m_kk * prev > 0 (Jacobi's rule; Sylvester's law of inertia keeps the
+    counts).  A swap, or the addition of row and column j, is a congruence
+    on the trailing indices and keeps that form; a trailing row that is
+    all zero counts as a zero of the form and is passed over.
 
     >>> signature(IntMatrix.from_rows([[0, 1], [1, 0]]))
     (1, 1, 0)
@@ -524,6 +531,7 @@ def signature(g: IntMatrix) -> tuple[int, int, int]:
     n = g.rows
     m = [list(g.row(i)) for i in range(n)]
     pos = neg = zero = 0
+    prev = 1
 
     def add_row_col(i: int, j: int) -> None:
         m[i] = [x + y for x, y in zip(m[i], m[j])]
@@ -548,17 +556,9 @@ def signature(g: IntMatrix) -> tuple[int, int, int]:
                 # all remaining diagonal entries vanish, so this bumps
                 # m[k][k] to 2 * m[k][j] != 0
                 add_row_col(k, j)
-        p = m[k][k]
-        if p > 0:
+        if m[k][k] * prev > 0:
             pos += 1
         else:
             neg += 1
-        tail = [x if p > 0 else -x for x in m[k][k + 1:]]
-        for i in range(k + 1, n):
-            c = m[i][k]
-            m[i][k + 1:] = [abs(p) * x - c * y for x, y in zip(m[i][k + 1:], tail)]
-        d = math.gcd(*[x for r in m[k + 1:] for x in r[k + 1:]])
-        if d > 1:
-            for r in m[k + 1:]:
-                r[k + 1:] = [x // d for x in r[k + 1:]]
+        prev = _bareiss_step(m, k, prev)
     return pos, neg, zero

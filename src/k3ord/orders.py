@@ -62,10 +62,6 @@ class QDivisor:
     def of(cls, *coords: Rat) -> "QDivisor":
         return cls(tuple([Fraction(c) for c in coords]))
 
-    @classmethod
-    def zero(cls, rank: int) -> "QDivisor":
-        return cls((Fraction(0),) * rank)
-
     def __add__(self, other: "QDivisor") -> "QDivisor":
         if len(self.coords) != len(other.coords):
             raise DimensionMismatch(

@@ -124,8 +124,9 @@ def random_symmetric(rng: random.Random, n: int, lo: int, hi: int) -> IntMatrix:
 
 def no_solution_in_box(a: IntMatrix, b: tuple[int, ...], box: int) -> bool:
     """Exhaustively confirm a.x = b has no solution with |x_i| <= box."""
+    rows = a.to_rows()
     for x in itertools.product(range(-box, box + 1), repeat=a.cols):
-        if a.mul_vec(x) == b:
+        if tuple([sum(map(operator.mul, r, x)) for r in rows]) == tuple(b):
             return False
     return True
 
@@ -258,11 +259,9 @@ def maximal_minor_gcd(p: IntMatrix) -> int:
     Equals the product of the invariant factors for full column rank input,
     so the image is saturated exactly when this is 1.
     """
-    k = p.cols
     g = 0
-    for rows in itertools.combinations(range(p.rows), k):
-        minor = det_cofactor(p.submatrix(rows, range(k)))
-        g = math.gcd(g, minor)
+    for rows in itertools.combinations(p.to_rows(), p.cols):
+        g = math.gcd(g, _cofactor_det([list(r) for r in rows]))
     return g
 
 
@@ -310,8 +309,8 @@ def fraction_signature(g: IntMatrix) -> tuple[int, int, int]:
     """(positive, negative, zero) by congruence diagonalization over Fraction.
 
     Follows the package's pivot convention (swap in a nonzero diagonal
-    entry, else add row and column j), but divides by each pivot instead of
-    scaling by it.
+    entry, else add row and column j), but eliminates over Fraction where
+    the package takes fraction-free steps.
     """
     n = g.rows
     m = [[Fraction(g.entry(i, j)) for j in range(n)] for i in range(n)]
@@ -340,3 +339,71 @@ def fraction_signature(g: IntMatrix) -> tuple[int, int, int]:
                 for r in m:
                     r[i] -= c * r[k]
     return tuple(counts)
+
+
+# --- section groups: the group law and one step of a block action --------------
+#
+# An element of Z^r + Z/m_1 + ... + Z/m_k + E^e is a triple (free, finite,
+# elliptic) of tuples, the finite coordinates reduced mod m_i.  A point of E
+# is a multiple of one named point of exact order n, written
+# (symbol, n, mult mod n), and None is the zero point.  A block action is a
+# triple (rows of the free matrix, finite multipliers, elliptic (sign, image)
+# pairs): summand i is sent to summand image with the given sign.
+
+
+def _torsion_point(symbol: str, order: int, mult: int):
+    mult %= order
+    return (symbol, order, mult) if mult else None
+
+
+def _add_points(a, b):
+    if a is None or b is None:
+        return b if a is None else a
+    if a[:2] != b[:2]:
+        raise ValueError(f"cannot add unrelated points {a} and {b}")
+    return _torsion_point(a[0], a[1], a[2] + b[2])
+
+
+def _add(moduli, x, y):
+    return (
+        tuple([a + b for a, b in zip(x[0], y[0])]),
+        tuple([(a + b) % m for a, b, m in zip(x[1], y[1], moduli)]),
+        tuple([_add_points(a, b) for a, b in zip(x[2], y[2])]),
+    )
+
+
+def act_once(action, moduli, x):
+    """The image of the element x under one step of the block action."""
+    free_rows, units, signed_perm = action
+    elliptic = [None] * len(x[2])
+    for (sign, image), p in zip(signed_perm, x[2]):
+        elliptic[image] = p and _torsion_point(p[0], p[1], sign * p[2])
+    return (
+        tuple([sum(map(operator.mul, r, x[0])) for r in free_rows]),
+        tuple([u * c % m for u, c, m in zip(units, x[1], moduli)]),
+        tuple(elliptic),
+    )
+
+
+def orbit_sum(action, moduli, x, order: int):
+    """x + sigma(x) + ... + sigma^(order-1)(x), one step at a time."""
+    total = current = x
+    for _ in range(order - 1):
+        current = act_once(action, moduli, current)
+        total = _add(moduli, total, current)
+    return total
+
+
+def minus_image(action, moduli, x):
+    """The coboundary x - sigma(x)."""
+    free, finite, elliptic = act_once(action, moduli, x)
+    negated = (
+        tuple([-a for a in free]),
+        tuple([-a % m for a, m in zip(finite, moduli)]),
+        tuple([p and _torsion_point(p[0], p[1], -p[2]) for p in elliptic]),
+    )
+    return _add(moduli, x, negated)
+
+
+def is_zero_element(x) -> bool:
+    return not any(x[0]) and not any(x[1]) and not any(x[2])

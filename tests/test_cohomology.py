@@ -120,6 +120,17 @@ def test_work_follows_the_period_not_the_declared_order(monkeypatch):
     assert len(calls) <= 10
 
 
+def test_zero_form_costs_no_isometry_products(monkeypatch):
+    calls = []
+    matmul = IntMatrix.__matmul__
+    monkeypatch.setattr(
+        IntMatrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b)
+    )
+    for r in (1, 4, 30):
+        GLattice(Lattice(IntMatrix.zeros(r, r)), IntMatrix.identity(r), 2)
+    assert calls == []
+
+
 def _largest_finite_order(rank):
     """(max lcm(m_i), the m_i) over distinct m_i >= 2 with sum phi(m_i) <= rank,
     by exhaustive search: the largest order of a finite-order element of

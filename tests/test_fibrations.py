@@ -30,7 +30,6 @@ from k3ord.fibrations import (
     TorsionPoint,
     Vertical,
     ZeroSection,
-    apply_endo,
     cocycle_check,
     coboundary_check,
     geometric_sum,
@@ -43,6 +42,8 @@ from k3ord.fibrations import (
 from k3ord.lattices import Lattice, pair
 from k3ord.matrices import IntMatrix
 from k3ord.orders import surface_rational_elliptic
+
+from oracles import is_zero_element, minus_image, orbit_sum
 
 
 def test_doctests():
@@ -86,21 +87,20 @@ def test_endo_rejects_bad_shapes():
 
 def test_endo_model_compatibility():
     model = AbGroupModel(free_rank=1, finite_cyclic=(5,), elliptic_count=1)
+    zero = GroupElement(model, (0,), (0,), (None,))
     good = BlockEndo(IntMatrix.identity(1), (4,), ((1, 0),), 2)
-    apply_endo(good, GroupElement.zero(model))
     wrong_shape = BlockEndo(IntMatrix.identity(2), (4,), ((1, 0),), 2)
-    with pytest.raises(DimensionMismatch):
-        apply_endo(wrong_shape, GroupElement.zero(model))
     # 2 has order 4 mod 5, not 2
     bad_multiplier = BlockEndo(IntMatrix.identity(1), (2,), ((1, 0),), 2)
-    with pytest.raises(UnsupportedAction):
-        apply_endo(bad_multiplier, GroupElement.zero(model))
+    for check in (cocycle_check, coboundary_check):
+        check(good, zero)
+        with pytest.raises(DimensionMismatch):
+            check(wrong_shape, zero)
+        with pytest.raises(UnsupportedAction):
+            check(bad_multiplier, zero)
     # the norm checks the multiplier even where order 1 leaves nothing to sum
     with pytest.raises(UnsupportedAction):
-        cocycle_check(
-            BlockEndo(IntMatrix.identity(1), (2,), ((1, 0),), 1),
-            GroupElement.zero(model),
-        )
+        cocycle_check(BlockEndo(IntMatrix.identity(1), (2,), ((1, 0),), 1), zero)
 
 
 def test_element_validation_and_reduction():
@@ -118,13 +118,14 @@ def test_element_validation_and_reduction():
 
 
 def test_unrelated_symbols_do_not_add():
-    model = AbGroupModel(elliptic_count=1)
-    a = GroupElement(model, elliptic=(TorsionPoint("p", 2),))
-    b = GroupElement(model, elliptic=(TorsionPoint("q", 2),))
+    # the cocycle check adds the points carried around the 2-cycle
+    model = AbGroupModel(elliptic_count=2)
+    swap = BlockEndo(IntMatrix.identity(0), (), ((1, 1), (1, 0)), 2)
+    p, q = TorsionPoint("p", 2), TorsionPoint("q", 2)
     with pytest.raises(UnsupportedAction):
-        a + b
-    # multiples of the same point are fine
-    assert (a + a).is_zero
+        cocycle_check(swap, GroupElement(model, elliptic=(p, q)))
+    # multiples of the same point are fine: p + p is zero
+    assert cocycle_check(swap, GroupElement(model, elliptic=(p, p)))
 
 
 # --- structured H^1 -----------------------------------------------------------------
@@ -304,12 +305,10 @@ def _twisted_elements(draw):
 @settings(max_examples=200, deadline=None, database=None)
 def test_cocycle_check_matches_the_summed_orbit(case):
     endo, x = case
-    total = current = x
-    for _ in range(endo.order - 1):
-        current = apply_endo(endo, current)
-        total = total + current
-    assert cocycle_check(endo, x) == total.is_zero
-    difference = x + _minus(apply_endo(endo, x))
+    action, moduli, plain = _plain(endo, x)
+    total = orbit_sum(action, moduli, plain, endo.order)
+    assert cocycle_check(endo, x) == is_zero_element(total)
+    difference = _element(x.model, minus_image(action, moduli, plain))
     assert cocycle_check(endo, difference)
     assert coboundary_check(endo, difference)
 
@@ -466,7 +465,7 @@ def test_elliptic_cycles_do_not_walk_whole_elements(tmp_path, capsys, command):
 
 def test_cocycle_golden_cases():
     model = AbGroupModel(elliptic_count=1)
-    zero = GroupElement.zero(model)
+    zero = GroupElement(model, elliptic=(None,))
     assert cocycle_check(trivial_endo(model, 2), zero)
     for n in (2, 3, 4, 6):
         s = GroupElement(model, elliptic=(TorsionPoint("eps", n),))
@@ -497,7 +496,7 @@ def test_graph_of_negation_twist():
     graph = GroupElement(model, free=(1,), elliptic=(None,))
     assert cocycle_check(endo, graph)
     assert not coboundary_check(endo, graph)
-    assert coboundary_check(endo, graph + graph)
+    assert coboundary_check(endo, GroupElement(model, free=(2,), elliptic=(None,)))
 
 
 def test_negated_elliptic_summand_is_2_divisible():
@@ -539,16 +538,16 @@ def _random_element(model, rng):
     )
 
 
-def _minus(x):
-    return GroupElement(
-        x.model,
-        tuple(-c for c in x.free),
-        tuple(-c for c in x.finite),
-        tuple(
-            TorsionPoint(p.symbol, p.order, -p.mult) if p else None
-            for p in x.elliptic
-        ),
-    )
+def _plain(endo, x):
+    """(action, moduli, element) as the plain tuples of `oracles`."""
+    action = (endo.free_action.to_rows(), endo.finite_action, endo.elliptic_action)
+    points = tuple(p and (p.symbol, p.order, p.mult) for p in x.elliptic)
+    return action, x.model.finite_cyclic, (x.free, x.finite, points)
+
+
+def _element(model, plain):
+    free, finite, points = plain
+    return GroupElement(model, free, finite, tuple(p and TorsionPoint(*p) for p in points))
 
 
 def test_differences_are_always_trivial_twists():
@@ -559,8 +558,7 @@ def test_differences_are_always_trivial_twists():
         IntMatrix.from_rows([[0, -1], [1, 0]]), (5,), ((1, 1), (-1, 0)), 4
     )
     for _ in range(50):
-        t = _random_element(model, rng)
-        s = t + _minus(apply_endo(endo, t))
+        s = _element(model, minus_image(*_plain(endo, _random_element(model, rng))))
         assert cocycle_check(endo, s)
         assert coboundary_check(endo, s)
 
@@ -570,8 +568,8 @@ def test_differences_are_always_trivial_twists():
 
 def test_section_line_bundle_cases():
     model = AbGroupModel(free_rank=1, elliptic_count=1)
-    assert section_line_bundle(ZeroSection(), model).is_trivial
-    assert section_line_bundle(Horizontal("e0"), model).is_trivial
+    assert section_line_bundle(ZeroSection(), model).terms == ()
+    assert section_line_bundle(Horizontal("e0"), model).terms == ()
     horizontal = section_line_bundle(Horizontal("p"), model)
     assert horizontal.terms == (
         (1, "horizontal(p)"),

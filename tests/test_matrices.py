@@ -1,10 +1,12 @@
 """Unit and property tests for the exact matrix kernel."""
 
+import ast
 import doctest
 import itertools
 import random
 from enum import IntEnum
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -44,6 +46,24 @@ H_GRAM = IntMatrix.from_rows([[0, 1], [1, 0]])
 def test_doctests_pass():
     failures, _ = doctest.testmod(matrices)
     assert failures == 0
+
+
+def test_oracles_take_no_arithmetic_from_the_package():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    nodes = list(ast.walk(tree))
+    imports = [
+        (node.module, [a.name for a in node.names]) for node in nodes
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "k3ord"
+    ]
+    imports += [
+        (a.name, None) for node in nodes if isinstance(node, ast.Import)
+        for a in node.names if a.name.split(".")[0] == "k3ord"
+    ]
+    assert imports == [("k3ord.matrices", ["IntMatrix"])]
+    assert not any(isinstance(getattr(node, "op", None), ast.MatMult) for node in nodes)
+    read = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    allowed = {"rows", "cols", "entries", "entry", "row", "col", "to_rows", "from_rows", "is_square"}
+    assert read & set(vars(IntMatrix)) <= allowed
 
 
 def test_shape_validation():
@@ -429,6 +449,12 @@ def test_signature_zero_diagonal_pivot_fix():
     g = IntMatrix.from_rows([[0, 2, 1], [2, 0, 0], [1, 0, 0]])
     pos, neg, zero = signature(g)
     assert (pos, neg, zero) == (1, 1, 1)
+    # a zero row after a negative pivot, then a zero-diagonal block of
+    # signature (1, 2): the zero row must not reset the previous pivot
+    g = IntMatrix.block_diag([IntMatrix.diagonal([-1, 0]), IntMatrix.from_rows(
+        [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    )])
+    assert signature(g) == fraction_signature(g) == (1, 3, 1)
     # against the Fraction diagonalization, half the samples with a zero
     # diagonal and sparse elsewhere, which exercises both pivot fixes
     rng = random.Random(2468)
@@ -441,6 +467,14 @@ def test_signature_zero_diagonal_pivot_fix():
                     if i == j or rng.random() < 0.6:
                         a[i][j] = a[j][i] = 0
         g = IntMatrix.from_rows(a)
+        assert signature(g) == fraction_signature(g), g
+
+
+def test_signature_on_every_small_symmetric_matrix():
+    # every symmetric 3x3 over {-2, ..., 2}: all-zero diagonals, degenerate
+    # forms and zero rows included
+    for d0, d1, d2, a, b, c in itertools.product(range(-2, 3), repeat=6):
+        g = IntMatrix(3, 3, (d0, a, b, a, d1, c, b, c, d2))
         assert signature(g) == fraction_signature(g), g
 
 

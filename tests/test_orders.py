@@ -184,7 +184,7 @@ def test_canonical_class_additive_over_ramification(rows):
 
 def test_numerical_triviality():
     p2 = surface_p2()
-    assert is_numerically_trivial(p2, QDivisor.zero(1))
+    assert is_numerically_trivial(p2, QDivisor.of(0))
     assert not is_numerically_trivial(p2, QDivisor.of(Fraction(1, 2)))
     quadric = surface_quadric()
     k_a = canonical_order_class(

@@ -396,8 +396,9 @@ def main(argv):
     for case_id, scenario, expected in all_cases():
         directory = corpus_dir / case_id
         directory.mkdir(parents=True, exist_ok=True)
-        jsonio.write_file(directory / "scenario.json", jsonio.encode(scenario))
-        jsonio.write_file(directory / "expected.json", jsonio.encode(expected))
+        for name, doc in (("scenario.json", scenario), ("expected.json", expected)):
+            text = jsonio.dumps_canonical(jsonio.encode(doc))
+            (directory / name).write_text(text, encoding="utf-8")
         count += 1
     print(f"wrote {count} cases under {corpus_dir}")
     return 0
