@@ -196,9 +196,14 @@ def half_gram_quotient(gl: GLattice) -> Lattice:
     doubles every intersection number.  Requires order 2 and a uniformly
     even fixed Gram matrix.
     """
+    return _half_gram(gl, fixed_sublattice(gl))
+
+
+def _half_gram(gl: GLattice, fixed: Embedding) -> Lattice:
+    """half_gram_quotient on the fixed sublattice of gl, already computed."""
     if gl.order != 2:
         raise UnsupportedParameter(f"quotient halving needs order 2, got {gl.order}")
-    gram = fixed_sublattice(gl).source.gram
+    gram = fixed.source.gram
     if any(e % 2 for e in gram.entries):
         raise OddEntry("fixed sublattice pairing is not uniformly even")
     return Lattice(IntMatrix(gram.rows, gram.cols, tuple([e // 2 for e in gram.entries])))

@@ -25,7 +25,7 @@ on the rank-ten elliptic model.
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .cohomology import CohResult, GLattice, h1, norm_and_diff
 from .divisors import DivisorClass
@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedParameter,
 )
 from .lattices import Lattice, pair
-from .matrices import IntMatrix, snf, solve_integer
+from .matrices import IntMatrix, solve_integer
 from .orders import surface_rational_elliptic
 
 ZERO_POINT = "e0"
@@ -324,6 +324,44 @@ class StructuredH1:
         return math.prod(self.invariant_factors)
 
 
+def _push(runs: list, factor: int, count: int) -> None:
+    if count and factor > 1:
+        if runs and runs[-1][0] == factor:
+            runs[-1] = (factor, runs[-1][1] + count)
+        else:
+            runs.append((factor, count))
+
+
+def invariant_chain(orders: Iterable[int]) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... (all > 1) of the sum of Z/a over
+    the positive orders a.
+
+    Each order enters the chain from the top: Z/c + Z/a = Z/lcm(c, a) +
+    Z/gcd(c, a), and the gcd goes on down, so no factoring and no Smith
+    form is needed.  The chain is kept as runs (factor, count), largest
+    first.  A carry that has passed the top copy of a run divides its
+    factor, so only that copy changes: equal orders, such as the pairs of
+    elliptic factors, cost one step each, and memory is at most linear in
+    the number of orders.
+
+    >>> invariant_chain([2, 3, 2, 4, 1])
+    (2, 2, 12)
+    """
+    runs: list[tuple[int, int]] = []
+    for a in orders:
+        above, runs = runs, []
+        for i, (c, n) in enumerate(above):
+            if a == 1:
+                runs += above[i:]
+                break
+            _push(runs, math.lcm(c, a), 1)
+            _push(runs, c, n - 1)
+            a = math.gcd(c, a)
+        else:
+            _push(runs, a, 1)
+    return tuple([c for c, n in reversed(runs) for _ in range(n)])
+
+
 def h1_structured(model: AbGroupModel, endo: BlockEndo) -> StructuredH1:
     """H^1 of the cyclic group generated by endo, acting on the model.
 
@@ -345,11 +383,10 @@ def h1_structured(model: AbGroupModel, endo: BlockEndo) -> StructuredH1:
         m = endo.order // len(cycle)
         if net == 1 and m > 1:
             elliptic_factors.extend((m, m))
-    # the Smith form of diag(orders) is the invariant factor chain of the sum
-    orders = [*free_part.invariant_factors, *finite_factors, *elliptic_factors]
-    chain = snf(IntMatrix.diagonal(orders)).invariant_factors
     return StructuredH1(
-        invariant_factors=tuple([d for d in chain if d > 1]),
+        invariant_factors=invariant_chain(
+            [*free_part.invariant_factors, *finite_factors, *elliptic_factors]
+        ),
         free_rank=free_part.free_rank,
         free_part=free_part,
         finite_factors=tuple(finite_factors),

@@ -31,6 +31,8 @@ SCHEMA = "k3ord/1"
 
 # ASCII only: str.isdigit and int() also take other Unicode digits
 _DECIMAL = re.compile(r"-?[0-9]+")
+# a comma-joined run of them; a comma inside an entry still fails int()
+_DECIMALS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 
 def _reject_number(token):
@@ -92,7 +94,7 @@ def encode(value):
     if isinstance(value, Fraction):
         return {"num": _decimal(value.numerator), "den": _decimal(value.denominator)}
     if isinstance(value, IntMatrix):
-        return [[_decimal(value.entry(i, j)) for j in range(value.cols)] for i in range(value.rows)]
+        return [list(map(_decimal, r)) for r in value.to_rows()]
     if isinstance(value, (list, tuple)):
         return [encode(v) for v in value]
     if isinstance(value, dict):
@@ -150,7 +152,15 @@ def as_dict(node, what: str = "object") -> dict:
 
 
 def as_int_vector(node, what: str = "vector") -> tuple[int, ...]:
-    return tuple([as_int(x, f"{what} entry") for x in as_list(node, what)])
+    items = as_list(node, what)
+    # fast path: one type scan and one match over the joined entries; any
+    # offender, an over-long number included, takes the per-entry loop
+    if set(map(type, items)) <= {str} and _DECIMALS.fullmatch(",".join(items)):
+        try:
+            return tuple([*map(int, items)])
+        except ValueError:
+            pass
+    return tuple([as_int(x, f"{what} entry") for x in items])
 
 
 def as_fraction_vector(node, what: str = "vector") -> tuple[Fraction, ...]:

@@ -23,6 +23,14 @@ Provided operations:
 * `signature`: exact signature of a symmetric matrix by congruence
   diagonalization over Z, on the same fraction-free step as `det`; the sign
   of each pivot is read by Jacobi's rule.
+* `IntMatrix.__matmul__` (and `RatMatrix.__matmul__`, which delegates to
+  it) picks its loop from the left operand.  When at least half of its
+  entries are zero, each output row is built as the sum of x * (row k of
+  the right operand) over the nonzero x = A[i][k], so the cost follows the
+  nonzero entries: the Gram matrix of the K3 lattice U^3 + E8(-1)^2 and the
+  involutions on it are mostly zeros.  A denser left operand keeps one
+  C-level dot product per output entry, which is faster when few terms
+  can be skipped.
 
 Conventions, pinned so outputs are reproducible:
 
@@ -42,7 +50,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from itertools import compress, repeat
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch, NonSquare, NotSymmetric
@@ -139,11 +148,7 @@ class IntMatrix:
 
     @property
     def is_symmetric(self) -> bool:
-        return self.is_square and all(
-            self.entry(i, j) == self.entry(j, i)
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        return self.is_square and all(self.row(i) == self.col(i) for i in range(self.rows))
 
     # -- arithmetic -----------------------------------------------------
 
@@ -152,12 +157,29 @@ class IntMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        ocols = other.cols
-        cols = [other.entries[j::ocols] for j in range(ocols)]
-        rows = [self.row(i) for i in range(self.rows)]
-        return IntMatrix(self.rows, ocols, tuple([
-            sum(map(mul, r, c)) for r in rows for c in cols
-        ]))
+        ocols, e = other.cols, self.entries
+        if e.count(0) * 2 < len(e):
+            cols = [other.col(j) for j in range(ocols)]
+            rows = [self.row(i) for i in range(self.rows)]
+            return IntMatrix(self.rows, ocols, tuple([
+                sum(map(mul, r, c)) for r in rows for c in cols
+            ]))
+        # sparse left operand: each output row sums x * (row k of other)
+        # over the nonzero x = self[i][k], one C-level pass per term
+        orows = other.to_rows()
+        out = []
+        for i in range(self.rows):
+            acc = [0] * ocols
+            r = self.row(i)
+            for x, rk in compress(zip(r, orows), r):
+                if x == 1:
+                    acc = list(map(add, acc, rk))
+                elif x == -1:
+                    acc = list(map(sub, acc, rk))
+                else:
+                    acc = list(map(add, acc, map(mul, repeat(x), rk)))
+            out += acc
+        return IntMatrix(self.rows, ocols, tuple(out))
 
     def mul_vec(self, v: Sequence[int]) -> IntVector:
         if len(v) != self.cols:

@@ -82,6 +82,17 @@ def rational_kernel_basis(m: IntMatrix) -> list[list[Fraction]]:
     return basis
 
 
+def mat_mul(a: list[int], b: list[int], rows: int, inner: int, cols: int) -> list[int]:
+    """Schoolbook product of a rows x inner and an inner x cols matrix, both
+    plain row-major lists; the shapes are explicit, since an empty list
+    cannot tell 0 x n from n x 0."""
+    return [
+        sum(a[i * inner + k] * b[k * cols + j] for k in range(inner))
+        for i in range(rows)
+        for j in range(cols)
+    ]
+
+
 def random_int_matrix(rng: random.Random, rows: int, cols: int, lo: int, hi: int) -> IntMatrix:
     return IntMatrix.from_rows(
         [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]

@@ -76,6 +76,30 @@ def test_decoders_reject_wrong_shapes():
         jsonio.check_schema({"schema": "other/9"})
 
 
+def test_int_vector_fast_path_keeps_the_per_entry_messages():
+    """as_int_vector scans a vector at once and falls back to as_int per
+    entry on any offender; the error must be the one that loop raises."""
+    for bad in ("3\u00b2", " 1", "1_0", "x", 1, True, "7" * 5000, "1,2", "", "+1", "\u0663"):
+        with pytest.raises(SchemaError) as per_entry:
+            jsonio.as_int(bad, "row entry")
+        for vector in ([bad], ["4", bad], ["-4", "0", bad, "9"]):
+            with pytest.raises(SchemaError) as fast:
+                jsonio.as_int_vector(vector, "row")
+            assert str(fast.value) == str(per_entry.value)
+    assert jsonio.as_int_vector(["0", "-12", "7" * 60], "row") == (0, -12, int("7" * 60))
+    assert jsonio.as_int_vector([], "row") == ()
+
+
+def test_encode_reads_a_matrix_by_rows():
+    assert jsonio.encode(IntMatrix.from_rows([[1, -2, 0], [3, 4, -5]])) == [
+        ["1", "-2", "0"], ["3", "4", "-5"]
+    ]
+    assert jsonio.encode(IntMatrix(2, 0, ())) == [[], []]
+    assert jsonio.encode(IntMatrix(0, 3, ())) == []
+    with pytest.raises(SchemaError, match="digit limit"):
+        jsonio.encode(IntMatrix(1, 2, (0, 10**5000)))
+
+
 def test_canonical_dump_is_sorted_and_stable():
     a = jsonio.dumps_canonical({"b": "1", "a": "2"})
     b = jsonio.dumps_canonical({"a": "2", "b": "1"})

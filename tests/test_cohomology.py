@@ -5,6 +5,7 @@ import json
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -39,7 +40,11 @@ from k3ord.matrices import (
     solve_integer,
 )
 
+from k3ord.runner import PASS, run_check
+
 from oracles import h1_box_class_count, random_unimodular
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def q_glattice(n):
@@ -596,6 +601,25 @@ def test_half_gram_quotient_identity_on_doubled_form():
     doubled = Lattice(IntMatrix.from_rows([[0, 2], [2, 0]]))
     gl = GLattice(doubled, IntMatrix.identity(2), 2)
     assert half_gram_quotient(gl).gram == IntMatrix.from_rows([[0, 1], [1, 0]])
+
+
+def test_quotient_pic_finds_the_fixed_sublattice_once(monkeypatch):
+    calls = []
+    kernel = cohomology.integer_kernel
+    monkeypatch.setattr(cohomology, "integer_kernel", lambda a: calls.append(1) or kernel(a))
+    scenario = json.loads((REPO / "corpus" / "quadric" / "scenario.json").read_text())
+    expected = json.loads((REPO / "corpus" / "quadric" / "expected.json").read_text())
+    for check in scenario["checks"]:
+        if check["kind"] == "quotient-pic":
+            outcome = run_check(check["name"], check["kind"], check["payload"],
+                                expected["expected"][check["name"]])
+            assert outcome.verdict == PASS
+    assert calls == [1]
+    odd = {"gram": [["1", "0"], ["0", "1"]], "action": [["1", "0"], ["0", "1"]]}
+    for order, error in (("3", "UnsupportedParameter: quotient halving needs order 2, got 3"),
+                         ("2", "OddEntry: fixed sublattice pairing is not uniformly even")):
+        outcome = run_check("q", "quotient-pic", {**odd, "order": order})
+        assert outcome.error == error
 
 
 def test_half_gram_quotient_errors():

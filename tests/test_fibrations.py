@@ -34,14 +34,16 @@ from k3ord.fibrations import (
     coboundary_check,
     geometric_sum,
     h1_structured,
+    invariant_chain,
     mw_sum_rational_elliptic,
     negation_endo,
     section_line_bundle,
     trivial_endo,
 )
 from k3ord.lattices import Lattice, pair
-from k3ord.matrices import IntMatrix
+from k3ord.matrices import IntMatrix, snf
 from k3ord.orders import surface_rational_elliptic
+from k3ord.runner import PASS, run_check
 
 from oracles import is_zero_element, minus_image, orbit_sum
 
@@ -207,6 +209,30 @@ def test_h1_mixed_blocks_get_merged_factors():
     assert res.invariant_factors == (2, 2, 2)
     assert res.free_part.invariant_factors == (2,)
     assert res.elliptic_factors == (2, 2)
+
+
+def test_invariant_chain_matches_the_smith_form_of_the_diagonal():
+    """Seeded multisets drawn from a few small values, so that 1s, repeats
+    and shared prime powers all come up, against the Smith form route."""
+    rng = random.Random(20261019)
+    for trial in range(2000):
+        pool = [rng.choice((1, 2, 3, 4, 6, 8, 9, 12, 25, 30, 36)) for _ in range(rng.randint(1, 4))]
+        orders = [rng.choice(pool) for _ in range(rng.randint(0, 10))]
+        rng.shuffle(orders)
+        expected = tuple([d for d in snf(IntMatrix.diagonal(orders)).invariant_factors if d > 1])
+        assert invariant_chain(orders) == expected, orders
+    assert invariant_chain([]) == invariant_chain([1, 1]) == ()
+    assert invariant_chain([2] * 6000) == (2,) * 6000
+
+
+def test_many_elliptic_pairs_cost_no_dense_diagonal():
+    """1,000 elliptic summands give 2,000 factors of 2; the Smith form of
+    their diagonal took seconds."""
+    payload = {"model": {"elliptic_count": "1000"}, "endo": {"order": "2"}}
+    start = time.perf_counter()
+    outcome = run_check("many", "fibration-h1", payload, {"invariant_factors": ["2"] * 2000})
+    assert time.perf_counter() - start < 0.5
+    assert outcome.verdict == PASS, outcome
 
 
 def test_invariant_factor_normalization():

@@ -32,6 +32,7 @@ from oracles import (
     det_cofactor,
     fraction_inverse,
     fraction_signature,
+    mat_mul,
     no_solution_in_box,
     random_int_matrix,
     random_symmetric,
@@ -198,6 +199,69 @@ def _snf_inputs(draw):
 @settings(max_examples=200, deadline=None, database=None)
 def test_snf_property(a):
     _check_snf(a)
+
+
+_NONZERO = st.one_of(
+    st.sampled_from([1, -1, 2, -2, 3]),
+    st.integers(10**59, 10**60 - 1).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+@st.composite
+def _products(draw):
+    """A rows x inner and an inner x cols factor, shapes down to 0, with
+    anything from no zeros to all zeros in the left one, and some whole
+    zero rows; plus two nonzero denominators for the rational product."""
+    rows, inner, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    n = rows * inner
+    zeros = set(draw(st.permutations(range(n)))[:draw(st.integers(0, n))])
+    zero_rows = draw(st.sets(st.integers(0, 5), max_size=2))
+    left = [
+        0 if p in zeros or p // inner in zero_rows else draw(_NONZERO) for p in range(n)
+    ]
+    right = draw(st.lists(st.one_of(st.just(0), _NONZERO),
+                          min_size=inner * cols, max_size=inner * cols))
+    dens = draw(st.tuples(*[st.integers(-6, 6).filter(bool)] * 2))
+    return IntMatrix(rows, inner, tuple(left)), IntMatrix(inner, cols, tuple(right)), dens
+
+
+def _half_zero(rows, cols, zeros):
+    """A rows x cols matrix whose first `zeros` entries are zero."""
+    n = rows * cols
+    return IntMatrix(rows, cols, tuple([0] * zeros + [-(10**59) - 7] * (n - zeros)))
+
+
+@given(_products())
+@example((_half_zero(2, 3, 3), _half_zero(3, 2, 1), (1, 1)))  # exactly half zero
+@example((_half_zero(2, 3, 2), _half_zero(3, 2, 1), (2, -3)))  # one short of half
+@example((IntMatrix.zeros(4, 3), _half_zero(3, 5, 0), (1, 5)))
+@example((IntMatrix(0, 4, ()), _half_zero(4, 3, 0), (1, 1)))
+@example((IntMatrix(3, 0, ()), IntMatrix(0, 2, ()), (1, 1)))
+@example((IntMatrix(1, 1, (-5,)), IntMatrix(1, 1, (10**59 + 1,)), (-4, 6)))
+@seed(20261019)
+@settings(max_examples=200, deadline=None, database=None)
+def test_product_matches_the_oracle(operands):
+    a, b, (da, db) = operands
+    expected = mat_mul(list(a.entries), list(b.entries), a.rows, a.cols, b.cols)
+    product = a @ b
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    assert list(product.entries) == expected
+    rat = RatMatrix(a, da) @ RatMatrix(b, db)
+    assert [Fraction(x, rat.den) for x in rat.num.entries] == [
+        Fraction(x, da * db) for x in expected
+    ]
+
+
+def test_is_symmetric_matches_the_pairwise_rule():
+    for n in range(4):
+        for entries in itertools.product((0, 1), repeat=n * n):
+            m = IntMatrix(n, n, entries)
+            pairwise = all(
+                entries[i * n + j] == entries[j * n + i] for i in range(n) for j in range(n)
+            )
+            assert m.is_symmetric == pairwise
+    assert not IntMatrix(2, 3, (1, 0, 0, 0, 1, 0)).is_symmetric
+    assert not IntMatrix(0, 2, ()).is_symmetric
 
 
 def test_kernel_examples():
