@@ -8,21 +8,21 @@ polarization.  The two fixed-rank models also show their half-Gram quotients.
 
 from k3ord import catalog
 from k3ord.cohomology import GLattice, h1, half_gram_quotient
-from k3ord.divisors import DivisorClass, nakai_certificate
+from k3ord.divisors import nakai_certificate
 from k3ord.embeddings import is_primitive
 from k3ord.matrices import IntMatrix, signature
 
 
 def gens_for(rank):
     basis = IntMatrix.identity(rank)
-    return [DivisorClass(basis.col(i)) for i in range(rank)]
+    return [basis.col(i) for i in range(rank)]
 
 
 def describe(label, model, order=2):
     gl = GLattice(model.pic, model.action, order)
     res = h1(gl)
     cert = nakai_certificate(
-        model.pic, DivisorClass(model.ample), gens_for(model.pic.rank)
+        model.pic, model.ample, gens_for(model.pic.rank)
     )
     sig = signature(model.pic.gram)
     factors = "x".join(f"Z/{d}" for d in res.invariant_factors) or "0"

@@ -20,7 +20,7 @@ def main():
         "hirzebruch2": catalog.hirzebruch2_model(),
     }
     for name, model in models.items():
-        res = extend_by_minus_one(target, model.embedding, model.action)
+        res = extend_by_minus_one(model.embedding, model.action)
         phi = res.phi_integer
         stored = catalog.reference_involution(name)
         g = target.gram
@@ -31,7 +31,7 @@ def main():
         print(f"  phi^2 = I      {phi @ phi == IntMatrix.identity(22)}")
 
     emb, action = catalog.nonintegral_witness()
-    res = extend_by_minus_one(emb.target, emb, action)
+    res = extend_by_minus_one(emb, action)
     print("non-integral witness:")
     print(f"  integral      {res.integral}")
     print(f"  common denominator of phi: {res.phi.den}")

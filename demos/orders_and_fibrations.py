@@ -9,7 +9,6 @@ twist class, and adds two sections on the rational elliptic surface.
 import math
 
 from k3ord.cohomology import GLattice
-from k3ord.divisors import DivisorClass
 from k3ord.fibrations import (
     AbGroupModel,
     BlockEndo,
@@ -25,7 +24,6 @@ from k3ord.lattices import Lattice
 from k3ord.matrices import IntMatrix
 from k3ord.orders import (
     OrderDescriptor,
-    QDivisor,
     RamifiedDivisor,
     YesNoUnknown,
     classify_order,
@@ -40,7 +38,7 @@ from k3ord.orders import (
 
 def show(label, order):
     verdict = classify_order(order)
-    coords = tuple(str(c) for c in verdict.k_order.coords)
+    coords = tuple(str(c) for c in verdict.k_order)
     print(
         f"{label:22} {verdict.kind.value:22} K_A={coords}"
         f"  maximality={maximality_check(order).value}"
@@ -51,23 +49,23 @@ def main():
     yes = YesNoUnknown.YES
     show(
         "p2 + sextic branch",
-        OrderDescriptor(surface_p2(), (RamifiedDivisor(QDivisor.of(6), 2, yes),), 2),
+        OrderDescriptor(surface_p2(), (RamifiedDivisor((6,), 2, yes),), 2),
     )
     show(
         "quadric + (4,4)",
         OrderDescriptor(
-            surface_quadric(), (RamifiedDivisor(QDivisor.of(4, 4), 2, yes),), 2
+            surface_quadric(), (RamifiedDivisor((4, 4), 2, yes),), 2
         ),
     )
     show(
         "hirzebruch2 + 4C0+8F",
         OrderDescriptor(
-            surface_hirzebruch(2), (RamifiedDivisor(QDivisor.of(4, 8), 2, yes),), 2
+            surface_hirzebruch(2), (RamifiedDivisor((4, 8), 2, yes),), 2
         ),
     )
     show("p2 unramified", OrderDescriptor(surface_p2()))
     ruled = surface_ruled_elliptic(0)
-    c0 = QDivisor.of(1, 0)
+    c0 = (1, 0)
     for indices in ((2, 2, 2, 2), (3, 3, 3), (2, 4, 4), (2, 3, 6)):
         ram = tuple(RamifiedDivisor(c0, e) for e in indices)
         show(f"ruled {indices}", OrderDescriptor(ruled, ram, math.lcm(*indices)))
@@ -97,11 +95,11 @@ def main():
     )
 
     print()
-    e1 = DivisorClass((0, 1, 0, 0, 0, 0, 0, 0, 0, 0))
-    e2 = DivisorClass((0, 0, 1, 0, 0, 0, 0, 0, 0, 0))
-    zero = DivisorClass((0,) * 9 + (1,))
+    e1 = (0, 1, 0, 0, 0, 0, 0, 0, 0, 0)
+    e2 = (0, 0, 1, 0, 0, 0, 0, 0, 0, 0)
+    zero = (0,) * 9 + (1,)
     total = mw_sum_rational_elliptic(e1, e2, zero)
-    print(f"E1 + E2 in the section group: {total.coords}")
+    print(f"E1 + E2 in the section group: {total}")
 
 
 if __name__ == "__main__":

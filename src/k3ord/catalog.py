@@ -80,16 +80,12 @@ def sextic_action(n: int) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def _pic_lattice(gram: IntMatrix) -> Lattice:
-    return Lattice(gram, labels=tuple([f"s{i}" for i in range(1, gram.rows + 1)]))
-
-
 def sextic_model(n: int) -> CoverModel:
     """The rank n model over the plane, 3 <= n <= 18."""
     gram = q_gram(n)
     emb_cols = _data("p2_sextic.json")["embedding"]
     matrix = IntMatrix.from_rows([row[:n] for row in emb_cols])
-    pic = _pic_lattice(gram)
+    pic = Lattice(gram)
     ample = tuple([1, 1] + [0] * (n - 2))
     gens = []
     for i in range(2, n):
@@ -108,7 +104,7 @@ def sextic_model(n: int) -> CoverModel:
 
 def _fixed_model(name: str, ample: IntVector, gens: tuple[IntVector, ...]) -> CoverModel:
     data = _data(_MODEL_FILES[name])
-    pic = _pic_lattice(IntMatrix.from_rows(data["gram"]))
+    pic = Lattice(IntMatrix.from_rows(data["gram"]))
     return CoverModel(
         name=name,
         pic=pic,

@@ -28,25 +28,8 @@ from .lattices import Lattice, pair
 from .matrices import IntMatrix, snf
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    """A divisor class in a fixed Picard basis."""
-
-    coords: tuple[int, ...]
-
-    @classmethod
-    def of(cls, *coords: int) -> "DivisorClass":
-        return cls(tuple(coords))
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple([-x for x in self.coords]))
-
-    def minus(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple([a - b for a, b in zip(self.coords, other.coords)]))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
+# A divisor class is its coordinate tuple in a fixed Picard basis.
+DivisorClass = tuple[int, ...]
 
 
 class Effectivity(Enum):
@@ -81,10 +64,10 @@ class AmpleCertificate:
 def genus(lattice: Lattice, c: DivisorClass) -> int:
     """The arithmetic genus c.c/2 + 1 of a class on an even lattice.
 
-    >>> genus(Lattice(IntMatrix.from_rows([[-2]])), DivisorClass.of(1))
+    >>> genus(Lattice(IntMatrix.from_rows([[-2]])), (1,))
     0
     """
-    square = pair(lattice, c.coords, c.coords)
+    square = pair(lattice, c, c)
     if square % 2 != 0:
         raise OddSelfIntersection(f"self-intersection {square} is odd")
     return square // 2 + 1
@@ -92,7 +75,7 @@ def genus(lattice: Lattice, c: DivisorClass) -> int:
 
 def is_nodal_class(lattice: Lattice, c: DivisorClass) -> bool:
     """True iff the class has self-intersection -2."""
-    return pair(lattice, c.coords, c.coords) == -2
+    return pair(lattice, c, c) == -2
 
 
 def effectivity(lattice: Lattice, c: DivisorClass, ample: DivisorClass) -> Effectivity:
@@ -101,12 +84,12 @@ def effectivity(lattice: Lattice, c: DivisorClass, ample: DivisorClass) -> Effec
     Valid for c = 0 or c.c >= -2, where one of the two is effective; the
     ample class then separates them by the sign of the pairing.
     """
-    if c.is_zero:
+    if not any(c):
         return Effectivity.ZERO
-    square = pair(lattice, c.coords, c.coords)
+    square = pair(lattice, c, c)
     if square < -2:
         raise SquareTooNegative(f"square {square} < -2 leaves effectivity undecided")
-    p = pair(lattice, ample.coords, c.coords)
+    p = pair(lattice, ample, c)
     if p > 0:
         return Effectivity.EFFECTIVE
     if p < 0:
@@ -120,22 +103,22 @@ def nakai_certificate(
     lattice: Lattice, s: DivisorClass, gens: Sequence[DivisorClass]
 ) -> AmpleCertificate:
     """Certify ampleness of s against effective generators of the lattice."""
-    gen_matrix = IntMatrix.from_cols([list(g.coords) for g in gens])
+    gen_matrix = IntMatrix.from_cols([list(g) for g in gens])
     if snf(gen_matrix).rank < lattice.rank:
         raise GensDoNotSpan("generators do not span the lattice over Q")
 
-    self_int = pair(lattice, s.coords, s.coords)
+    self_int = pair(lattice, s, s)
     checks = []
     assumptions = []
     reason = None
     if self_int <= 0:
         reason = f"s.s = {self_int} is not positive"
     for i, g in enumerate(gens, start=1):
-        with_gen = pair(lattice, s.coords, g.coords)
-        residual = s.minus(g)
-        with_residual = pair(lattice, s.coords, residual.coords)
+        with_gen = pair(lattice, s, g)
+        residual = tuple([a - b for a, b in zip(s, g)])
+        with_residual = pair(lattice, s, residual)
         checks.append((i, with_gen, with_residual))
-        residual_square = pair(lattice, residual.coords, residual.coords)
+        residual_square = pair(lattice, residual, residual)
         assumptions.append(
             f"h0(s - s{i}) > 0 assumed; (s - s{i})^2 = {residual_square}"
         )

@@ -27,7 +27,8 @@ class DimensionMismatch(K3OrdError):
 # --- involution extension ---------------------------------------------------
 
 class SingularFrame(K3OrdError):
-    """The concatenated basis [P | T] is not a rational basis."""
+    """Q = P^T.G.P is singular: the embedded lattice and its orthogonal
+    complement do not span the ambient space, so no extension exists."""
 
 
 class ActionNotIsometric(K3OrdError):

@@ -33,7 +33,6 @@ from typing import Optional
 
 from .embeddings import Embedding
 from .errors import ActionNotIsometric, DimensionMismatch, SingularFrame
-from .lattices import Lattice
 from .matrices import IntMatrix, RatMatrix
 
 EXTENSION_ASSUMPTIONS = (
@@ -54,15 +53,14 @@ class ExtensionResult:
     assumptions: tuple[str, ...] = EXTENSION_ASSUMPTIONS
 
 
-def extend_by_minus_one(target: Lattice, pic: Embedding, action: IntMatrix) -> ExtensionResult:
+def extend_by_minus_one(pic: Embedding, action: IntMatrix) -> ExtensionResult:
     """Extend `action` on the image of `pic` by -1 on its complement.
 
     phi = -I + P.(action + I).Q^(-1).M with M = P^T.G and Q = M.P; raises
     SingularFrame exactly when det Q = 0, that is when the image of P and
     its orthogonal complement do not span the ambient space.
     """
-    if pic.target.gram != target.gram:
-        raise DimensionMismatch("embedding target does not match the given lattice")
+    target = pic.target
     n = pic.source.rank
     if not action.is_square or action.rows != n:
         raise DimensionMismatch(

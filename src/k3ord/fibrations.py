@@ -174,7 +174,8 @@ def _add_points(
         return a
     if a.symbol != b.symbol or a.order != b.order:
         raise UnsupportedAction(
-            f"cannot add unrelated symbolic points {a.symbol} and {b.symbol}"
+            f"cannot add unrelated symbolic points {a.symbol} of order "
+            f"{a.order} and {b.symbol} of order {b.order}"
         )
     return _reduce_point(TorsionPoint(a.symbol, a.order, a.mult + b.mult))
 
@@ -410,13 +411,6 @@ class Horizontal:
 
 
 @dataclass(frozen=True)
-class Vertical:
-    """A full fibre over a named base point; not a section."""
-
-    point: str
-
-
-@dataclass(frozen=True)
 class Graph:
     """The graph of a named nonconstant morphism from the base to the fibre."""
 
@@ -527,25 +521,19 @@ def mw_sum_rational_elliptic(
     """
     model = surface_rational_elliptic()
     lattice = model.pic
-    fibre = tuple([int(-c) for c in model.k_class.coords])
+    fibre = tuple([-c for c in model.k_class])
     classes = {"c1": c1, "c2": c2, "s0": s0}
     for name, cls in classes.items():
-        if len(cls.coords) != 10:
+        if len(cls) != 10:
             raise DimensionMismatch(
                 f"{name} must live on the rank-10 model"
             )
-        if pair(lattice, cls.coords, cls.coords) != -1:
+        if pair(lattice, cls, cls) != -1:
             raise NotANumericalSection(f"{name} has square != -1")
-        if pair(lattice, cls.coords, fibre) != 1:
+        if pair(lattice, cls, fibre) != 1:
             raise NotANumericalSection(f"{name} does not meet the fibre once")
-    both = tuple([a + b for a, b in zip(c1.coords, c2.coords)])
-    alpha = (
-        pair(lattice, both, s0.coords)
-        - pair(lattice, c1.coords, c2.coords)
-        + 1
-    )
-    coords = tuple([
-        a + b - c + alpha * f
-        for a, b, c, f in zip(c1.coords, c2.coords, s0.coords, fibre)
+    both = tuple([a + b for a, b in zip(c1, c2)])
+    alpha = pair(lattice, both, s0) - pair(lattice, c1, c2) + 1
+    return tuple([
+        a + b - c + alpha * f for a, b, c, f in zip(c1, c2, s0, fibre)
     ])
-    return DivisorClass(coords)

@@ -6,18 +6,16 @@ builders below assemble the standard summands used throughout the package:
 the negative definite E8 form, the hyperbolic plane H, and their orthogonal
 sum E8 + E8 + H + H + H of rank 22 and signature (3, 19).
 
-Basis labels are optional metadata for reporting.  Arithmetic never consults
-them; the Gram matrix is the single source of truth.
-
-The rank 22 form is labelled la1..la8, la1p..la8p for the two E8 blocks and
-mu1, mu2, mu1p, mu2p, mu1pp, mu2pp for the three hyperbolic blocks, in that
-order.
+A lattice carries nothing but its Gram matrix.  The rank 22 basis is, in
+order, la1..la8 and la1p..la8p for the two E8 blocks, then mu1, mu2, mu1p,
+mu2p, mu1pp, mu2pp for the three hyperbolic blocks; the columns of the
+catalog's embedding matrices are written in that basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, NotSymmetric
 from .matrices import IntMatrix
@@ -45,15 +43,10 @@ class Lattice:
     """
 
     gram: IntMatrix
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         if not self.gram.is_symmetric:
             raise NotSymmetric("Gram matrix must be symmetric")
-        if self.labels is not None and len(self.labels) != self.gram.rows:
-            raise DimensionMismatch(
-                f"{len(self.labels)} labels for rank {self.gram.rows}"
-            )
 
     @property
     def rank(self) -> int:
@@ -62,12 +55,12 @@ class Lattice:
 
 def build_E8() -> Lattice:
     """The negative definite even unimodular lattice of rank 8."""
-    return Lattice(E8_GRAM, labels=tuple([f"e{i}" for i in range(1, 9)]))
+    return Lattice(E8_GRAM)
 
 
 def build_H() -> Lattice:
     """The hyperbolic plane: rank 2, Gram [[0,1],[1,0]]."""
-    return Lattice(H_GRAM, labels=("u", "v"))
+    return Lattice(H_GRAM)
 
 
 def build_K3() -> Lattice:
@@ -76,21 +69,12 @@ def build_K3() -> Lattice:
     >>> build_K3().rank
     22
     """
-    labels = (
-        tuple([f"la{i}" for i in range(1, 9)])
-        + tuple([f"la{i}p" for i in range(1, 9)])
-        + ("mu1", "mu2", "mu1p", "mu2p", "mu1pp", "mu2pp")
-    )
-    gram = IntMatrix.block_diag([E8_GRAM, E8_GRAM, H_GRAM, H_GRAM, H_GRAM])
-    return Lattice(gram, labels=labels)
+    return Lattice(IntMatrix.block_diag([E8_GRAM, E8_GRAM, H_GRAM, H_GRAM, H_GRAM]))
 
 
 def direct_sum(a: Lattice, b: Lattice) -> Lattice:
-    """Orthogonal sum: block diagonal Gram, labels kept when both have them."""
-    labels = None
-    if a.labels is not None and b.labels is not None:
-        labels = a.labels + b.labels
-    return Lattice(IntMatrix.block_diag([a.gram, b.gram]), labels=labels)
+    """Orthogonal sum: block diagonal Gram."""
+    return Lattice(IntMatrix.block_diag([a.gram, b.gram]))
 
 
 def pair(lattice: Lattice, x: Sequence[int], y: Sequence[int]) -> int:

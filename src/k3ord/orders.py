@@ -13,16 +13,16 @@ a cover, to test applicability of the overlap condition (lcm of the
 indices equals the cover degree), to form restriction classes for
 non-total ramification, and to run the sufficiency test for maximality.
 
-Everything is exact: divisor classes on a surface are vectors of
+Everything is exact: divisor classes on a surface are tuples of
 :class:`fractions.Fraction` over a fixed basis of the numerical Picard
-model.  The basis labels live on the model's ``pic`` lattice.
+model, paired through ``lattices.pair(model.pic, a, b)``.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Sequence, Union
+from typing import Sequence
 
 from .cohomology import GLattice
 from .errors import (
@@ -34,8 +34,9 @@ from .errors import (
 from .lattices import Lattice, pair
 from .matrices import IntMatrix
 
-Rat = Union[int, Fraction]
 IntVector = tuple[int, ...]
+# A rational divisor class is its coordinate tuple in the model's basis.
+QDivisor = tuple[Fraction, ...]
 
 
 class YesNoUnknown(Enum):
@@ -53,57 +54,25 @@ class YesNoUnknown(Enum):
 
 
 @dataclass(frozen=True)
-class QDivisor:
-    """A rational divisor class in a fixed basis of a Picard model."""
-
-    coords: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, *coords: Rat) -> "QDivisor":
-        return cls(tuple([Fraction(c) for c in coords]))
-
-    def __add__(self, other: "QDivisor") -> "QDivisor":
-        if len(self.coords) != len(other.coords):
-            raise DimensionMismatch(
-                f"cannot add classes of lengths {len(self.coords)} "
-                f"and {len(other.coords)}"
-            )
-        return QDivisor(tuple([a + b for a, b in zip(self.coords, other.coords)]))
-
-    def __neg__(self) -> "QDivisor":
-        return QDivisor(tuple([-a for a in self.coords]))
-
-    def scale(self, factor: Rat) -> "QDivisor":
-        f = Fraction(factor)
-        return QDivisor(tuple([f * a for a in self.coords]))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
-
-@dataclass(frozen=True)
 class SurfaceModel:
-    """Numerical Picard model of a surface together with its canonical class."""
+    """Numerical Picard model of a surface together with its canonical class.
 
-    name: str
+    The class may hold ints; canonical_order_class converts every entry.
+    """
+
     pic: Lattice
     k_class: QDivisor
 
     def __post_init__(self):
-        if len(self.k_class.coords) != self.pic.rank:
+        if len(self.k_class) != self.pic.rank:
             raise DimensionMismatch(
-                f"canonical class has length {len(self.k_class.coords)} "
+                f"canonical class has length {len(self.k_class)} "
                 f"on a rank-{self.pic.rank} model"
             )
 
     @property
     def rank(self) -> int:
         return self.pic.rank
-
-    def pair(self, a: QDivisor, b: QDivisor) -> Fraction:
-        """Exact intersection number of two rational classes."""
-        return pair(self.pic, a.coords, b.coords)
 
 
 @dataclass(frozen=True)
@@ -131,7 +100,7 @@ class OrderDescriptor:
 
     def __post_init__(self):
         for div in self.ramification:
-            if len(div.d_class.coords) != self.surface.rank:
+            if len(div.d_class) != self.surface.rank:
                 raise DimensionMismatch(
                     "ramified class length does not match the surface model"
                 )
@@ -146,20 +115,12 @@ class OrderDescriptor:
 
 def surface_p2() -> SurfaceModel:
     """The projective plane: Pic = ZH with H^2 = 1 and K = -3H."""
-    return SurfaceModel(
-        name="p2",
-        pic=Lattice(IntMatrix.from_rows([[1]]), labels=("H",)),
-        k_class=QDivisor.of(-3),
-    )
+    return SurfaceModel(Lattice(IntMatrix.from_rows([[1]])), (-3,))
 
 
 def surface_quadric() -> SurfaceModel:
     """The smooth quadric: two rulings f1, f2 with f1.f2 = 1 and K = (-2, -2)."""
-    return SurfaceModel(
-        name="quadric",
-        pic=Lattice(IntMatrix.from_rows([[0, 1], [1, 0]]), labels=("f1", "f2")),
-        k_class=QDivisor.of(-2, -2),
-    )
+    return SurfaceModel(Lattice(IntMatrix.from_rows([[0, 1], [1, 0]])), (-2, -2))
 
 
 def surface_hirzebruch(n: int) -> SurfaceModel:
@@ -171,11 +132,7 @@ def surface_hirzebruch(n: int) -> SurfaceModel:
     """
     if n < 0:
         raise UnsupportedParameter(f"negative section parameter {n}")
-    return SurfaceModel(
-        name=f"hirzebruch{n}",
-        pic=Lattice(IntMatrix.from_rows([[-n, 1], [1, 0]]), labels=("C0", "F")),
-        k_class=QDivisor.of(-2, -(n + 2)),
-    )
+    return SurfaceModel(Lattice(IntMatrix.from_rows([[-n, 1], [1, 0]])), (-2, -(n + 2)))
 
 
 def surface_ruled_elliptic(deg_e: int) -> SurfaceModel:
@@ -190,19 +147,15 @@ def surface_ruled_elliptic(deg_e: int) -> SurfaceModel:
     """
     if deg_e == 0:
         gram = IntMatrix.from_rows([[0, 1], [1, 0]])
-        k = QDivisor.of(-2, 0)
+        k = (-2, 0)
     elif deg_e == 1:
         gram = IntMatrix.from_rows([[1, 1], [1, 0]])
-        k = QDivisor.of(-2, 1)
+        k = (-2, 1)
     else:
         raise UnsupportedParameter(
             f"only degree 0 and 1 ruled-elliptic models are supported, got {deg_e}"
         )
-    return SurfaceModel(
-        name=f"ruled-elliptic-deg{deg_e}",
-        pic=Lattice(gram, labels=("C0", "F")),
-        k_class=k,
-    )
+    return SurfaceModel(Lattice(gram), k)
 
 
 def surface_rational_elliptic() -> SurfaceModel:
@@ -216,12 +169,7 @@ def surface_rational_elliptic() -> SurfaceModel:
     rows[0][0] = 1
     for i in range(1, 10):
         rows[i][i] = -1
-    labels = ("H",) + tuple([f"E{i}" for i in range(1, 10)])
-    return SurfaceModel(
-        name="rational-elliptic",
-        pic=Lattice(IntMatrix.from_rows(rows), labels=labels),
-        k_class=QDivisor.of(-3, *([1] * 9)),
-    )
+    return SurfaceModel(Lattice(IntMatrix.from_rows(rows)), (-3,) + (1,) * 9)
 
 
 # --- canonical class and classification ----------------------------------------
@@ -230,20 +178,22 @@ def surface_rational_elliptic() -> SurfaceModel:
 def canonical_order_class(order: OrderDescriptor) -> QDivisor:
     """K_A = K_Z + sum (1 - 1/e_i) D_i, exact over the rationals.
 
-    >>> o = OrderDescriptor(surface_p2(),
-    ...                     (RamifiedDivisor(QDivisor.of(6), 2),), 2)
-    >>> canonical_order_class(o).is_zero
-    True
+    Every entry comes back a Fraction, also for int-valued classes.
+
+    >>> o = OrderDescriptor(surface_p2(), (RamifiedDivisor((6,), 2),), 2)
+    >>> canonical_order_class(o)
+    (Fraction(0, 1),)
     """
-    total = order.surface.k_class
+    total = [Fraction(c) for c in order.surface.k_class]
     for div in order.ramification:
-        total = total + div.d_class.scale(Fraction(div.e - 1, div.e))
-    return total
+        weight = Fraction(div.e - 1, div.e)
+        total = [t + weight * d for t, d in zip(total, div.d_class)]
+    return tuple(total)
 
 
 def is_numerically_trivial(model: SurfaceModel, q: QDivisor) -> bool:
     """True iff q pairs to zero with every basis class of the model."""
-    return not any(model.pic.gram.mul_vec(q.coords))
+    return not any(model.pic.gram.mul_vec(q))
 
 
 class OrderKind(Enum):
@@ -284,10 +234,10 @@ def classify_order(order: OrderDescriptor) -> Classification:
     """
     model = order.surface
     k_a = canonical_order_class(order)
-    anti = -k_a
-    anti_square = model.pair(anti, anti)
+    anti = tuple([-a for a in k_a])
+    anti_square = pair(model.pic, anti, anti)
     # the Gram matrix is symmetric, so row i of G.anti is anti . (basis i)
-    pairings = model.pic.gram.mul_vec(anti.coords)
+    pairings = model.pic.gram.mul_vec(anti)
     if not any(pairings):
         kind = OrderKind.NCY
         assumptions: tuple[str, ...] = ()

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from . import jsonio
 from .cohomology import GLattice, _half_gram, fixed_sublattice, h1, norm_and_diff
-from .divisors import DivisorClass, nakai_certificate
+from .divisors import nakai_certificate
 from .embeddings import Embedding, check_isometric, is_primitive
 from .errors import K3OrdError, MissingCorpus, SchemaError
 from .extension import extend_by_minus_one
@@ -48,7 +48,6 @@ from .lattices import Lattice, build_K3
 from .matrices import IntMatrix, signature, solve_columns
 from .orders import (
     OrderDescriptor,
-    QDivisor,
     RamifiedDivisor,
     YesNoUnknown,
     classify_order,
@@ -121,7 +120,7 @@ def _run_isometry_extend(payload: dict):
     action = _square_action(
         require(payload, "action", "payload"), emb.source.rank
     )
-    result = extend_by_minus_one(emb.target, emb, action)
+    result = extend_by_minus_one(emb, action)
     computed = {
         "integral": result.integral,
         "orthogonal": result.orthogonal,
@@ -186,28 +185,20 @@ def _run_quotient_pic(payload: dict):
 
 def _run_ample_cert(payload: dict):
     lattice = Lattice(as_int_matrix(require(payload, "gram", "payload")))
-    candidate = DivisorClass(
-        as_int_vector(require(payload, "candidate", "payload"), "candidate")
-    )
-    if len(candidate.coords) != lattice.rank:
+    candidate = as_int_vector(require(payload, "candidate", "payload"), "candidate")
+    if len(candidate) != lattice.rank:
         raise SchemaError(
-            f"candidate has length {len(candidate.coords)} on rank {lattice.rank}"
+            f"candidate has length {len(candidate)} on rank {lattice.rank}"
         )
     gens_node = payload.get("generators")
     if gens_node is None:
-        gens = [
-            DivisorClass(tuple([1 if j == i else 0 for j in range(lattice.rank)]))
-            for i in range(lattice.rank)
-        ]
+        gens = IntMatrix.identity(lattice.rank).to_rows()
     else:
-        gens = [
-            DivisorClass(as_int_vector(v, "generator"))
-            for v in as_list(gens_node, "generators")
-        ]
+        gens = [as_int_vector(v, "generator") for v in as_list(gens_node, "generators")]
         for i, g in enumerate(gens):
-            if len(g.coords) != lattice.rank:
+            if len(g) != lattice.rank:
                 raise SchemaError(
-                    f"generator {i} has length {len(g.coords)} on rank {lattice.rank}"
+                    f"generator {i} has length {len(g)} on rank {lattice.rank}"
                 )
     cert = nakai_certificate(lattice, candidate, gens)
     computed = {
@@ -262,7 +253,7 @@ def _run_order_classify(payload: dict):
         if word not in _IRREDUCIBLE:
             raise SchemaError(f"cover_irreducible must be yes/no/unknown, got {word!r}")
         ramification.append(
-            RamifiedDivisor(QDivisor(coords), e, _IRREDUCIBLE[word])
+            RamifiedDivisor(coords, e, _IRREDUCIBLE[word])
         )
     degree = as_int(payload.get("cover_degree", "1"), "cover_degree")
     order = OrderDescriptor(surface, tuple(ramification), degree)
@@ -272,7 +263,7 @@ def _run_order_classify(payload: dict):
     )
     computed = {
         "kind": result.kind,
-        "canonical_class": list(result.k_order.coords),
+        "canonical_class": list(result.k_order),
         "anti_square": result.anti_square,
         "pairings": list(result.pairings),
         "ramification_transfer": list(indices),

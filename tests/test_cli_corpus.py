@@ -303,6 +303,20 @@ def test_package_has_no_assert_statements():
         assert not lines, f"{path.name}: assert on lines {lines}"
 
 
+def test_package_has_no_unused_imports():
+    for path in sorted((REPO / "src" / "k3ord").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        assert not imported - used, f"{path.name}: unused imports {sorted(imported - used)}"
+
+
 def test_package_builds_no_tuple_from_an_iterator():
     """tuple(<genexpr>) and tuple(map(...)) start from a size-10 tuple and
     resize it in place, so the result is not taken from CPython's free list

@@ -22,34 +22,30 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_rank18_extension_matches_reference():
-    k3 = build_K3()
     m = catalog.sextic_model(18)
-    res = extend_by_minus_one(k3, m.embedding, m.action)
+    res = extend_by_minus_one(m.embedding, m.action)
     assert res.integral and res.orthogonal and res.involutive
     assert res.phi_integer == catalog.reference_involution("p2-sextic")
 
 
 def test_quadric_extension_matches_reference():
-    k3 = build_K3()
     m = catalog.quadric_model()
-    res = extend_by_minus_one(k3, m.embedding, m.action)
+    res = extend_by_minus_one(m.embedding, m.action)
     assert res.integral and res.orthogonal and res.involutive
     assert res.phi_integer == catalog.reference_involution("quadric")
 
 
 def test_hirzebruch2_extension_matches_reference():
-    k3 = build_K3()
     m = catalog.hirzebruch2_model()
-    res = extend_by_minus_one(k3, m.embedding, m.action)
+    res = extend_by_minus_one(m.embedding, m.action)
     assert res.integral and res.orthogonal and res.involutive
     assert res.phi_integer == catalog.reference_involution("hirzebruch2")
 
 
 def test_every_rank_extends_integrally():
-    k3 = build_K3()
     for n in catalog.RANK_RANGE:
         m = catalog.sextic_model(n)
-        res = extend_by_minus_one(k3, m.embedding, m.action)
+        res = extend_by_minus_one(m.embedding, m.action)
         assert res.integral and res.orthogonal and res.involutive, m.name
         assert _fixes(res, m.ample, m.embedding), m.name
 
@@ -63,7 +59,7 @@ def test_identity_action_on_hyperbolic_block():
         cols.append(v)
     h = Lattice(IntMatrix.from_rows([[0, 1], [1, 0]]))
     e = Embedding(h, k3, IntMatrix.from_cols(cols))
-    res = extend_by_minus_one(k3, e, IntMatrix.identity(2))
+    res = extend_by_minus_one(e, IntMatrix.identity(2))
     assert res.integral
     expected = [[0] * 22 for _ in range(22)]
     for i in range(22):
@@ -72,9 +68,8 @@ def test_identity_action_on_hyperbolic_block():
 
 
 def test_fixed_and_antifixed_vectors():
-    k3 = build_K3()
     m = catalog.quadric_model()
-    res = extend_by_minus_one(k3, m.embedding, m.action)
+    res = extend_by_minus_one(m.embedding, m.action)
     assert _fixes(res, m.ample, m.embedding)
     assert _fixes(res, (1, 0, 0, 0), m.embedding)
     assert not _fixes(res, (0, 1, 0, 0), m.embedding)
@@ -96,10 +91,10 @@ def _fractions(phi):
     return [[Fraction(x, phi.den) for x in r] for r in phi.num.to_rows()]
 
 
-def _agrees_on_rebases(target, e, action, rng, count):
+def _agrees_on_rebases(e, action, rng, count):
     """phi equals the frame oracle on the computed complement and on count
     random unimodular re-bases of it."""
-    phi = _fractions(extend_by_minus_one(target, e, action).phi)
+    phi = _fractions(extend_by_minus_one(e, action).phi)
     t = orthogonal_complement(e).complement.matrix
     bases = [t] + [t @ random_unimodular(rng, t.cols)[0] for _ in range(count)]
     return all(frame_extension(e.matrix, b, action) == phi for b in bases)
@@ -107,7 +102,7 @@ def _agrees_on_rebases(target, e, action, rng, count):
 
 def test_complement_basis_independence():
     m = catalog.quadric_model()
-    assert _agrees_on_rebases(build_K3(), m.embedding, m.action, random.Random(5), 8)
+    assert _agrees_on_rebases(m.embedding, m.action, random.Random(5), 8)
 
 
 def test_complement_basis_independence_small():
@@ -116,22 +111,20 @@ def test_complement_basis_independence_small():
     sub = Lattice(IntMatrix.from_rows([[0, 1], [1, 0]]))
     e = Embedding(sub, target, IntMatrix.from_cols(cols))
     swap = IntMatrix.from_rows([[0, 1], [1, 0]])
-    assert _agrees_on_rebases(target, e, swap, random.Random(6), 30)
+    assert _agrees_on_rebases(e, swap, random.Random(6), 30)
 
 
 def test_action_must_be_isometry():
-    k3 = build_K3()
     m = catalog.sextic_model(3)
     bad = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 1, 1]])
     with pytest.raises(ActionNotIsometric):
-        extend_by_minus_one(k3, m.embedding, bad)
+        extend_by_minus_one(m.embedding, bad)
 
 
 def test_action_shape_checked():
-    k3 = build_K3()
     m = catalog.sextic_model(3)
     with pytest.raises(DimensionMismatch):
-        extend_by_minus_one(k3, m.embedding, IntMatrix.identity(4))
+        extend_by_minus_one(m.embedding, IntMatrix.identity(4))
 
 
 def test_singular_frame_rejected():
@@ -148,7 +141,7 @@ def test_singular_frame_rejected():
         assert frame_extension(p, t, ident) is None
         message = "^embedding and complement do not span the ambient space$"
         with pytest.raises(SingularFrame, match=message):
-            extend_by_minus_one(target, e, ident)
+            extend_by_minus_one(e, ident)
 
 
 def test_extension_matches_frame_oracle_on_small_cases():
@@ -176,9 +169,9 @@ def test_extension_matches_frame_oracle_on_small_cases():
         if expected is None:
             outcomes["singular"] += 1
             with pytest.raises(SingularFrame):
-                extend_by_minus_one(target, e, action)
+                extend_by_minus_one(e, action)
             continue
-        res = extend_by_minus_one(target, e, action)
+        res = extend_by_minus_one(e, action)
         assert _fractions(res.phi) == expected, (g, p, action)
         assert res.integral == all(x.denominator == 1 for r in expected for x in r)
         outcomes["integral" if res.integral else "nonintegral"] += 1
@@ -222,7 +215,7 @@ def test_isometry_extend_inverts_only_the_sublattice_gram(monkeypatch):
 
 def test_nonintegral_witness_from_catalog():
     pic, action = catalog.nonintegral_witness()
-    res = extend_by_minus_one(pic.target, pic, action)
+    res = extend_by_minus_one(pic, action)
     assert not res.integral
     assert res.phi_integer is None
     assert res.orthogonal and res.involutive
@@ -268,7 +261,7 @@ def test_witness_search_finds_nonintegral_case():
             if action @ action != ident:
                 continue
             e = Embedding(source, target, p)
-            res = extend_by_minus_one(target, e, action)
+            res = extend_by_minus_one(e, action)
             if res.integral:
                 integral += 1
             else:
@@ -279,11 +272,11 @@ def test_witness_search_finds_nonintegral_case():
 
 def test_involutive_even_when_not_integral():
     pic, action = catalog.nonintegral_witness()
-    res = extend_by_minus_one(pic.target, pic, action)
+    res = extend_by_minus_one(pic, action)
     assert res.phi @ res.phi == RatMatrix.identity(pic.target.rank)
 
 
 def test_assumptions_are_reported():
     pic, action = catalog.nonintegral_witness()
-    res = extend_by_minus_one(pic.target, pic, action)
+    res = extend_by_minus_one(pic, action)
     assert len(res.assumptions) == 2

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import k3ord.fibrations as fibrations
 from k3ord.cli import main
 from k3ord.cohomology import GLattice, h1
-from k3ord.divisors import DivisorClass
 from k3ord.errors import (
     DimensionMismatch,
     NotANumericalSection,
@@ -28,7 +27,6 @@ from k3ord.fibrations import (
     GroupElement,
     Horizontal,
     TorsionPoint,
-    Vertical,
     ZeroSection,
     cocycle_check,
     coboundary_check,
@@ -43,7 +41,7 @@ from k3ord.fibrations import (
 from k3ord.lattices import Lattice, pair
 from k3ord.matrices import IntMatrix, snf
 from k3ord.orders import surface_rational_elliptic
-from k3ord.runner import PASS, run_check
+from k3ord.runner import ERROR, PASS, run_check
 
 from oracles import is_zero_element, minus_image, orbit_sum
 
@@ -613,7 +611,7 @@ def test_section_line_bundle_cases():
 def test_section_line_bundle_rejections():
     model = AbGroupModel(free_rank=1, elliptic_count=1)
     with pytest.raises(UnsupportedParameter):
-        section_line_bundle(Vertical("t0"), model)
+        section_line_bundle("t0", model)
     with pytest.raises(UnsupportedParameter):
         section_line_bundle(Horizontal("p"), AbGroupModel(free_rank=1))
     with pytest.raises(UnsupportedParameter):
@@ -622,6 +620,21 @@ def test_section_line_bundle_rejections():
         Graph("psi", 1, 2)
     with pytest.raises(UnsupportedParameter):
         Graph("psi", 0, 0)
+
+
+def test_twist_check_names_both_orders_of_unrelated_points():
+    """A swap carries p of order 3 onto p of order 2; the error says which."""
+    payload = {
+        "model": {"elliptic_count": "2"},
+        "endo": {"order": "2", "elliptic_action": [["1", "1"], ["1", "0"]]},
+        "element": {"elliptic": [{"symbol": "p", "order": "2"}, {"symbol": "p", "order": "3"}]},
+    }
+    outcome = run_check("mixed", "twist-check", payload)
+    assert outcome.verdict == ERROR
+    assert outcome.error == (
+        "UnsupportedAction: cannot add unrelated symbolic points p of order 3 "
+        "and p of order 2"
+    )
 
 
 def test_formal_divisor_rendering():
@@ -634,28 +647,28 @@ def test_formal_divisor_rendering():
 
 
 def _exceptional(i):
-    return DivisorClass(tuple(1 if j == i else 0 for j in range(10)))
+    return tuple(1 if j == i else 0 for j in range(10))
 
 
 MODEL = surface_rational_elliptic()
-FIBRE = tuple(int(-c) for c in MODEL.k_class.coords)
+FIBRE = tuple(int(-c) for c in MODEL.k_class)
 ZERO_SECTION = _exceptional(9)
 
 SECTION_POOL = (
     [_exceptional(i) for i in range(1, 10)]
     + [
-        DivisorClass.of(1, -1, -1, 0, 0, 0, 0, 0, 0, 0),
-        DivisorClass.of(1, 0, 0, -1, 0, -1, 0, 0, 0, 0),
-        DivisorClass.of(2, -1, -1, -1, -1, -1, 0, 0, 0, 0),
-        DivisorClass.of(2, 0, -1, -1, 0, -1, -1, -1, 0, 0),
+        (1, -1, -1, 0, 0, 0, 0, 0, 0, 0),
+        (1, 0, 0, -1, 0, -1, 0, 0, 0, 0),
+        (2, -1, -1, -1, -1, -1, 0, 0, 0, 0),
+        (2, 0, -1, -1, 0, -1, -1, -1, 0, 0),
     ]
 )
 
 
 def _is_section(c):
     return (
-        pair(MODEL.pic, c.coords, c.coords) == -1
-        and pair(MODEL.pic, c.coords, FIBRE) == 1
+        pair(MODEL.pic, c, c) == -1
+        and pair(MODEL.pic, c, FIBRE) == 1
     )
 
 
@@ -677,28 +690,28 @@ def test_mw_sum_of_disjoint_exceptionals():
     expected = tuple(
         a + b - c + f
         for a, b, c, f in zip(
-            _exceptional(1).coords,
-            _exceptional(2).coords,
-            ZERO_SECTION.coords,
+            _exceptional(1),
+            _exceptional(2),
+            ZERO_SECTION,
             FIBRE,
         )
     )
-    assert result.coords == expected
+    assert result == expected
     assert _is_section(result)
 
 
 def test_mw_sum_rejects_non_sections():
     with pytest.raises(NotANumericalSection):
         mw_sum_rational_elliptic(
-            DivisorClass.of(*([0] * 10)), _exceptional(1), ZERO_SECTION
+            (0,) * 10, _exceptional(1), ZERO_SECTION
         )
     with pytest.raises(NotANumericalSection):
         mw_sum_rational_elliptic(
-            _exceptional(1), _exceptional(2), DivisorClass.of(*([1] * 10))
+            _exceptional(1), _exceptional(2), (1,) * 10
         )
     with pytest.raises(DimensionMismatch):
         mw_sum_rational_elliptic(
-            DivisorClass.of(1, 2), _exceptional(1), ZERO_SECTION
+            (1, 2), _exceptional(1), ZERO_SECTION
         )
 
 

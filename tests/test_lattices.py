@@ -54,19 +54,9 @@ def test_build_K3():
     )
 
 
-def test_k3_labels():
-    k3 = build_K3()
-    assert len(k3.labels) == 22
-    assert k3.labels[0] == "la1"
-    assert k3.labels[8] == "la1p"
-    assert k3.labels[16:] == ("mu1", "mu2", "mu1p", "mu2p", "mu1pp", "mu2pp")
-
-
 def test_lattice_validation():
     with pytest.raises(NotSymmetric):
         Lattice(IntMatrix.from_rows([[0, 1], [2, 0]]))
-    with pytest.raises(DimensionMismatch):
-        Lattice(IntMatrix.identity(2), labels=("a",))
 
 
 def test_direct_sum():
@@ -75,8 +65,6 @@ def test_direct_sum():
     assert det(direct_sum(build_E8(), h).gram) == det(build_E8().gram) * det(h.gram)
     zero = Lattice(IntMatrix.zeros(0, 0))
     assert direct_sum(h, zero).gram == h.gram
-    assert direct_sum(h, h).labels == ("u", "v", "u", "v")
-    assert direct_sum(h, zero).labels is None  # rank-0 lattice carries no labels
 
 
 def test_pair_known_values():

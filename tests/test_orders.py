@@ -16,14 +16,13 @@ from k3ord.errors import (
     OutOfAssertedRange,
     UnsupportedParameter,
 )
-from k3ord.lattices import Lattice
+from k3ord.lattices import Lattice, pair
 from k3ord.matrices import IntMatrix
 from k3ord.orders import (
     Classification,
     MaximalityVerdict,
     OrderDescriptor,
     OrderKind,
-    QDivisor,
     RamifiedDivisor,
     SurfaceModel,
     YesNoUnknown,
@@ -41,6 +40,7 @@ from k3ord.orders import (
     surface_ruled_elliptic,
     untot_restriction,
 )
+from k3ord.runner import run_check
 
 from oracles import h0_pushforward
 
@@ -50,7 +50,7 @@ RULED_VECTORS = [(2, 2, 2, 2), (3, 3, 3), (2, 4, 4), (2, 3, 6)]
 def ruled_order(indices):
     """Split ruled-elliptic order ramified on one C0-section per index."""
     surface = surface_ruled_elliptic(0)
-    ram = tuple(RamifiedDivisor(QDivisor.of(1, 0), e) for e in indices)
+    ram = tuple(RamifiedDivisor((1, 0), e) for e in indices)
     return OrderDescriptor(surface, ram, math.lcm(*indices))
 
 
@@ -61,20 +61,20 @@ def test_surface_p2():
     model = surface_p2()
     assert model.rank == 1
     assert model.pic.gram.to_rows() == ((1,),)
-    assert model.k_class == QDivisor.of(-3)
+    assert model.k_class == (-3,)
 
 
 def test_surface_quadric():
     model = surface_quadric()
     assert model.pic.gram.to_rows() == ((0, 1), (1, 0))
-    assert model.k_class == QDivisor.of(-2, -2)
-    assert model.pair(QDivisor.of(1, 0), QDivisor.of(0, 1)) == 1
+    assert model.k_class == (-2, -2)
+    assert pair(model.pic, (1, 0), (0, 1)) == 1
 
 
 def test_surface_hirzebruch_family():
     f2 = surface_hirzebruch(2)
     assert f2.pic.gram.to_rows() == ((-2, 1), (1, 0))
-    assert f2.k_class == QDivisor.of(-2, -4)
+    assert f2.k_class == (-2, -4)
     # n = 0 degenerates to the quadric pairing
     f0 = surface_hirzebruch(0)
     assert f0.pic.gram.to_rows() == surface_quadric().pic.gram.to_rows()
@@ -82,7 +82,7 @@ def test_surface_hirzebruch_family():
         model = surface_hirzebruch(n)
         k = model.k_class
         # K^2 = 8 on every Hirzebruch surface
-        assert model.pair(k, k) == 8
+        assert pair(model.pic, k, k) == 8
     with pytest.raises(UnsupportedParameter):
         surface_hirzebruch(-1)
 
@@ -90,13 +90,13 @@ def test_surface_hirzebruch_family():
 def test_surface_ruled_elliptic_cases():
     split = surface_ruled_elliptic(0)
     assert split.pic.gram.to_rows() == ((0, 1), (1, 0))
-    assert split.k_class == QDivisor.of(-2, 0)
+    assert split.k_class == (-2, 0)
     one = surface_ruled_elliptic(1)
     assert one.pic.gram.to_rows() == ((1, 1), (1, 0))
-    assert one.k_class == QDivisor.of(-2, 1)
+    assert one.k_class == (-2, 1)
     # K^2 = 0 over an elliptic base, for both models
     for model in (split, one):
-        assert model.pair(model.k_class, model.k_class) == 0
+        assert pair(model.pic, model.k_class, model.k_class) == 0
     with pytest.raises(UnsupportedParameter):
         surface_ruled_elliptic(2)
     with pytest.raises(UnsupportedParameter):
@@ -107,27 +107,26 @@ def test_surface_rational_elliptic():
     model = surface_rational_elliptic()
     assert model.rank == 10
     k = model.k_class
-    fibre = -k
-    assert model.pair(k, k) == 0
-    assert model.pair(fibre, fibre) == 0
+    fibre = tuple([-c for c in k])
+    assert pair(model.pic, k, k) == 0
+    assert pair(model.pic, fibre, fibre) == 0
     # every blow-up class is a numerical section of the fibration
     for i in range(1, 10):
-        e_i = QDivisor.of(*[1 if j == i else 0 for j in range(10)])
-        assert model.pair(e_i, e_i) == -1
-        assert model.pair(e_i, fibre) == 1
+        e_i = tuple([1 if j == i else 0 for j in range(10)])
+        assert pair(model.pic, e_i, e_i) == -1
+        assert pair(model.pic, e_i, fibre) == 1
 
 
 def test_model_validation():
     with pytest.raises(DimensionMismatch):
         SurfaceModel(
-            name="bad",
             pic=Lattice(IntMatrix.identity(2)),
-            k_class=QDivisor.of(1),
+            k_class=(1,),
         )
     with pytest.raises(UnsupportedParameter):
-        RamifiedDivisor(QDivisor.of(1), 1)
+        RamifiedDivisor((1,), 1)
     with pytest.raises(DimensionMismatch):
-        OrderDescriptor(surface_p2(), (RamifiedDivisor(QDivisor.of(1, 1), 2),), 2)
+        OrderDescriptor(surface_p2(), (RamifiedDivisor((1, 1), 2),), 2)
 
 
 # --- canonical class ------------------------------------------------------------
@@ -135,27 +134,27 @@ def test_model_validation():
 
 def test_canonical_class_reference_cases():
     sextic = OrderDescriptor(
-        surface_p2(), (RamifiedDivisor(QDivisor.of(6), 2),), 2
+        surface_p2(), (RamifiedDivisor((6,), 2),), 2
     )
-    assert canonical_order_class(sextic).is_zero
+    assert not any(canonical_order_class(sextic))
 
     f2 = OrderDescriptor(
-        surface_hirzebruch(2), (RamifiedDivisor(QDivisor.of(4, 8), 2),), 2
+        surface_hirzebruch(2), (RamifiedDivisor((4, 8), 2),), 2
     )
-    assert canonical_order_class(f2).is_zero
+    assert not any(canonical_order_class(f2))
 
     quadric = OrderDescriptor(
-        surface_quadric(), (RamifiedDivisor(QDivisor.of(4, 4), 2),), 2
+        surface_quadric(), (RamifiedDivisor((4, 4), 2),), 2
     )
-    assert canonical_order_class(quadric).is_zero
+    assert not any(canonical_order_class(quadric))
 
     unramified = OrderDescriptor(surface_quadric())
     assert canonical_order_class(unramified) == surface_quadric().k_class
 
     cubic = OrderDescriptor(
-        surface_p2(), (RamifiedDivisor(QDivisor.of(3), 2),), 2
+        surface_p2(), (RamifiedDivisor((3,), 2),), 2
     )
-    assert canonical_order_class(cubic) == QDivisor.of(Fraction(-3, 2))
+    assert canonical_order_class(cubic) == (Fraction(-3, 2),)
 
 
 @given(
@@ -169,14 +168,33 @@ def test_canonical_class_reference_cases():
 def test_canonical_class_additive_over_ramification(rows):
     surface = surface_quadric()
     divisors = tuple(
-        RamifiedDivisor(QDivisor.of(a, b), e) for a, b, e in rows
+        RamifiedDivisor((a, b), e) for a, b, e in rows
     )
     whole = canonical_order_class(OrderDescriptor(surface, divisors, 12))
     pieces = surface.k_class
     for div in divisors:
         part = canonical_order_class(OrderDescriptor(surface, (div,), div.e))
-        pieces = pieces + part + (-surface.k_class)
+        pieces = tuple([p + q - k for p, q, k in zip(pieces, part, surface.k_class)])
     assert whole == pieces
+
+
+def test_canonical_class_entries_are_fractions_for_int_classes():
+    """Int-valued K_Z and ramified classes come back as Fraction entries,
+    with and without ramification, so order-classify encodes each entry of
+    the canonical class, the anti-square and the pairings as num/den."""
+    quadric = SurfaceModel(Lattice(IntMatrix.from_rows([[0, 1], [1, 0]])), (-2, -2))
+    for surface in (surface_p2(), quadric):
+        ones = (1,) * surface.rank
+        for ram in ((), (RamifiedDivisor(ones, 2),), (RamifiedDivisor(ones, 3),)):
+            order = OrderDescriptor(surface, ram, 6)
+            verdict = classify_order(order)
+            values = canonical_order_class(order) + verdict.k_order + verdict.pairings
+            assert all(type(v) is Fraction for v in values + (verdict.anti_square,))
+    for ram in ([], [{"class": ["6"], "e": "2"}]):
+        payload = {"surface": "p2", "ramification": ram}
+        computed = run_check("k", "order-classify", payload).computed
+        entries = computed["canonical_class"] + computed["pairings"]
+        assert all(set(e) == {"num", "den"} for e in entries + [computed["anti_square"]])
 
 
 # --- triviality and classification ----------------------------------------------
@@ -184,29 +202,29 @@ def test_canonical_class_additive_over_ramification(rows):
 
 def test_numerical_triviality():
     p2 = surface_p2()
-    assert is_numerically_trivial(p2, QDivisor.of(0))
-    assert not is_numerically_trivial(p2, QDivisor.of(Fraction(1, 2)))
+    assert is_numerically_trivial(p2, (0,))
+    assert not is_numerically_trivial(p2, (Fraction(1, 2),))
     quadric = surface_quadric()
     k_a = canonical_order_class(
-        OrderDescriptor(quadric, (RamifiedDivisor(QDivisor.of(4, 4), 2),), 2)
+        OrderDescriptor(quadric, (RamifiedDivisor((4, 4), 2),), 2)
     )
     assert is_numerically_trivial(quadric, k_a)
 
 
 def test_classify_reference_ncy_orders():
     cases = [
-        OrderDescriptor(surface_p2(), (RamifiedDivisor(QDivisor.of(6), 2),), 2),
+        OrderDescriptor(surface_p2(), (RamifiedDivisor((6,), 2),), 2),
         OrderDescriptor(
-            surface_quadric(), (RamifiedDivisor(QDivisor.of(4, 4), 2),), 2
+            surface_quadric(), (RamifiedDivisor((4, 4), 2),), 2
         ),
         OrderDescriptor(
-            surface_hirzebruch(2), (RamifiedDivisor(QDivisor.of(4, 8), 2),), 2
+            surface_hirzebruch(2), (RamifiedDivisor((4, 8), 2),), 2
         ),
     ]
     for order in cases:
         verdict = classify_order(order)
         assert verdict.kind is OrderKind.NCY
-        assert verdict.k_order.is_zero
+        assert not any(verdict.k_order)
 
 
 def test_classify_del_pezzo_orders():
@@ -217,10 +235,10 @@ def test_classify_del_pezzo_orders():
     assert unramified.assumptions
 
     cubic = classify_order(
-        OrderDescriptor(surface_p2(), (RamifiedDivisor(QDivisor.of(3), 2),), 2)
+        OrderDescriptor(surface_p2(), (RamifiedDivisor((3,), 2),), 2)
     )
     assert cubic.kind is OrderKind.DEL_PEZZO
-    assert cubic.k_order == QDivisor.of(Fraction(-3, 2))
+    assert cubic.k_order == (Fraction(-3, 2),)
     assert cubic.anti_square == Fraction(9, 4)
     assert cubic.pairings == (Fraction(3, 2),)
 
@@ -228,7 +246,7 @@ def test_classify_del_pezzo_orders():
 def test_classify_other():
     # past the Calabi-Yau threshold: K_A = H is positive, so -K_A is not
     octic = classify_order(
-        OrderDescriptor(surface_p2(), (RamifiedDivisor(QDivisor.of(8), 2),), 2)
+        OrderDescriptor(surface_p2(), (RamifiedDivisor((8,), 2),), 2)
     )
     assert octic.kind is OrderKind.OTHER
     # -K nef but with square zero on the rational elliptic surface
@@ -256,7 +274,7 @@ def test_classify_ruled_elliptic_vectors():
 )
 def test_ncy_and_del_pezzo_exclusive(rows):
     surface = surface_quadric()
-    ram = tuple(RamifiedDivisor(QDivisor.of(a, b), e) for a, b, e in rows)
+    ram = tuple(RamifiedDivisor((a, b), e) for a, b, e in rows)
     verdict = classify_order(OrderDescriptor(surface, ram, 12))
     if verdict.kind is OrderKind.NCY:
         # on a nonzero lattice a trivial class cannot carry a positive square
@@ -363,7 +381,7 @@ def test_maximality_check():
 
     def ram(*answers):
         return tuple(
-            RamifiedDivisor(QDivisor.of(6), 2, a) for a in answers
+            RamifiedDivisor((6,), 2, a) for a in answers
         )
 
     yes = YesNoUnknown.YES
@@ -417,7 +435,7 @@ def test_h0_range_gate():
 
 def test_classification_carries_exact_certificate():
     verdict = classify_order(
-        OrderDescriptor(surface_p2(), (RamifiedDivisor(QDivisor.of(3), 2),), 2)
+        OrderDescriptor(surface_p2(), (RamifiedDivisor((3,), 2),), 2)
     )
     assert isinstance(verdict, Classification)
     assert all(isinstance(p, Fraction) for p in verdict.pairings)
