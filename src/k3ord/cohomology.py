@@ -50,7 +50,7 @@ from .errors import (
     UnsupportedParameter,
 )
 from .lattices import Lattice
-from .matrices import IntMatrix, IntVector, _echelon, integer_kernel, snf
+from .matrices import IntMatrix, IntVector, _echelon, _replay, integer_kernel, snf
 
 
 def _divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -119,17 +119,18 @@ class GLattice:
         if any(gram.entries) and self.sigma.transpose() @ gram @ self.sigma != gram:
             raise ActionNotIsometric("sigma does not preserve the pairing")
 
-        # W * powers is an echelon form, W unimodular.  The first dependent
-        # power sigma^k lies in the integer span of the ones below (mu is
-        # monic), so its row is reduced without a swap and row k of W is mu
-        powers, rows, w = [IntMatrix.identity(n)], [], []
+        # W * powers is an echelon form, W unimodular and logged by every run
+        # in one log, as each run goes on from the rows the last one reduced.
+        # The first dependent power sigma^k lies in the integer span of the
+        # ones below (mu is monic), so its row is reduced without a swap and
+        # row k of W, replayed from the log, is mu
+        powers, rows, log = [IntMatrix.identity(n)], [], []
         while True:
             rows.append(list(powers[-1].entries))
-            w = [r + [0] for r in w] + [[0] * len(w) + [1]]
-            if len(list(_echelon(rows, n * n, w))) < len(rows):
+            if len(list(_echelon(rows, n * n, log))) < len(rows):
                 break
             powers.append(self.sigma if len(rows) == 1 else powers[-1] @ self.sigma)
-        mu = w[-1]
+        mu = _replay(log, [0] * (len(rows) - 1) + [1])
         if (ms := _cyclotomic_orders(mu)) is None or any(self.order % m for m in ms):
             raise UnsupportedParameter(f"sigma^{self.order} is not the identity")
         # g(1) divides lcm(ms), so order // g(1) is exact

@@ -8,15 +8,17 @@ numerator over one positive common denominator in lowest terms.
 
 Provided operations:
 
-* `snf`: Smith normal form with unimodular transforms, U * A * V = D.
+* `snf`: Smith normal form with unimodular transforms, U * A * V = D; U
+  and V are built from the elimination's log only when read.
 * `hermite_row_basis`: canonical (row Hermite) basis of a row lattice.
 * `integer_kernel`: saturated kernel basis (a direct summand of Z^cols),
-  read off the unimodular W of a row echelon form W * A^T = E.
+  the rows of the unimodular W of a row echelon form W * A^T = E whose E
+  row is zero, each replayed from the log of that elimination.
 * `solve_columns`: certified integer linear solving of a.x = b for several
-  right-hand sides b at once, by forward substitution through the same E; a
-  pivot that does not divide, or a remainder left when the pivots are used
-  up, certifies that no solution exists.  `solve_integer` is its one-column
-  case.
+  right-hand sides b at once, by forward substitution through the same E,
+  then x = W^T * y replayed from the log; a pivot that does not divide, or
+  a remainder left when the pivots are used up, certifies that no solution
+  exists.  `solve_integer` is its one-column case.
 * `det` and `adjugate`: one forward fraction-free (Bareiss) elimination, of
   A or of [A | I]; the adjugate is then read off by exact back-substitution,
   and `RatMatrix.inverse` is the adjugate over the determinant.
@@ -37,7 +39,9 @@ Conventions, pinned so outputs are reproducible:
 * SNF diagonal entries are normalized nonnegative and each divides the next.
 * The one echelon elimination behind `snf`, `hermite_row_basis`,
   `integer_kernel` and `solve_columns` pivots on the nonzero entry of minimal
-  absolute value in the column, ties broken by row index.
+  absolute value in the column, ties broken by row index.  It applies its
+  row operations to the matrix alone and logs them; the transform W is
+  never carried along, and W^T * y is read by walking the log backwards.
 * `integer_kernel` returns the unique column Hermite basis of the kernel.
 * When the signature diagonalization meets a zero diagonal entry it first
   looks for a nonzero diagonal entry to swap in; failing that it adds row j
@@ -49,7 +53,8 @@ Conventions, pinned so outputs are reproducible:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, repeat
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
@@ -57,6 +62,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import DimensionMismatch, NonSquare, NotSymmetric
 
 IntVector = tuple[int, ...]
+RowOp = tuple[int, int, int]
 
 
 def _as_int(x) -> int:
@@ -260,11 +266,23 @@ class RatMatrix:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """Smith normal form data: U * A * V = D with U, V unimodular."""
+    """Smith normal form data: U * A * V = D with U, V unimodular.
 
-    U: IntMatrix
+    U and V are kept as the logs of the row operations on D and on D^T (see
+    `_echelon`), and each is replayed into its matrix when first read: U is
+    W of `ulog`, V is W^T of `vlog`."""
+
     D: IntMatrix
-    V: IntMatrix
+    ulog: tuple[RowOp, ...] = field(repr=False)
+    vlog: tuple[RowOp, ...] = field(repr=False)
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        return IntMatrix.from_rows(_w_rows(self.ulog, self.D.rows))
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        return IntMatrix.from_cols(_w_rows(self.vlog, self.D.cols))
 
     @property
     def diagonal(self) -> IntVector:
@@ -283,14 +301,15 @@ class SNFResult:
 def snf(a: IntMatrix) -> SNFResult:
     """Smith normal form with transforms.
 
-    Returns SNFResult(U, D, V) with U * a * V = D, U and V unimodular,
+    Returns SNFResult(D, ulog, vlog) with U * a * V = D, U and V unimodular,
     D diagonal with nonnegative entries in a divisibility chain, zeros last.
 
-    D is brought to row echelon form by `_echelon` on its rows (recorded in
-    U) and then on its columns, the rows of D^T (recorded in V^T), in turn
-    until it is diagonal; `_echelon` leaves its pivots positive and its zero
-    rows last.  If then some d_i does not divide a later d_j, row j is added
-    to row i and the alternation starts again (Kannan and Bachem 1979).
+    D is brought to row echelon form by `_echelon` on its rows (logged in
+    ulog, so U is their W) and then on its columns, the rows of D^T (logged
+    in vlog, so V^T is their W), in turn until it is diagonal; `_echelon`
+    leaves its pivots positive and its zero rows last.  If then some d_i
+    does not divide a later d_j, row j is added to row i, logged in ulog as
+    (i, j, -1), and the alternation starts again (Kannan and Bachem 1979).
     This ends: the leading entry d_0 is the gcd of its column after a row
     pass and of its row after a column pass, so it never grows, and a pass
     that leaves other entries in its row or column lowers it strictly; once
@@ -304,12 +323,11 @@ def snf(a: IntMatrix) -> SNFResult:
     """
     nrows, ncols = a.rows, a.cols
     d = [list(a.row(i)) for i in range(nrows)]
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    vt = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    ulog, vlog = [], []
     while True:
-        list(_echelon(d, ncols, u))
+        list(_echelon(d, ncols, ulog))
         dt = [[r[j] for r in d] for j in range(ncols)]
-        rank = len(list(_echelon(dt, nrows, vt)))
+        rank = len(list(_echelon(dt, nrows, vlog)))
         d = [[r[i] for r in dt] for i in range(nrows)]
         if any(x for i, r in enumerate(d) for j, x in enumerate(r) if i != j):
             continue
@@ -320,25 +338,23 @@ def snf(a: IntMatrix) -> SNFResult:
             break
         i, j = bad
         d[i] = [x + y for x, y in zip(d[i], d[j])]
-        u[i] = [x + y for x, y in zip(u[i], u[j])]
-    return SNFResult(
-        U=IntMatrix(nrows, nrows, tuple([x for r in u for x in r])),
-        D=IntMatrix(nrows, ncols, tuple([x for r in d for x in r])),
-        V=IntMatrix(ncols, ncols, tuple([x for r in vt for x in r])).transpose(),
-    )
+        ulog.append((i, j, -1))
+    dm = IntMatrix(nrows, ncols, tuple([x for r in d for x in r]))
+    return SNFResult(dm, tuple(ulog), tuple(vlog))
 
 
-def _echelon(rows: list[list[int]], ncols: int, w: list[list[int]]) -> Iterator[int]:
+def _echelon(rows: list[list[int]], ncols: int, log: list[RowOp]) -> Iterator[int]:
     """Bring `rows` to row echelon form E in place, yielding the column of
     each pivot as soon as its row (the k-th pivot sits in row k) is final.
 
-    Every row operation is repeated on `w`: started from the identity, `w`
-    ends as the unimodular W with W * rows = E; started from empty rows, it
-    stays empty.  Rows 0..k of E and W no longer change once pivot k is
-    yielded, so a caller may stop early.  The pivot is the nonzero entry of
-    minimal absolute value in its column, ties by row index, and ends
-    positive; the entries below a pivot and the rows past the last pivot end
-    zero.
+    Each row operation is appended to `log`: (i, t, q) for row_i -= q * row_t,
+    (t, b, 0) for a swap of rows t and b, (t, t, 0) for a negation of row t.
+    Their product is the unimodular W with W * rows = E, read by `_replay`;
+    a log that holds earlier runs on the same rows gives the W of them all.
+    Rows 0..k of E and W no longer change once pivot k is yielded, so a
+    caller may stop early.  The pivot is the nonzero entry of minimal
+    absolute value in its column, ties by row index, and ends positive; the
+    entries below a pivot and the rows past the last pivot end zero.
     """
     nrows = len(rows)
     top = 0
@@ -353,15 +369,16 @@ def _echelon(rows: list[list[int]], ncols: int, w: list[list[int]]) -> Iterator[
                     best, best_abs = i, abs(x)
             if not best_abs:
                 break
-            rows[top], rows[best] = rows[best], rows[top]
-            w[top], w[best] = w[best], w[top]
-            rt, wt, p = rows[top], w[top], rows[top][j]
+            if best != top:
+                rows[top], rows[best] = rows[best], rows[top]
+                log.append((top, best, 0))
+            rt, p = rows[top], rows[top][j]
             done = True
             for i in range(top + 1, nrows):
                 q = rows[i][j] // p
                 if q:
                     rows[i] = [x - q * y for x, y in zip(rows[i], rt)]
-                    w[i] = [x - q * y for x, y in zip(w[i], wt)]
+                    log.append((i, top, q))
                 if rows[i][j]:
                     done = False
             if done:
@@ -370,9 +387,28 @@ def _echelon(rows: list[list[int]], ncols: int, w: list[list[int]]) -> Iterator[
             continue
         if rows[top][j] < 0:
             rows[top] = [-x for x in rows[top]]
-            w[top] = [-x for x in w[top]]
+            log.append((top, top, 0))
         yield j
         top += 1
+
+
+def _replay(log: Sequence[RowOp], y: list[int]) -> list[int]:
+    """W^T * y in place, W the product of the row operations in `log` (see
+    `_echelon`): each operation's transpose, last operation first.  Row k
+    of W is `_replay(log, e_k)`."""
+    for i, t, q in reversed(log):
+        if q:
+            y[t] -= q * y[i]
+        elif i == t:
+            y[t] = -y[t]
+        else:
+            y[i], y[t] = y[t], y[i]
+    return y
+
+
+def _w_rows(log: Sequence[RowOp], n: int, start: int = 0) -> list[list[int]]:
+    """Rows start..n-1 of the n x n W of `log`, each replayed from its e_k."""
+    return [_replay(log, [int(i == k) for i in range(n)]) for k in range(start, n)]
 
 
 def hermite_row_basis(m: IntMatrix) -> IntMatrix:
@@ -380,7 +416,7 @@ def hermite_row_basis(m: IntMatrix) -> IntMatrix:
     the rows of `m`. Zero rows are dropped; pivots are positive; entries
     above a pivot are reduced into [0, pivot)."""
     rows = [list(r) for r in m.to_rows()]
-    pivots = list(_echelon(rows, m.cols, [[] for _ in rows]))
+    pivots = list(_echelon(rows, m.cols, []))
     for k, j in enumerate(pivots):
         rk = rows[k]
         for i in range(k):
@@ -391,12 +427,11 @@ def hermite_row_basis(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(rows[:top]) if top else IntMatrix(0, m.cols, ())
 
 
-def _transpose_echelon(a: IntMatrix) -> tuple[list[list[int]], list[list[int]], Iterator[int]]:
-    """(E, W, pivots): run `pivots` out and W is unimodular with W * a^T = E
-    in row echelon form."""
-    e = [list(a.entries[j::a.cols]) for j in range(a.cols)]
-    w = [[int(i == j) for j in range(a.cols)] for i in range(a.cols)]
-    return e, w, _echelon(e, a.rows, w)
+def _transpose_echelon(a: IntMatrix) -> tuple[list[list[int]], list[RowOp], Iterator[int]]:
+    """(E, log, pivots): run `pivots` out and the W of `log` is unimodular
+    with W * a^T = E in row echelon form."""
+    e, log = [list(a.entries[j::a.cols]) for j in range(a.cols)], []
+    return e, log, _echelon(e, a.rows, log)
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:
@@ -404,17 +439,18 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
 
     With W * a^T = E in row echelon form and W unimodular, the rows of W
     whose E row is zero are a basis of the kernel that extends to the basis
-    W of Z^cols, so it is saturated (a direct summand).  The basis returned
-    is its unique column Hermite form, so equal kernels give equal matrices.
+    W of Z^cols, so it is saturated (a direct summand).  Only those rows
+    are replayed from the log of the elimination; the basis returned is
+    their unique column Hermite form, so equal kernels give equal matrices.
 
     >>> integer_kernel(IntMatrix.from_rows([[1, 1]])).col(0)
     (1, -1)
     """
-    _, w, pivots = _transpose_echelon(a)
+    _, log, pivots = _transpose_echelon(a)
     rank = len(list(pivots))
     if rank == a.cols:
         return IntMatrix(a.cols, 0, ())
-    return hermite_row_basis(IntMatrix.from_rows(w[rank:])).transpose()
+    return hermite_row_basis(IntMatrix.from_rows(_w_rows(log, a.cols, rank))).transpose()
 
 
 def solve_columns(a: IntMatrix, bs: Sequence[Sequence[int]]) -> list[Optional[IntVector]]:
@@ -427,7 +463,9 @@ def solve_columns(a: IntMatrix, bs: Sequence[Sequence[int]]) -> list[Optional[In
     pivot's column, so a pivot that does not divide what is left of b there,
     or anything left of b once the pivots are used up, certifies that there
     is no solution.  A column drops out at its first such pivot, and the
-    elimination stops once every column has dropped out.
+    elimination stops once every column has dropped out.  W is never built:
+    x = W^T * y is replayed from the log of the elimination, once for each
+    column that has a solution.
 
     >>> solve_columns(IntMatrix.from_rows([[2, 0], [0, 3]]), [(4, 3), (1, 0)])
     [(2, 1), None]
@@ -436,25 +474,25 @@ def solve_columns(a: IntMatrix, bs: Sequence[Sequence[int]]) -> list[Optional[In
         if len(b) != a.rows:
             raise DimensionMismatch(f"vector length {len(b)} != rows {a.rows}")
     rests = [list(b) for b in bs]
-    xs = [[0] * a.cols for _ in rests]
+    ys = [[0] * a.cols for _ in rests]
     live = list(range(len(rests)))
     if live:
-        e, w, pivots = _transpose_echelon(a)
+        e, log, pivots = _transpose_echelon(a)
         for k, j in enumerate(pivots):
-            er, wr = e[k], w[k]
+            er = e[k]
             for c in live:
                 q, rem = divmod(rests[c][j], er[j])
                 if rem:
-                    xs[c] = None
+                    ys[c] = None
                 elif q:
                     rests[c] = [s - q * t for s, t in zip(rests[c], er)]
-                    xs[c] = [s + q * t for s, t in zip(xs[c], wr)]
-            live = [c for c in live if xs[c] is not None]
+                    ys[c][k] = q
+            live = [c for c in live if ys[c] is not None]
             if not live:
                 break
     return [
-        None if x is None or any(rest) else tuple(x)
-        for x, rest in zip(xs, rests)
+        None if y is None or any(rest) else tuple(_replay(log, y))
+        for y, rest in zip(ys, rests)
     ]
 
 

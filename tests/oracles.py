@@ -418,3 +418,121 @@ def minus_image(action, moduli, x):
 
 def is_zero_element(x) -> bool:
     return not any(x[0]) and not any(x[1]) and not any(x[2])
+
+
+# --- the elimination that carries its transform W ------------------------------
+#
+# The package logs its row operations and replays them where a transform is
+# read.  These copies repeat every row operation on an explicit W instead, as
+# the package did before, on plain lists of rows; the two must agree exactly.
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def echelon_with_transform(rows: list[list[int]], ncols: int, w: list[list[int]]) -> list[int]:
+    """Row echelon form E of `rows` in place, each row operation repeated on
+    `w` (W * rows = E when `w` starts as the identity).  The pivot is the
+    nonzero entry of least absolute value in its column, ties by row index,
+    made positive.  Returns the pivot columns."""
+    nrows, top, pivots = len(rows), 0, []
+    for j in range(ncols):
+        if top == nrows:
+            break
+        while True:
+            nonzero = [i for i in range(top, nrows) if rows[i][j]]
+            if not nonzero:
+                break
+            best = min(nonzero, key=lambda i: abs(rows[i][j]))
+            rows[top], rows[best] = rows[best], rows[top]
+            w[top], w[best] = w[best], w[top]
+            p = rows[top][j]
+            for i in range(top + 1, nrows):
+                q = rows[i][j] // p
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[top])]
+                    w[i] = [x - q * y for x, y in zip(w[i], w[top])]
+            if not any(rows[i][j] for i in range(top + 1, nrows)):
+                break
+        if not any(rows[i][j] for i in range(top, nrows)):
+            continue
+        if rows[top][j] < 0:
+            rows[top] = [-x for x in rows[top]]
+            w[top] = [-x for x in w[top]]
+        pivots.append(j)
+        top += 1
+    return pivots
+
+
+def snf_with_transforms(a: list[list[int]], ncols: int):
+    """(U, D, V) as lists of rows with U * a * V = D: row passes on D repeated
+    on U, column passes on the rows of D^T repeated on V^T, until D is
+    diagonal; a d_i that does not divide a later d_j adds row j to row i."""
+    nrows = len(a)
+    d, u, vt = [list(r) for r in a], _identity_rows(nrows), _identity_rows(ncols)
+    while True:
+        echelon_with_transform(d, ncols, u)
+        dt = [[r[j] for r in d] for j in range(ncols)]
+        rank = len(echelon_with_transform(dt, nrows, vt))
+        d = [[r[i] for r in dt] for i in range(nrows)]
+        if any(x for i, r in enumerate(d) for j, x in enumerate(r) if i != j):
+            continue
+        bad = [(i, j) for i in range(rank) for j in range(i + 1, rank) if d[j][j] % d[i][i]]
+        if not bad:
+            return u, d, [[r[j] for r in vt] for j in range(ncols)]
+        i, j = bad[0]
+        d[i] = [x + y for x, y in zip(d[i], d[j])]
+        u[i] = [x + y for x, y in zip(u[i], u[j])]
+
+
+def hermite_rows(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Row Hermite form: the echelon rows, nonzero only, with the entries
+    above each pivot reduced into [0, pivot)."""
+    rows = [list(r) for r in rows]
+    pivots = echelon_with_transform(rows, ncols, [[] for _ in rows])
+    for k, j in enumerate(pivots):
+        for i in range(k):
+            q = rows[i][j] // rows[k][j]
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[k])]
+    return rows[:len(pivots)]
+
+
+def kernel_with_transform(a: list[list[int]], ncols: int) -> list[list[int]]:
+    """Column Hermite basis of ker a, as its list of columns: the rows of W
+    with W * a^T = E whose E row is zero, in row Hermite form."""
+    e = [[r[j] for r in a] for j in range(ncols)]
+    w = _identity_rows(ncols)
+    rank = len(echelon_with_transform(e, len(a), w))
+    return hermite_rows(w[rank:], ncols)
+
+
+def solve_with_transform(a: list[list[int]], ncols: int, bs) -> list:
+    """For each b, x = W^T * y with E^T * y = b solved pivot by pivot, W * a^T
+    = E; None when a pivot does not divide or a remainder is left."""
+    e = [[r[j] for r in a] for j in range(ncols)]
+    w = _identity_rows(ncols)
+    pivots = echelon_with_transform(e, len(a), w)
+    out = []
+    for b in bs:
+        rest, x = list(b), [0] * ncols
+        for k, j in enumerate(pivots):
+            q, rem = divmod(rest[j], e[k][j])
+            if rem:
+                x = None
+                break
+            rest = [s - q * t for s, t in zip(rest, e[k])]
+            x = [s + q * t for s, t in zip(x, w[k])]
+        out.append(None if x is None or any(rest) else tuple(x))
+    return out
+
+
+def power_sum(sigma: list[list[int]], order: int) -> list[list[int]]:
+    """sigma^0 + sigma^1 + ... + sigma^(order-1), one product at a time."""
+    n = len(sigma)
+    total, power = _identity_rows(n), _identity_rows(n)
+    for _ in range(order - 1):
+        power = [[sum(r[k] * sigma[k][j] for k in range(n)) for j in range(n)] for r in power]
+        total = [[x + y for x, y in zip(r, s)] for r, s in zip(total, power)]
+    return total

@@ -30,7 +30,6 @@ from k3ord.extension import extend_by_minus_one
 from k3ord.fibrations import (
     AbGroupModel,
     BlockEndo,
-    GroupElement,
     h1_structured,
     negation_endo,
     trivial_endo,

@@ -304,7 +304,11 @@ def test_package_has_no_assert_statements():
 
 
 def test_package_has_no_unused_imports():
-    for path in sorted((REPO / "src" / "k3ord").glob("*.py")):
+    # the package, its tests, demos and tools
+    paths = [*(REPO / "src" / "k3ord").glob("*.py")]
+    for directory in ("tests", "demos", "tools"):
+        paths += (REPO / directory).glob("*.py")
+    for path in sorted(paths):
         tree = ast.parse(path.read_text(), str(path))
         imported = {
             alias.asname or alias.name.split(".")[0]

@@ -22,6 +22,8 @@ from k3ord.cohomology import (
     norm_and_diff,
 )
 from k3ord.cli import main
+from k3ord.divisors import nakai_certificate
+from k3ord.embeddings import is_primitive
 from k3ord.errors import (
     ActionNotIsometric,
     DimensionMismatch,
@@ -37,12 +39,13 @@ from k3ord.matrices import (
     hermite_row_basis,
     integer_kernel,
     snf,
+    solve_columns,
     solve_integer,
 )
 
 from k3ord.runner import PASS, run_check
 
-from oracles import h1_box_class_count, random_unimodular
+from oracles import h1_box_class_count, power_sum, random_unimodular
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -301,6 +304,29 @@ def test_h1_of_cyclotomic_blocks_matches_the_closed_form(case):
     for g, d in zip(res.generators, res.invariant_factors):
         assert not any(norm.mul_vec(g))
         assert solve_integer(diff, [d * x for x in g]) is not None
+
+
+def test_norm_agrees_with_the_plain_power_sum_on_seeded_actions():
+    # mu is replayed from one log shared by the elimination runs of the
+    # power loop; a wrong mu gives a wrong N or rejects a valid order
+    rng = random.Random(1919)
+    for _ in range(300):
+        ms = []
+        while not ms or rng.random() < 0.6:
+            m = rng.randint(1, 12)
+            if sum(len(_cyclotomic(k)) - 1 for k in ms + [m]) <= 8:
+                ms.append(m)
+            elif ms:
+                break
+        sigma = IntMatrix.block_diag([_companion(_cyclotomic(m)) for m in ms])
+        r = sigma.rows
+        p, p_inv = random_unimodular(rng, r, steps=3 * r)
+        sigma = p_inv @ sigma @ p
+        order = math.lcm(*ms) * rng.randint(1, 2)
+        norm = GLattice(Lattice(IntMatrix.zeros(r, r)), sigma, order).norm
+        assert [list(row) for row in norm.to_rows()] == power_sum(
+            [list(row) for row in sigma.to_rows()], order
+        ), (ms, order)
 
 
 def _times(a, b):
@@ -620,6 +646,36 @@ def test_quotient_pic_finds_the_fixed_sublattice_once(monkeypatch):
                          ("2", "OddEntry: fixed sublattice pairing is not uniformly even")):
         outcome = run_check("q", "quotient-pic", {**odd, "order": order})
         assert outcome.error == error
+
+
+def test_transforms_are_replayed_only_where_they_are_read(monkeypatch):
+    replayed = []
+    replay = matrices._replay
+    monkeypatch.setattr(matrices, "_replay", lambda log, y: replayed.append(log) or replay(log, y))
+    results = []
+    monkeypatch.setattr(cohomology, "snf", lambda a: results.append(snf(a)) or results[-1])
+    quadric = catalog.quadric_model()
+    # the diagonal alone: no transform is built
+    assert is_primitive(quadric.embedding)
+    gens = list(IntMatrix.identity(4).to_rows()) + [(0, 1, 1, -1)]
+    assert nakai_certificate(quadric.pic, (1, 1, 1, 0), gens).verdict.passed
+    assert replayed == []
+    # h1 builds V, one replay of vlog per column, and never U; with no
+    # torsion it needs no V either
+    gl = model_glattice(quadric)
+    assert h1(gl).invariant_factors == (2,)
+    (res,) = results
+    assert len(replayed) == res.D.cols and all(log is res.vlog for log in replayed)
+    replayed.clear()
+    assert h1(GLattice(quadric.pic, IntMatrix.identity(4), 2)).invariant_factors == ()
+    assert replayed == []
+    # one replay per solvable column, none for a column that dropped out
+    # at a pivot or kept a remainder past the last pivot
+    a = IntMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 0]])
+    assert solve_columns(a, [(4, 3, 0), (1, 0, 0), (2, 6, 0), (0, 0, 1)]) == [
+        (2, 1, 0), None, (1, 2, 0), None
+    ]
+    assert len(replayed) == 2
 
 
 def test_half_gram_quotient_errors():

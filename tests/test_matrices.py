@@ -3,6 +3,7 @@
 import ast
 import doctest
 import itertools
+import operator
 import random
 from enum import IntEnum
 from fractions import Fraction
@@ -32,12 +33,15 @@ from oracles import (
     det_cofactor,
     fraction_inverse,
     fraction_signature,
+    kernel_with_transform,
     mat_mul,
     no_solution_in_box,
     random_int_matrix,
     random_symmetric,
     random_unimodular,
     rational_kernel_basis,
+    snf_with_transforms,
+    solve_with_transform,
 )
 
 S2_GRAM = IntMatrix.from_rows([[-2, 3, 0], [3, -2, 1], [0, 1, -2]])
@@ -613,3 +617,52 @@ def test_rat_matrix_inverse_and_integrality():
         assert d == det(m)
         assert [[d * x for x in r] for r in expected] == [list(r) for r in adj.to_rows()]
     assert singular > 50
+
+
+def _oracle_case(rng: random.Random, case: int) -> tuple[int, int, list[list[int]]]:
+    """A seeded matrix up to 8 x 8, any side possibly 0: every fifth one is
+    zero, every fifth one is made rank deficient by repeated rows and a zero
+    column, and every twenty-fifth one has 60-digit entries."""
+    rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+    if case % 25 == 24:
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        return rows, cols, [
+            [rng.choice((0, rng.randint(-9, 9), rng.randrange(-10**60, 10**60))) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+    a = [[rng.randint(-9, 9) if case % 5 else 0 for _ in range(cols)] for _ in range(rows)]
+    if case % 5 == 1 and rows > 1 and cols:
+        for i in rng.sample(range(rows), rng.randint(1, rows - 1)):
+            a[i] = list(rng.choice(a))
+        zero = rng.randrange(cols)
+        a = [r[:zero] + [0] + r[zero + 1:] for r in a]
+    return rows, cols, a
+
+
+def test_logged_transforms_agree_with_the_carried_transform_oracle():
+    """snf's U, D and V, integer_kernel and solve_columns replay their
+    transforms from a log of row operations; the oracle repeats every row
+    operation on an explicit W.  Both take the same pivots, so they must
+    agree exactly, including on the empty shapes."""
+    rng = random.Random(19)
+    verdicts = {True: 0, False: 0}
+    edges = [(0, 0, []), (0, 5, []), (4, 0, [[], [], [], []])]
+    for case in range(1200):
+        rows, cols, a = edges[case] if case < len(edges) else _oracle_case(rng, case)
+        m = IntMatrix(rows, cols, tuple([x for r in a for x in r]))
+        u, d, v = snf_with_transforms(a, cols)
+        res = snf(m)
+        assert [list(r) for r in res.D.to_rows()] == d, a
+        assert [list(r) for r in res.U.to_rows()] == u, a
+        assert [list(r) for r in res.V.to_rows()] == v, a
+        kernel = integer_kernel(m)
+        assert kernel.rows == cols
+        assert [list(kernel.col(j)) for j in range(kernel.cols)] == kernel_with_transform(a, cols), a
+        xs = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(2)]
+        bs = [[sum(map(operator.mul, r, x)) for r in a] for x in xs]
+        bs += [[rng.randint(-9, 9) for _ in range(rows)], [2 * y + 1 for y in bs[0]]]
+        solutions = solve_columns(m, bs)
+        assert solutions == solve_with_transform(a, cols, bs), a
+        for x in solutions:
+            verdicts[x is not None] += 1
+    assert min(verdicts.values()) > 300
