@@ -21,11 +21,13 @@ im D span the same subspace over Q.  ker N is saturated, being a kernel, so
 it is the saturation of im D, and ker N / im D is the torsion subgroup of
 Z^r / im D.  One Smith normal form U.D.V = diag(d) gives it as the sum of
 Z/d_i over the d_i > 1.  One representative cocycle per such factor is
-D.V.e_i / d_i, an exact division: D.V.e_i = d_i U^-1.e_i, and U^-1.e_i lies
-in the saturation of im D, so N kills it.  Each generator can be checked
-directly: it is killed by N and is not an image of D.  The generators are
-representatives read off V, which is not unique, so they are not canonical
-vectors: another V can give other generators of the same group.
+U^-1.e_i = D.V.e_i / d_i, read by undoing the Smith form's logged row
+operations on e_i, so neither V nor a product with D is formed.  d_i times
+it lies in im D, so it lies in the saturation of im D and N kills it.  Each
+generator can be checked directly: it is killed by N and is not an image of
+D.  The generators are representatives read off U, which is not unique, so
+they are not canonical vectors: another U can give other generators of the
+same group.
 
 Since ker N / im D is the torsion of Z^r / im D, H^1 has no free part (as
 for any finite group, n times a cocycle lies in im D); free_rank is always
@@ -40,7 +42,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 
 from .embeddings import Embedding
 from .errors import (
@@ -50,7 +53,16 @@ from .errors import (
     UnsupportedParameter,
 )
 from .lattices import Lattice
-from .matrices import IntMatrix, IntVector, _echelon, _replay, integer_kernel, snf
+from .matrices import (
+    IntMatrix,
+    IntVector,
+    _echelon,
+    _replay,
+    _undo,
+    integer_kernel,
+    is_isometry,
+    snf,
+)
 
 
 def _divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -91,7 +103,8 @@ class GLattice:
 
     sigma^order = I when the minimal polynomial of sigma is a product of
     distinct Phi_m, each m dividing `order` (see the module docstring), and
-    UnsupportedParameter is raised otherwise.  `norm` is N = sum_{i<order} sigma^i.
+    UnsupportedParameter is raised otherwise.  `norm` is N = sum_{i<order} sigma^i
+    and `diff` is D = 1 - sigma, both built once here.
 
     >>> phi6 = IntMatrix.from_rows([[0, -1], [1, 1]])
     >>> GLattice(Lattice(IntMatrix.zeros(2, 2)), phi6, 6).norm == IntMatrix.zeros(2, 2)
@@ -106,6 +119,7 @@ class GLattice:
     sigma: IntMatrix
     order: int
     norm: IntMatrix = field(init=False, compare=False, repr=False)
+    diff: IntMatrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.lattice.rank
@@ -115,8 +129,7 @@ class GLattice:
             )
         if self.order < 1:
             raise UnsupportedParameter(f"group order {self.order} < 1")
-        gram = self.lattice.gram
-        if any(gram.entries) and self.sigma.transpose() @ gram @ self.sigma != gram:
+        if not is_isometry(self.sigma, self.lattice.gram):
             raise ActionNotIsometric("sigma does not preserve the pairing")
 
         # W * powers is an echelon form, W unimodular and logged by every run
@@ -135,9 +148,14 @@ class GLattice:
             raise UnsupportedParameter(f"sigma^{self.order} is not the identity")
         # g(1) divides lcm(ms), so order // g(1) is exact
         g, (mu_at_1,) = _divide(mu, [-1, 1])
-        g_sigma = [sum(map(mul, g, col)) for col in zip(*[p.entries for p in powers])]
-        norm = IntMatrix(n, n, tuple(g_sigma)).scale(0 if mu_at_1 else self.order // sum(g))
-        object.__setattr__(self, "norm", norm)
+        norm = [0] * (n * n)
+        if not mu_at_1:
+            k = self.order // sum(g)
+            for c, p in zip(g, powers):
+                if c:
+                    norm = list(map(add, norm, map(mul, repeat(c * k), p.entries)))
+        object.__setattr__(self, "norm", IntMatrix(n, n, tuple(norm)))
+        object.__setattr__(self, "diff", IntMatrix.identity(n) - self.sigma)
 
 
 @dataclass(frozen=True)
@@ -155,7 +173,7 @@ class CohResult:
 
 def norm_and_diff(gl: GLattice) -> tuple[IntMatrix, IntMatrix]:
     """The norm N = sum of sigma^i and difference D = 1 - sigma."""
-    return gl.norm, IntMatrix.identity(gl.lattice.rank) - gl.sigma
+    return gl.norm, gl.diff
 
 
 def h1(gl: GLattice) -> CohResult:
@@ -163,7 +181,8 @@ def h1(gl: GLattice) -> CohResult:
 
     The torsion of Z^r / im D is ker N / im D because ker N is the
     saturation of im D (see the module docstring), so N itself is never
-    eliminated and free_rank is 0.
+    eliminated and free_rank is 0.  The Smith form is of `gl.diff`, and the
+    generator of each Z/d_i, d_i > 1, is U^-1.e_i, undone from its row log.
 
     >>> from .lattices import Lattice
     >>> minus = IntMatrix.from_rows([[-1, 0], [0, -1]])
@@ -171,11 +190,11 @@ def h1(gl: GLattice) -> CohResult:
     >>> res.invariant_factors
     (2, 2)
     """
-    _, diff = norm_and_diff(gl)
-    res = snf(diff)
+    res = snf(gl.diff)
+    n = gl.diff.rows
     torsion = tuple([d for d in res.diagonal if d > 1])
     generators = tuple([
-        tuple([x // d for x in diff.mul_vec(res.V.col(i))])
+        tuple(_undo(res.ulog, [int(j == i) for j in range(n)]))
         for i, d in enumerate(res.diagonal)
         if d > 1
     ])
@@ -184,8 +203,7 @@ def h1(gl: GLattice) -> CohResult:
 
 def fixed_sublattice(gl: GLattice) -> Embedding:
     """The saturated sublattice of vectors fixed by sigma."""
-    diff = IntMatrix.identity(gl.lattice.rank) - gl.sigma
-    kernel = integer_kernel(diff)
+    kernel = integer_kernel(gl.diff)
     gram = kernel.transpose() @ gl.lattice.gram @ kernel
     return Embedding(Lattice(gram), gl.lattice, kernel)
 

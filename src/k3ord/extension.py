@@ -33,7 +33,7 @@ from typing import Optional
 
 from .embeddings import Embedding
 from .errors import ActionNotIsometric, DimensionMismatch, SingularFrame
-from .matrices import IntMatrix, RatMatrix
+from .matrices import IntMatrix, RatMatrix, is_isometry
 
 EXTENSION_ASSUMPTIONS = (
     "acts as -1 on the orthogonal complement of the embedded sublattice",
@@ -66,8 +66,7 @@ def extend_by_minus_one(pic: Embedding, action: IntMatrix) -> ExtensionResult:
         raise DimensionMismatch(
             f"action is {action.rows}x{action.cols}, expected {n}x{n}"
         )
-    q = pic.source.gram
-    if action.transpose() @ q @ action != q:
+    if not is_isometry(action, pic.source.gram):
         raise ActionNotIsometric("action does not preserve the sublattice pairing")
 
     p = pic.matrix

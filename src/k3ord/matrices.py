@@ -9,7 +9,8 @@ numerator over one positive common denominator in lowest terms.
 Provided operations:
 
 * `snf`: Smith normal form with unimodular transforms, U * A * V = D; U
-  and V are built from the elimination's log only when read.
+  and V are built from the elimination's log only when read, and a column
+  U^-1 * e_i is read by `_undo` without building U.
 * `hermite_row_basis`: canonical (row Hermite) basis of a row lattice.
 * `integer_kernel`: saturated kernel basis (a direct summand of Z^cols),
   the rows of the unimodular W of a row echelon form W * A^T = E whose E
@@ -25,6 +26,8 @@ Provided operations:
 * `signature`: exact signature of a symmetric matrix by congruence
   diagonalization over Z, on the same fraction-free step as `det`; the sign
   of each pivot is read by Jacobi's rule.
+* `is_isometry` tests sigma^T * G * sigma = G for a symmetric G from the one
+  product G * sigma, comparing the entries on and above the diagonal only.
 * `IntMatrix.__matmul__` (and `RatMatrix.__matmul__`, which delegates to
   it) picks its loop from the left operand.  When at least half of its
   entries are zero, each output row is built as the sum of x * (row k of
@@ -41,7 +44,8 @@ Conventions, pinned so outputs are reproducible:
   `integer_kernel` and `solve_columns` pivots on the nonzero entry of minimal
   absolute value in the column, ties broken by row index.  It applies its
   row operations to the matrix alone and logs them; the transform W is
-  never carried along, and W^T * y is read by walking the log backwards.
+  never carried along: W^T * y is read by walking the log backwards with
+  `_replay`, and W^-1 * y by walking it backwards with `_undo`.
 * `integer_kernel` returns the unique column Hermite basis of the kernel.
 * When the signature diagonalization meets a zero diagonal entry it first
   looks for a nonzero diagonal entry to swap in; failing that it adds row j
@@ -195,13 +199,12 @@ class IntMatrix:
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in addition")
-        return IntMatrix(self.rows, self.cols, tuple([a + b for a, b in zip(self.entries, other.entries)]))
+        return IntMatrix(self.rows, self.cols, tuple([*map(add, self.entries, other.entries)]))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple([-a for a in self.entries]))
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch("shape mismatch in subtraction")
+        return IntMatrix(self.rows, self.cols, tuple([*map(sub, self.entries, other.entries)]))
 
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple([k * a for a in self.entries]))
@@ -264,13 +267,38 @@ class RatMatrix:
         return RatMatrix(adj.scale(self.den), d)
 
 
+def is_isometry(sigma: IntMatrix, gram: IntMatrix) -> bool:
+    """sigma^T * gram * sigma == gram, for a symmetric `gram`.
+
+    Both sides are symmetric, so only the entries on and above the diagonal
+    are compared: entry (i, j) of the left side is column i of sigma dotted
+    with column j of gram * sigma, a product formed once.  A zero gram is
+    kept by every sigma and costs no product.
+
+    >>> is_isometry(IntMatrix.from_rows([[0, 1], [1, 0]]), IntMatrix.from_rows([[2, 1], [1, 2]]))
+    True
+    """
+    n = gram.rows
+    if not gram.is_square or (sigma.rows, sigma.cols) != (n, n):
+        raise DimensionMismatch(f"{sigma.rows}x{sigma.cols} action on a {gram.rows}x{gram.cols} form")
+    if not any(gram.entries):
+        return True
+    gs = gram @ sigma
+    cols, gs_cols = [sigma.col(j) for j in range(n)], [gs.col(j) for j in range(n)]
+    g = gram.entries
+    return all(
+        sum(map(mul, cols[i], gs_cols[j])) == g[i * n + j] for i in range(n) for j in range(i, n)
+    )
+
+
 @dataclass(frozen=True)
 class SNFResult:
     """Smith normal form data: U * A * V = D with U, V unimodular.
 
     U and V are kept as the logs of the row operations on D and on D^T (see
     `_echelon`), and each is replayed into its matrix when first read: U is
-    W of `ulog`, V is W^T of `vlog`."""
+    W of `ulog`, V is W^T of `vlog`.  A column of U^-1 needs neither: it is
+    `_undo(ulog, e_i)`."""
 
     D: IntMatrix
     ulog: tuple[RowOp, ...] = field(repr=False)
@@ -399,6 +427,21 @@ def _replay(log: Sequence[RowOp], y: list[int]) -> list[int]:
     for i, t, q in reversed(log):
         if q:
             y[t] -= q * y[i]
+        elif i == t:
+            y[t] = -y[t]
+        else:
+            y[i], y[t] = y[t], y[i]
+    return y
+
+
+def _undo(log: Sequence[RowOp], y: list[int]) -> list[int]:
+    """W^-1 * y in place, W the product of the row operations in `log` (see
+    `_echelon`): each operation's inverse, last operation first, where a
+    swap and a negation are their own inverses.  Column k of W^-1 is
+    `_undo(log, e_k)`; the sibling of `_replay`."""
+    for i, t, q in reversed(log):
+        if q:
+            y[i] += q * y[t]
         elif i == t:
             y[t] = -y[t]
         else:

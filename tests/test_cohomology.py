@@ -45,7 +45,13 @@ from k3ord.matrices import (
 
 from k3ord.runner import PASS, run_check
 
-from oracles import h1_box_class_count, power_sum, random_unimodular
+from oracles import (
+    h1_box_class_count,
+    mat_mul,
+    power_sum,
+    random_unimodular,
+    snf_with_transforms,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -306,11 +312,11 @@ def test_h1_of_cyclotomic_blocks_matches_the_closed_form(case):
         assert solve_integer(diff, [d * x for x in g]) is not None
 
 
-def test_norm_agrees_with_the_plain_power_sum_on_seeded_actions():
-    # mu is replayed from one log shared by the elimination runs of the
-    # power loop; a wrong mu gives a wrong N or rejects a valid order
-    rng = random.Random(1919)
-    for _ in range(300):
+def _seeded_cyclotomic_actions(rng, count):
+    """`count` triples (ms, sigma, order): sigma the sum of the companion
+    blocks of Phi_m over ms, rank at most 8, conjugated by a seeded
+    unimodular matrix, and order a multiple of lcm(ms)."""
+    for _ in range(count):
         ms = []
         while not ms or rng.random() < 0.6:
             m = rng.randint(1, 12)
@@ -321,12 +327,52 @@ def test_norm_agrees_with_the_plain_power_sum_on_seeded_actions():
         sigma = IntMatrix.block_diag([_companion(_cyclotomic(m)) for m in ms])
         r = sigma.rows
         p, p_inv = random_unimodular(rng, r, steps=3 * r)
-        sigma = p_inv @ sigma @ p
-        order = math.lcm(*ms) * rng.randint(1, 2)
+        yield ms, p_inv @ sigma @ p, math.lcm(*ms) * rng.randint(1, 2)
+
+
+def test_norm_agrees_with_the_plain_power_sum_on_seeded_actions():
+    # mu is replayed from one log shared by the elimination runs of the
+    # power loop; a wrong mu gives a wrong N or rejects a valid order
+    for ms, sigma, order in _seeded_cyclotomic_actions(random.Random(1919), 300):
+        r = sigma.rows
         norm = GLattice(Lattice(IntMatrix.zeros(r, r)), sigma, order).norm
         assert [list(row) for row in norm.to_rows()] == power_sum(
             [list(row) for row in sigma.to_rows()], order
         ), (ms, order)
+
+
+def _oracle_h1_generators(sigma):
+    """D.V.e_i / d_i over the d_i > 1, for D = 1 - sigma and the V that the
+    oracle carries through its Smith form, on plain lists; each division is
+    checked to be exact."""
+    n = sigma.rows
+    d = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(sigma.to_rows())]
+    _, smith, v = snf_with_transforms(d, n)
+    dv = mat_mul([x for r in d for x in r], [x for r in v for x in r], n, n, n)
+    generators = []
+    for i in range(n):
+        if smith[i][i] > 1:
+            column = [divmod(dv[j * n + i], smith[i][i]) for j in range(n)]
+            assert not any(rem for _, rem in column)
+            generators.append(tuple([q for q, _ in column]))
+    return generators
+
+
+def test_h1_generators_are_the_oracle_d_v_columns():
+    """h1 reads the generator of each Z/d_i as U^-1.e_i by undoing the
+    Smith form's row log; the oracle forms D.V.e_i / d_i from the V it
+    carries, which is the same vector, since U.D.V = diag(d)."""
+    cases = [(model.pic, model.action, 2) for model in cover_models()]
+    cases += [
+        (Lattice(IntMatrix.zeros(sigma.rows, sigma.rows)), sigma, order)
+        for _, sigma, order in _seeded_cyclotomic_actions(random.Random(2020), 300)
+    ]
+    factors = 0
+    for lattice, sigma, order in cases:
+        res = h1(GLattice(lattice, sigma, order))
+        assert list(res.generators) == _oracle_h1_generators(sigma), (sigma, order)
+        factors += len(res.generators)
+    assert factors > 300
 
 
 def _times(a, b):
@@ -660,15 +706,23 @@ def test_transforms_are_replayed_only_where_they_are_read(monkeypatch):
     gens = list(IntMatrix.identity(4).to_rows()) + [(0, 1, 1, -1)]
     assert nakai_certificate(quadric.pic, (1, 1, 1, 0), gens).verdict.passed
     assert replayed == []
-    # h1 builds V, one replay of vlog per column, and never U; with no
-    # torsion it needs no V either
+    # h1 builds neither U nor V and replays nothing: it undoes ulog once per
+    # torsion factor, and with no torsion it undoes nothing (the GLattices
+    # are built first, as each replays its minimal polynomial)
+    undone = []
+    undo = cohomology._undo
+    monkeypatch.setattr(cohomology, "_undo", lambda log, y: undone.append(log) or undo(log, y))
     gl = model_glattice(quadric)
+    trivial = GLattice(quadric.pic, IntMatrix.identity(4), 2)
+    monkeypatch.setattr(cohomology, "_replay", lambda log, y: replayed.append(log) or replay(log, y))
     assert h1(gl).invariant_factors == (2,)
     (res,) = results
-    assert len(replayed) == res.D.cols and all(log is res.vlog for log in replayed)
-    replayed.clear()
-    assert h1(GLattice(quadric.pic, IntMatrix.identity(4), 2)).invariant_factors == ()
     assert replayed == []
+    assert len(undone) == len([d for d in res.diagonal if d > 1]) == 1
+    assert all(log is res.ulog for log in undone)
+    undone.clear()
+    assert h1(trivial).invariant_factors == ()
+    assert replayed == [] and undone == []
     # one replay per solvable column, none for a column that dropped out
     # at a pivot or kept a remainder past the last pivot
     a = IntMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 0]])

@@ -589,7 +589,7 @@ def test_rat_matrix_inverse_and_integrality():
     m = IntMatrix.from_rows([[3, -6], [9, 4]])
     assert RatMatrix(m.scale(2), 2) == RatMatrix(m)
     assert RatMatrix(m.scale(-4), -12) == RatMatrix(m, 3)
-    assert RatMatrix(m, -3).den == 3 and RatMatrix(m, -3).num == -m
+    assert RatMatrix(m, -3).den == 3 and RatMatrix(m, -3).num == m.scale(-1)
     # against the Fraction Gauss-Jordan, a third of the samples singular
     rng = random.Random(1357)
     singular = 0
@@ -666,3 +666,123 @@ def test_logged_transforms_agree_with_the_carried_transform_oracle():
         for x in solutions:
             verdicts[x is not None] += 1
     assert min(verdicts.values()) > 300
+
+
+def test_undo_takes_each_oracle_u_column_back_to_a_unit_vector():
+    """_undo walks snf's row log backwards through each operation's inverse,
+    so it computes U^-1 * y; on column i of the U the oracle carries along
+    it must give e_i.  Every kind of logged operation occurs: eliminations,
+    swaps, negations and the divisibility repair (i, j, -1) with i < j."""
+    rng = random.Random(20)
+    kinds = {"eliminate": 0, "swap": 0, "negate": 0, "repair": 0}
+    edges = [(0, 0, []), (0, 5, []), (4, 0, [[], [], [], []])]
+    for case in range(1000):
+        rows, cols, a = edges[case] if case < len(edges) else _oracle_case(rng, case)
+        u, _, _ = snf_with_transforms(a, cols)
+        res = snf(IntMatrix(rows, cols, tuple([x for r in a for x in r])))
+        for i in range(rows):
+            assert matrices._undo(res.ulog, [r[i] for r in u]) == [int(j == i) for j in range(rows)], a
+        for i, t, q in res.ulog:
+            kinds["repair" if q and i < t else "eliminate" if q else "negate" if i == t else "swap"] += 1
+    assert min(kinds.values()) > 0, kinds
+
+
+def _permuted(m: list[list[int]], perm: list[int]) -> list[list[int]]:
+    """P^T * m * P for the permutation matrix P sending e_k to e_perm[k]."""
+    return [[m[perm[i]][perm[j]] for j in range(len(m))] for i in range(len(m))]
+
+
+def _isometry_case(rng: random.Random, kind: str) -> tuple[list[list[int]], list[list[int]]]:
+    """(sigma, gram), symmetric gram up to 7 x 7, as plain lists of rows.
+
+    "random": sigma with entries in [-2, 2], almost never an isometry.
+    "isometry": sigma swaps two equal blocks B of gram with signs and acts by
+    -1 or 1 on a third block C, conjugated by a seeded unimodular matrix.
+    "diagonal": sigma doubles a basis vector orthogonal to the rest, so
+    sigma^T * gram * sigma differs from gram in one diagonal entry only.
+    "pair": sigma negates a basis vector paired with one other only, so the
+    two sides differ in one off-diagonal pair only.  The last two are
+    conjugated by a seeded permutation, which moves the broken entries.
+    """
+    if kind == "random":
+        n = rng.randint(1, 7)
+        sigma = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        return sigma, [list(r) for r in random_symmetric(rng, n, -3, 3).to_rows()]
+    if kind == "isometry":
+        k, c = rng.randint(1, 3), rng.randint(0, 1)
+        b = [list(r) for r in random_symmetric(rng, k, -3, 3).to_rows()]
+        ce = rng.randint(-3, 3)
+        n = 2 * k + c
+        g0 = [[0] * n for _ in range(n)]
+        s0 = [[0] * n for _ in range(n)]
+        s1, s2, s3 = (rng.choice((-1, 1)) for _ in range(3))
+        for i in range(k):
+            for j in range(k):
+                g0[i][j] = g0[k + i][k + j] = b[i][j]
+            s0[k + i][i], s0[i][k + i] = s1, s2
+        if c:
+            g0[n - 1][n - 1], s0[n - 1][n - 1] = ce, s3
+        p, p_inv = random_unimodular(rng, n, steps=3 * n)
+        p, p_inv = list(p.entries), list(p_inv.entries)
+        pt = [p[j * n + i] for i in range(n) for j in range(n)]
+        gram = mat_mul(mat_mul(pt, [x for r in g0 for x in r], n, n, n), p, n, n, n)
+        sigma = mat_mul(mat_mul(p_inv, [x for r in s0 for x in r], n, n, n), p, n, n, n)
+        return [sigma[i * n:(i + 1) * n] for i in range(n)], [gram[i * n:(i + 1) * n] for i in range(n)]
+    head = 1 if kind == "diagonal" else 2
+    rest = [list(r) for r in random_symmetric(rng, rng.randint(0, 5), -3, 3).to_rows()]
+    n = head + len(rest)
+    g0 = [[0] * n for _ in range(head)] + [[0] * head + r for r in rest]
+    s0 = [[int(i == j) for j in range(n)] for i in range(n)]
+    if kind == "diagonal":
+        g0[0][0], s0[0][0] = rng.choice((-2, -1, 1, 2)), rng.choice((-2, 0, 2))
+    else:
+        g0[0][1] = g0[1][0] = rng.choice((-2, -1, 1, 2))
+        g0[0][0], g0[1][1], s0[0][0] = rng.randint(-2, 2), rng.randint(-2, 2), -1
+    perm = rng.sample(range(n), n)
+    return _permuted(s0, perm), _permuted(g0, perm)
+
+
+def test_is_isometry_agrees_with_the_triple_product():
+    """is_isometry compares the entries of sigma^T * G * sigma on and above
+    the diagonal with those of G; the oracle forms the whole triple product.
+    The broken cases pin down which entries differ: one diagonal entry, or
+    one off-diagonal pair, so a comparison that skips the diagonal or the
+    entries off it does not pass."""
+    rng = random.Random(21)
+    seen = {}
+    for case in range(800):
+        kind = ("random", "isometry", "diagonal", "pair")[case % 4]
+        sigma, gram = _isometry_case(rng, kind)
+        n = len(gram)
+        flat_s, flat_g = [x for r in sigma for x in r], [x for r in gram for x in r]
+        st_ = [flat_s[j * n + i] for i in range(n) for j in range(n)]
+        product = mat_mul(mat_mul(st_, flat_g, n, n, n), flat_s, n, n, n)
+        broken = [(i, j) for i in range(n) for j in range(n) if product[i * n + j] != flat_g[i * n + j]]
+        if kind == "isometry":
+            assert broken == [], (sigma, gram)
+        elif kind == "diagonal":
+            assert len(broken) == 1 and broken[0][0] == broken[0][1], (sigma, gram)
+        elif kind == "pair":
+            assert len(broken) == 2 and broken[0] == broken[1][::-1], (sigma, gram)
+        verdict = matrices.is_isometry(IntMatrix.from_rows(sigma), IntMatrix.from_rows(gram))
+        assert verdict == (not broken), (kind, sigma, gram)
+        seen[kind, verdict] = seen.get((kind, verdict), 0) + 1
+    assert seen[("random", False)] > 150 and seen[("isometry", True)] == 200, seen
+    assert seen[("diagonal", False)] == seen[("pair", False)] == 200, seen
+    # a zero form is kept by anything; shapes must match
+    assert matrices.is_isometry(IntMatrix.from_rows([[5, 1], [2, 3]]), IntMatrix.zeros(2, 2))
+    with pytest.raises(DimensionMismatch):
+        matrices.is_isometry(IntMatrix.identity(2), IntMatrix.identity(3))
+    with pytest.raises(DimensionMismatch):
+        matrices.is_isometry(IntMatrix.zeros(2, 3), IntMatrix.identity(2))
+
+
+def test_subtraction_is_entrywise_and_checks_shapes():
+    a = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    b = IntMatrix.from_rows([[6, 5, 4], [3, 2, 1]])
+    assert a - b == IntMatrix.from_rows([[-5, -3, -1], [1, 3, 5]])
+    assert (a - b) + b == a
+    with pytest.raises(DimensionMismatch):
+        a - IntMatrix.identity(2)
+    with pytest.raises(DimensionMismatch):
+        a - a.transpose()
