@@ -7,12 +7,20 @@ H^1 is the homology of the periodic pair
 
 namely ker N / im D.
 
-The test sigma^n = I and N both use the minimal polynomial mu of sigma, the
-first integer relation among I, sigma, ..., sigma^rank.  sigma^n = I exactly
-when mu divides the squarefree x^n - 1: mu is a product of distinct
-cyclotomic polynomials Phi_m, each m dividing n.  Then sigma is semisimple
-over Q and N is n on the eigenvalue 1 and 0 on the others, as is
-(n / g(1)) g(sigma) for mu = (x - 1) g, or 0 if mu(1) != 0.
+The test sigma^n = I and N both use the minimal polynomial mu of sigma.
+sigma^n = I exactly when mu divides the squarefree x^n - 1: mu is a product
+of distinct cyclotomic polynomials Phi_m, each m dividing n.  Then sigma is
+semisimple over Q and N is n on the eigenvalue 1 and 0 on the others, as is
+(n / g(1)) g(sigma) for mu = (x - 1) g, or 0 if mu(1) != 0.  So N needs
+sigma^k only for k < deg mu, and an involution forms no product.
+
+mu is the lcm of the minimal polynomials mu_j of the basis vectors e_j, each
+the first integer relation among e_j, sigma e_j, sigma^2 e_j, ..., found on
+rows of rank entries.  Each mu_j divides mu, so each must be a product of
+distinct Phi_m with m dividing n, and the lcm is the product of Phi_m over
+the union of their m.  The lcm of mu_1, ..., mu_j divides mu, so it is mu as
+soon as it kills sigma; that is tested on one probe vector (see
+`matrices._probe`) each time the lcm grows, and after e_rank it is mu anyway.
 
 The quotient is read off D alone.  As sigma is semisimple over Q,
 Q^r = ker(1 - sigma) + im(1 - sigma) is a direct sum; N is
@@ -42,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add, mul
 
 from .embeddings import Embedding
@@ -57,6 +65,7 @@ from .matrices import (
     IntMatrix,
     IntVector,
     _echelon,
+    _probe,
     _replay,
     _undo,
     integer_kernel,
@@ -75,15 +84,25 @@ def _divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return q, a[:k]
 
 
-def _cyclotomic_orders(mu: list[int]) -> list[int] | None:
-    """The m with mu the product of the distinct Phi_m, or None if it is not.
+def _times(a: list[int], b: list[int]) -> list[int]:
+    """The product of two polynomials, coefficients constant term first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _cyclotomic_orders(mu: list[int]) -> dict[int, list[int]] | None:
+    """The Phi_m, keyed by m, whose product is mu, or None if it is not a
+    product of distinct cyclotomic polynomials.
 
     Each Phi_m with phi(m) at most the degree left is divided out once, so a
     repeated or non-cyclotomic factor stays; phi(m) >= sqrt(m) for m > 6
     bounds m.  Phi_m is x^m - 1 over the built Phi_e, e | m, and m less their
     degrees is phi(m), or more when some e had phi(e) too large to be built.
     """
-    built, ms, m = {}, [], 0
+    built, factors, m = {}, {}, 0
     while len(mu) > 1 and (m := m + 1) <= max(6, (len(mu) - 1) ** 2):
         below = [f for e, f in built.items() if m % e == 0]
         if m - sum(len(f) - 1 for f in below) < len(mu):
@@ -93,18 +112,32 @@ def _cyclotomic_orders(mu: list[int]) -> list[int] | None:
             built[m] = poly
             quotient, rest = _divide(mu, poly)
             if not any(rest):
-                mu, ms = quotient, ms + [m]
-    return ms if mu == [1] else None
+                mu, factors[m] = quotient, poly
+    return factors if mu == [1] else None
+
+
+def _annihilates(mu: list[int], sigma: IntMatrix) -> bool:
+    """mu(sigma) == 0 for a monic mu, by Horner on one `_probe` x.  An entry
+    of sigma^k is at most (n * s)^k for s = max |sigma|, so one of mu(sigma)
+    is at most sum |mu_k| * (n * s)^k."""
+    n, s = sigma.rows, sigma.height
+    x = _probe(n, sum(abs(c) * (n * s) ** k for k, c in enumerate(mu)))
+    acc = x
+    for c in reversed(mu[:-1]):
+        acc = [y + c * z for y, z in zip(sigma.mul_vec(acc), x)]
+    return not any(acc)
 
 
 @dataclass(frozen=True)
 class GLattice:
     """A lattice together with an isometry generating a finite cyclic group.
 
-    sigma^order = I when the minimal polynomial of sigma is a product of
-    distinct Phi_m, each m dividing `order` (see the module docstring), and
-    UnsupportedParameter is raised otherwise.  `norm` is N = sum_{i<order} sigma^i
-    and `diff` is D = 1 - sigma, both built once here.
+    sigma^order = I when the minimal polynomial mu of sigma is a product of
+    distinct Phi_m, each m dividing `order`, and UnsupportedParameter is
+    raised otherwise.  mu is the lcm of the minimal polynomials of the basis
+    vectors, and the search stops once the lcm kills sigma on a probe vector
+    (see the module docstring).  `norm` is N = sum_{i<order} sigma^i and
+    `diff` is D = 1 - sigma, both built once here.
 
     >>> phi6 = IntMatrix.from_rows([[0, -1], [1, 1]])
     >>> GLattice(Lattice(IntMatrix.zeros(2, 2)), phi6, 6).norm == IntMatrix.zeros(2, 2)
@@ -132,28 +165,44 @@ class GLattice:
         if not is_isometry(self.sigma, self.lattice.gram):
             raise ActionNotIsometric("sigma does not preserve the pairing")
 
-        # W * powers is an echelon form, W unimodular and logged by every run
-        # in one log, as each run goes on from the rows the last one reduced.
-        # The first dependent power sigma^k lies in the integer span of the
-        # ones below (mu is monic), so its row is reduced without a swap and
-        # row k of W, replayed from the log, is mu
-        powers, rows, log = [IntMatrix.identity(n)], [], []
-        while True:
-            rows.append(list(powers[-1].entries))
-            if len(list(_echelon(rows, n * n, log))) < len(rows):
+        # For each e_j, W * krylov is an echelon form, W unimodular and logged
+        # by every run in one log, as each run goes on from the rows the last
+        # one reduced.  The first dependent sigma^k e_j lies in the integer
+        # span of the vectors below (mu_j is monic and integral, dividing the
+        # characteristic polynomial), so its row is reduced without a swap
+        # and row k of W, replayed from the log, is mu_j; sigma v is the sum
+        # of x * (column k of sigma) over the nonzero x = v[k], so a sparse
+        # sigma keeps the e_j and their images cheap
+        ms, mu, cols = set(), [1], [self.sigma.col(k) for k in range(n)]
+        for j in range(n):
+            v, krylov, log = [int(i == j) for i in range(n)], [], []
+            while True:
+                krylov.append(list(v))
+                if len(list(_echelon(krylov, n, log))) < len(krylov):
+                    break
+                w = [0] * n
+                for x, col in compress(zip(v, cols), v):
+                    w = list(map(add, w, map(mul, repeat(x), col)))
+                v = w
+            mu_j = _replay(log, [0] * (len(krylov) - 1) + [1])
+            if (factors := _cyclotomic_orders(mu_j)) is None or any(self.order % m for m in factors):
+                raise UnsupportedParameter(f"sigma^{self.order} is not the identity")
+            new = factors.keys() - ms
+            for m in new:
+                mu = _times(mu, factors[m])
+            ms |= new
+            if new and j < n - 1 and _annihilates(mu, self.sigma):
                 break
-            powers.append(self.sigma if len(rows) == 1 else powers[-1] @ self.sigma)
-        mu = _replay(log, [0] * (len(rows) - 1) + [1])
-        if (ms := _cyclotomic_orders(mu)) is None or any(self.order % m for m in ms):
-            raise UnsupportedParameter(f"sigma^{self.order} is not the identity")
         # g(1) divides lcm(ms), so order // g(1) is exact
         g, (mu_at_1,) = _divide(mu, [-1, 1])
         norm = [0] * (n * n)
         if not mu_at_1:
-            k = self.order // sum(g)
-            for c, p in zip(g, powers):
+            k, power = self.order // sum(g), IntMatrix.identity(n)
+            for i, c in enumerate(g):
+                if i:
+                    power = self.sigma if i == 1 else power @ self.sigma
                 if c:
-                    norm = list(map(add, norm, map(mul, repeat(c * k), p.entries)))
+                    norm = list(map(add, norm, map(mul, repeat(c * k), power.entries)))
         object.__setattr__(self, "norm", IntMatrix(n, n, tuple(norm)))
         object.__setattr__(self, "diff", IntMatrix.identity(n) - self.sigma)
 

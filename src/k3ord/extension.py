@@ -15,10 +15,12 @@ the n x n matrix Q is inverted.  Q is nonsingular exactly when the image of
 P and a basis T of ker M form a square nonsingular frame [P | T]: applying
 M to P.a + T.b = 0 gives Q.a = 0, and Q.a = 0 puts P.a in ker M.
 
-phi is an integer numerator over the denominator of Q^(-1), in lowest
-terms; it preserves the integer lattice exactly when that denominator is 1,
-never by a tolerance test.  The result records that integrality flag with
-exact orthogonality and involutivity certificates.
+phi is an integer numerator F over the denominator d of Q^(-1), in lowest
+terms; it preserves the integer lattice exactly when d is 1, never by a
+tolerance test.  The result records that integrality flag with two
+certificates of the computed phi, each an integer identity tested exactly
+on one probe vector (see `matrices._probe`): phi is orthogonal when
+F^T.G.F = d^2.G and involutive when F.F = d^2.I.
 
 Only the lattice-side conditions are certified.  Whether the extension is
 induced by a geometric symmetry involves conditions on the transcendental
@@ -33,7 +35,7 @@ from typing import Optional
 
 from .embeddings import Embedding
 from .errors import ActionNotIsometric, DimensionMismatch, SingularFrame
-from .matrices import IntMatrix, RatMatrix, is_isometry
+from .matrices import IntMatrix, RatMatrix, _probe, is_isometry
 
 EXTENSION_ASSUMPTIONS = (
     "acts as -1 on the orthogonal complement of the embedded sublattice",
@@ -78,9 +80,14 @@ def extend_by_minus_one(pic: Embedding, action: IntMatrix) -> ExtensionResult:
     lift = p @ (action + IntMatrix.identity(n)) @ q_inv.num @ m
     phi = RatMatrix(lift - IntMatrix.identity(target.rank).scale(q_inv.den), q_inv.den)
 
-    g = target.gram.to_rat()
-    orthogonal = phi.transpose() @ g @ phi == g
-    involutive = phi @ phi == RatMatrix.identity(target.rank)
+    # |F^T.G.F - d^2.G| <= r^2 hf^2 hg + d^2 hg and |F.F - d^2.I| <= r hf^2 + d^2
+    # for hf = max |F| and hg = max |G|, so one probe tests both identities
+    f, g, r, dd = phi.num, target.gram, target.rank, phi.den ** 2
+    hf, hg = f.height, g.height
+    x = _probe(r, max(r * r * hf * hf * hg + dd * hg, r * hf * hf + dd))
+    fx = f.mul_vec(x)
+    orthogonal = f.tmul_vec(g.mul_vec(fx)) == tuple([dd * y for y in g.mul_vec(x)])
+    involutive = f.mul_vec(fx) == tuple([dd * y for y in x])
     integral = phi.is_integral
     phi_integer = phi.to_int() if integral else None
     return ExtensionResult(

@@ -26,8 +26,15 @@ Provided operations:
 * `signature`: exact signature of a symmetric matrix by congruence
   diagonalization over Z, on the same fraction-free step as `det`; the sign
   of each pivot is read by Jacobi's rule.
-* `is_isometry` tests sigma^T * G * sigma = G for a symmetric G from the one
-  product G * sigma, comparing the entries on and above the diagonal only.
+* `_probe(n, bound)` is the vector x = (1, T, ..., T^(n-1)), T = 2^t with
+  t = bound.bit_length() + 1.  An n-column integer matrix whose entries are
+  at most `bound` in absolute value is zero exactly when it kills x
+  (Kronecker substitution: each row is read as the integer it packs in base
+  T), so an identity A = B of matrices with |A - B| <= bound is tested as
+  A * x == B * x: a few matrix-vector products instead of n x n products.
+* `is_isometry` tests sigma^T * G * sigma = G as
+  sigma^T * (G * (sigma * x)) == G * x on the probe x, with the bound
+  n^2 * s^2 * g + g for s = max |sigma| and g = max |G|.
 * `IntMatrix.__matmul__` (and `RatMatrix.__matmul__`, which delegates to
   it) picks its loop from the left operand.  When at least half of its
   entries are zero, each output row is built as the sum of x * (row k of
@@ -118,7 +125,8 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple([1 if i == j else 0 for i in range(n) for j in range(n)]))
+        # a 1 and then n zeros, n - 1 times over, and a last 1
+        return cls(n, n, ((1,) + (0,) * n) * (n - 1) + (1,) if n else ())
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -196,6 +204,17 @@ class IntMatrix:
             raise DimensionMismatch(f"vector length {len(v)} != cols {self.cols}")
         return tuple([sum(map(mul, self.row(i), v)) for i in range(self.rows)])
 
+    def tmul_vec(self, v: Sequence[int]) -> IntVector:
+        """self^T * v, one column of self against v per entry."""
+        if len(v) != self.rows:
+            raise DimensionMismatch(f"vector length {len(v)} != rows {self.rows}")
+        return tuple([sum(map(mul, self.col(j), v)) for j in range(self.cols)])
+
+    @property
+    def height(self) -> int:
+        """The largest absolute value of an entry, 0 for an empty matrix."""
+        return max(map(abs, self.entries), default=0)
+
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in addition")
@@ -267,13 +286,32 @@ class RatMatrix:
         return RatMatrix(adj.scale(self.den), d)
 
 
-def is_isometry(sigma: IntMatrix, gram: IntMatrix) -> bool:
-    """sigma^T * gram * sigma == gram, for a symmetric `gram`.
+def _probe(n: int, bound: int) -> IntVector:
+    """(1, T, ..., T^(n-1)) with T = 2^t, t = bound.bit_length() + 1.
 
-    Both sides are symmetric, so only the entries on and above the diagonal
-    are compared: entry (i, j) of the left side is column i of sigma dotted
-    with column j of gram * sigma, a product formed once.  A zero gram is
-    kept by every sigma and costs no product.
+    An integer matrix M with n columns and |M_ij| <= bound is zero exactly
+    when M * probe = 0.  T > bound, so if a row r of M is nonzero and j is
+    its last nonzero index, then
+    |sum_{k<j} r_k T^k| <= bound * (T^j - 1) / (T - 1) < T^j <= |r_j T^j|,
+    and r . probe != 0.  This is Kronecker substitution (von zur Gathen and
+    Gerhard, Modern Computer Algebra, 8.4): the deterministic form of
+    Freivalds' product check, with no randomness.
+
+    >>> _probe(3, 5)
+    (1, 16, 256)
+    """
+    t = bound.bit_length() + 1
+    return tuple([1 << (t * k) for k in range(n)])
+
+
+def is_isometry(sigma: IntMatrix, gram: IntMatrix) -> bool:
+    """sigma^T * gram * sigma == gram.
+
+    Both sides are tested on one `_probe` x: sigma^T * (gram * (sigma * x))
+    against gram * x, four matrix-vector products.  An entry of the left
+    side is at most n^2 * s^2 * g and one of gram at most g, for
+    s = max |sigma| and g = max |gram|, which bounds their difference.  A
+    zero gram is kept by every sigma and costs nothing.
 
     >>> is_isometry(IntMatrix.from_rows([[0, 1], [1, 0]]), IntMatrix.from_rows([[2, 1], [1, 2]]))
     True
@@ -283,12 +321,9 @@ def is_isometry(sigma: IntMatrix, gram: IntMatrix) -> bool:
         raise DimensionMismatch(f"{sigma.rows}x{sigma.cols} action on a {gram.rows}x{gram.cols} form")
     if not any(gram.entries):
         return True
-    gs = gram @ sigma
-    cols, gs_cols = [sigma.col(j) for j in range(n)], [gs.col(j) for j in range(n)]
-    g = gram.entries
-    return all(
-        sum(map(mul, cols[i], gs_cols[j])) == g[i * n + j] for i in range(n) for j in range(i, n)
-    )
+    s, g = sigma.height, gram.height
+    x = _probe(n, n * n * s * s * g + g)
+    return sigma.tmul_vec(gram.mul_vec(sigma.mul_vec(x))) == gram.mul_vec(x)
 
 
 @dataclass(frozen=True)

@@ -331,14 +331,91 @@ def _seeded_cyclotomic_actions(rng, count):
 
 
 def test_norm_agrees_with_the_plain_power_sum_on_seeded_actions():
-    # mu is replayed from one log shared by the elimination runs of the
-    # power loop; a wrong mu gives a wrong N or rejects a valid order
+    # each mu_j is replayed from one log shared by the elimination runs of
+    # its Krylov loop; a wrong mu gives a wrong N or rejects a valid order
     for ms, sigma, order in _seeded_cyclotomic_actions(random.Random(1919), 300):
         r = sigma.rows
         norm = GLattice(Lattice(IntMatrix.zeros(r, r)), sigma, order).norm
         assert [list(row) for row in norm.to_rows()] == power_sum(
             [list(row) for row in sigma.to_rows()], order
         ), (ms, order)
+
+
+def _lcm_steps(monkeypatch):
+    """Record each lcm that GLattice tests on a probe, with the verdict."""
+    steps = []
+    annihilates = cohomology._annihilates
+    monkeypatch.setattr(cohomology, "_annihilates", lambda mu, sigma: steps.append(
+        (list(mu), annihilates(mu, sigma))) or steps[-1][1])
+    return steps
+
+
+def _plain_norm(sigma, order):
+    r = sigma.rows
+    norm = GLattice(Lattice(IntMatrix.zeros(r, r)), sigma, order).norm
+    return [list(row) for row in norm.to_rows()] == power_sum(
+        [list(row) for row in sigma.to_rows()], order)
+
+
+def test_mu_is_the_lcm_when_sigma_fixes_e_1(monkeypatch):
+    # mu_1 = x - 1 is a proper divisor of mu = (x - 1) Phi_3; the lcm grows
+    # at e_2 and kills sigma there, so e_3 is never looked at
+    steps = _lcm_steps(monkeypatch)
+    sigma = IntMatrix.block_diag([IntMatrix.identity(1), _companion(_cyclotomic(3))])
+    for order in (3, 6, 9):
+        steps.clear()
+        assert _plain_norm(sigma, order)
+        assert steps == [([-1, 1], False), (_times([-1, 1], _cyclotomic(3)), True)]
+    for order in (1, 2, 4):
+        with pytest.raises(UnsupportedParameter, match=rf"^sigma\^{order} is not the identity$"):
+            GLattice(Lattice(IntMatrix.zeros(3, 3)), sigma, order)
+
+
+def test_mu_needs_the_lcm_of_every_proper_divisor(monkeypatch):
+    # (1) + (-1) + companion(Phi_3): mu_1 = x - 1, mu_2 = x + 1 and
+    # mu_3 = mu_4 = Phi_3 are each a proper divisor of mu, their product
+    steps = _lcm_steps(monkeypatch)
+    sigma = IntMatrix.block_diag([
+        IntMatrix.identity(1), IntMatrix.identity(1).scale(-1), _companion(_cyclotomic(3)),
+    ])
+    mu = _times(_times([-1, 1], [1, 1]), _cyclotomic(3))
+    for order in (6, 12):
+        steps.clear()
+        assert _plain_norm(sigma, order)
+        assert steps == [([-1, 1], False), ([-1, 0, 1], False), (mu, True)]
+    for order in (2, 3, 4):
+        with pytest.raises(UnsupportedParameter, match=rf"^sigma\^{order} is not the identity$"):
+            GLattice(Lattice(IntMatrix.zeros(4, 4)), sigma, order)
+    # conjugated, e_1 is no longer fixed, and the answer stays the same
+    p, p_inv = random_unimodular(random.Random(2121), 4, steps=12)
+    assert _plain_norm(p_inv @ sigma @ p, 6)
+
+
+@pytest.mark.parametrize("sigma", [
+    IntMatrix.block_diag([IntMatrix.identity(1), IntMatrix.from_rows([[2, 1], [1, 1]])]),
+    IntMatrix.from_rows([[1, 1], [0, 1]]),
+])
+def test_finite_on_the_first_krylov_space_is_not_enough(sigma):
+    # e_1 is fixed, so mu_1 = x - 1 passes; a later mu_j is x^2 - 3x + 1
+    # (infinite order) or (x - 1)^2 (not semisimple)
+    zero = Lattice(IntMatrix.zeros(sigma.rows, sigma.rows))
+    for order in (1, 2, 6, 10**6):
+        with pytest.raises(UnsupportedParameter, match=rf"^sigma\^{order} is not the identity$"):
+            GLattice(zero, sigma, order)
+
+
+def test_cover_models_build_no_products(monkeypatch):
+    # each cover model's action is an involution, so N = (order / 2)(I + sigma)
+    # or a multiple of I, and the isometry and mu tests run on probe vectors
+    calls = []
+    matmul = IntMatrix.__matmul__
+    monkeypatch.setattr(
+        IntMatrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b)
+    )
+    for model in cover_models():
+        for order in (2, 4):
+            GLattice(model.pic, model.action, order)
+    assert calls == []
 
 
 def _oracle_h1_generators(sigma):

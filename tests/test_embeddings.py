@@ -2,11 +2,12 @@
 
 import doctest
 import random
+from pathlib import Path
 
 import pytest
 
 import k3ord.embeddings as embeddings
-from k3ord import catalog
+from k3ord import catalog, jsonio
 from k3ord.embeddings import (
     Embedding,
     check_isometric,
@@ -18,11 +19,15 @@ from k3ord.lattices import Lattice, build_K3
 from k3ord.matrices import IntMatrix, det, signature, snf, solve_integer
 
 from oracles import (
+    mat_mul,
     maximal_minor_gcd,
     primitive_box_oracle,
     random_int_matrix,
+    random_symmetric,
     rational_kernel_basis,
 )
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def all_models():
@@ -227,3 +232,62 @@ def test_complement_rank_matches_rational_kernel():
     a = m.embedding.matrix.transpose() @ m.embedding.target.gram
     t = orthogonal_complement(m.embedding).complement.matrix
     assert t.cols == len(rational_kernel_basis(a))
+
+
+def _oracle_isometric(e):
+    """P^T G P == S by the oracle's schoolbook products."""
+    p, n, m = list(e.matrix.entries), e.target.rank, e.source.rank
+    pt = [p[j * m + i] for i in range(m) for j in range(n)]
+    got = mat_mul(mat_mul(pt, list(e.target.gram.entries), m, n, n), p, m, n, m)
+    return got == list(e.source.gram.entries)
+
+
+def test_check_isometric_agrees_with_the_oracle_on_corpus_embeddings():
+    def ints(rows):
+        return IntMatrix.from_rows([[int(x) for x in row] for row in rows])
+
+    seen = {}
+    for case in sorted(CORPUS.iterdir()):
+        for node in jsonio.load_file(case / "scenario.json")["checks"]:
+            payload = node["payload"]
+            if node["kind"] not in ("embedding-check", "isometry-extend"):
+                continue
+            target = payload["target"]
+            target = build_K3() if target == "K3" else Lattice(ints(target))
+            e = Embedding(Lattice(ints(payload["source_gram"])), target, ints(payload["columns"]))
+            verdict = check_isometric(e)
+            assert verdict == _oracle_isometric(e), case.name
+            seen[verdict] = seen.get(verdict, 0) + 1
+    assert seen[True] > 30, seen
+
+
+def test_check_isometric_agrees_with_the_oracle_on_seeded_embeddings():
+    """Rectangular P with entries up to 10^15 in some cases; the source form
+    is P^T G P, or it with one diagonal entry or one symmetric pair moved
+    by 1, the smallest change that the probe must see."""
+    rng = random.Random(2121)
+    m = catalog.sextic_model(3)
+    rows = [list(r) for r in m.embedding.matrix.to_rows()]
+    rows[0][0] += 1
+    cases = [Embedding(m.pic, m.embedding.target, IntMatrix.from_rows(rows)), m.embedding]
+    for case in range(600):
+        n = rng.randint(1, 6)
+        k = rng.randint(0, n)
+        big = 10**15 if case % 3 == 0 else 3
+        g = random_symmetric(rng, n, -big, big)
+        p = IntMatrix(n, k, tuple([rng.randint(-big, big) for _ in range(n * k)]))
+        s = [list(r) for r in (p.transpose() @ g @ p).to_rows()] if k else []
+        if k and case % 2:
+            i, j = rng.randrange(k), rng.randrange(k)
+            delta = rng.choice((-1, 1))
+            s[i][j] += delta
+            if i != j:
+                s[j][i] += delta
+        source = Lattice(IntMatrix.from_rows(s) if k else IntMatrix(0, 0, ()))
+        cases.append(Embedding(source, Lattice(g), p))
+    seen = {True: 0, False: 0}
+    for e in cases:
+        verdict = check_isometric(e)
+        assert verdict == _oracle_isometric(e), e
+        seen[verdict] += 1
+    assert min(seen.values()) > 200, seen

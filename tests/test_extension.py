@@ -16,7 +16,13 @@ from k3ord.lattices import Lattice, build_H, build_K3, direct_sum
 from k3ord.matrices import IntMatrix, RatMatrix
 from k3ord.runner import PASS, load_expected, run_check
 
-from oracles import frame_extension, random_int_matrix, random_symmetric, random_unimodular
+from oracles import (
+    frame_extension,
+    mat_mul,
+    random_int_matrix,
+    random_symmetric,
+    random_unimodular,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -280,3 +286,99 @@ def test_assumptions_are_reported():
     pic, action = catalog.nonintegral_witness()
     res = extend_by_minus_one(pic, action)
     assert len(res.assumptions) == 2
+
+
+def _oracle_certificates(res, gram):
+    """(orthogonal, involutive) of phi = F / d by the oracle's schoolbook
+    products: F^T.G.F == d^2.G and F.F == d^2.I."""
+    f, d, r = list(res.phi.num.entries), res.phi.den, gram.rows
+    ft = [f[j * r + i] for i in range(r) for j in range(r)]
+    g = list(gram.entries)
+    triple = mat_mul(mat_mul(ft, g, r, r, r), f, r, r, r)
+    square = mat_mul(f, f, r, r, r)
+    return (
+        triple == [d * d * x for x in g],
+        square == [d * d * int(i == j) for i in range(r) for j in range(r)],
+    )
+
+
+def _ints(rows):
+    return IntMatrix.from_rows([[int(x) for x in row] for row in rows])
+
+
+def corpus_embeddings(kind):
+    """(case, embedding, payload) of each corpus check of `kind`."""
+    for case in sorted(CORPUS.iterdir()):
+        for node in jsonio.load_file(case / "scenario.json")["checks"]:
+            if node["kind"] == kind:
+                payload = node["payload"]
+                target = payload["target"]
+                target = build_K3() if target == "K3" else Lattice(_ints(target))
+                source = Lattice(_ints(payload["source_gram"]))
+                yield case.name, Embedding(source, target, _ints(payload["columns"])), payload
+
+
+def test_certificates_agree_with_the_oracle_on_the_corpus():
+    seen = 0
+    for name, e, payload in corpus_embeddings("isometry-extend"):
+        res = extend_by_minus_one(e, _ints(payload["action"]))
+        assert (res.orthogonal, res.involutive) == _oracle_certificates(res, e.target.gram), name
+        seen += 1
+    assert seen == 19
+
+
+def test_certificates_can_fail():
+    # the action negates the first vector of diag(1, 2), an isometry of the
+    # source form, but the embedding carries it to [[1, 1], [1, 2]], which
+    # the action does not keep: phi is an involution that is not orthogonal
+    target = Lattice(IntMatrix.identity(3))
+    p = IntMatrix.from_cols([[1, 0, 0], [1, 1, 0]])
+    e = Embedding(Lattice(IntMatrix.diagonal([1, 2])), target, p)
+    res = extend_by_minus_one(e, IntMatrix.diagonal([-1, 1]))
+    assert (res.orthogonal, res.involutive) == _oracle_certificates(res, target.gram) == (False, True)
+    # a rotation of order 4 on Z^2 inside Z^3 is an isometry, not an involution
+    e = Embedding(Lattice(IntMatrix.identity(2)), target, IntMatrix.from_cols([[1, 0, 0], [0, 1, 0]]))
+    res = extend_by_minus_one(e, IntMatrix.from_rows([[0, -1], [1, 0]]))
+    assert (res.orthogonal, res.involutive) == _oracle_certificates(res, target.gram) == (True, False)
+    # an order 3 rotation of A2, embedded isometrically in A2 + (2)
+    a2 = IntMatrix.from_rows([[2, -1], [-1, 2]])
+    target = Lattice(IntMatrix.block_diag([a2, IntMatrix.diagonal([2])]))
+    e = Embedding(Lattice(a2), target, IntMatrix.from_cols([[1, 0, 0], [0, 1, 0]]))
+    res = extend_by_minus_one(e, IntMatrix.from_rows([[0, -1], [1, -1]]))
+    assert (res.orthogonal, res.involutive) == _oracle_certificates(res, target.gram) == (True, False)
+
+
+def test_certificates_agree_with_the_oracle_on_seeded_cases():
+    """Signed permutation actions, of order 1, 2, 3 or 4, on sources that
+    the embedding carries isometrically or not, with entries up to 10^12 so
+    that the probe's base is large; every outcome of the two certificates
+    must come up."""
+    rng = random.Random(2121)
+    outcomes = {}
+    for case in range(800):
+        rank, n = rng.randint(1, 5), rng.randint(0, 3)
+        big = 10**12 if case % 4 == 0 else 3
+        g = random_symmetric(rng, rank, -big, big)
+        p = random_int_matrix(rng, rank, n, -2, 2)
+        if case % 3 == 0:
+            # c * I on the image, which every signed permutation keeps
+            c = rng.choice((-big, -1, 1, 2, big))
+            g = IntMatrix.block_diag([IntMatrix.identity(n).scale(c), g])
+            rank += n
+            p = IntMatrix(rank, n, tuple([int(i == j) for i in range(rank) for j in range(n)]))
+        q = p.transpose() @ g @ p
+        perm = rng.sample(range(n), n)
+        action = IntMatrix.from_rows(
+            [[rng.choice((1, -1)) if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+        )
+        keeps_q = action.transpose() @ q @ action == q
+        source = q if keeps_q and rng.random() < 0.5 else IntMatrix.identity(n)
+        e = Embedding(Lattice(source), Lattice(g), p)
+        try:
+            res = extend_by_minus_one(e, action)
+        except SingularFrame:
+            continue
+        verdict = (res.orthogonal, res.involutive)
+        assert verdict == _oracle_certificates(res, g), (g, p, action)
+        outcomes[verdict] = outcomes.get(verdict, 0) + 1
+    assert len(outcomes) == 4 and min(outcomes.values()) > 20, outcomes

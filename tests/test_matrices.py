@@ -117,6 +117,52 @@ def test_basic_ops():
         a.mul_vec((1, 2, 3))
 
 
+def test_matrix_vector_products_and_height():
+    # vectors with every share of zero entries
+    rng = random.Random(2121)
+    for _ in range(400):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        a = IntMatrix(rows, cols, tuple([rng.randint(-9, 9) for _ in range(rows * cols)]))
+        zeros = rng.random()
+        u, v = ([0 if rng.random() < zeros else rng.randint(-10**20, 10**20) for _ in range(k)]
+                for k in (cols, rows))
+        assert list(a.mul_vec(u)) == mat_mul(list(a.entries), u, rows, cols, 1)
+        assert list(a.mul_vec(tuple(u))) == mat_mul(list(a.entries), u, rows, cols, 1)
+        assert list(a.tmul_vec(v)) == mat_mul(v, list(a.entries), 1, rows, cols)
+        assert a.height == max([abs(x) for x in a.entries] + [0])
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.identity(2).tmul_vec((1, 2, 3))
+    for n in range(6):
+        assert IntMatrix.identity(n) == IntMatrix.diagonal([1] * n)
+
+
+def _on_probe(row, bound):
+    return sum(map(operator.mul, row, matrices._probe(len(row), bound)))
+
+
+def test_probe_separates_every_row_within_its_bound():
+    """A row with entries at most B in absolute value vanishes on
+    _probe(n, B) only when it is zero.  The rows (B, -1) and (-B, 1) are
+    the closest calls: on (1, T) they vanish when T = B.  Every row is
+    tried for small n and B, and the closest calls at a 60-digit B."""
+    for bound in (1, 2, 3, 7, 8, 255, 256, 10**6, 10**60, 10**60 + 7, 2**200 - 1):
+        for row in ((bound, -1), (-bound, 1), (bound, -bound), (-1, 1)):
+            assert _on_probe(row, bound) != 0, (row, bound)
+        x = matrices._probe(4, bound)
+        t = x[1]
+        assert t > 2 * bound and t & (t - 1) == 0 and x == (1, t, t * t, t ** 3)
+        # each row as high as the bound allows and just below T^j
+        for j in range(1, 4):
+            assert _on_probe([-bound] * j + [1] + [0] * (3 - j), bound) != 0
+            assert _on_probe([bound] * j + [-1] + [0] * (3 - j), bound) != 0
+    for n, bound in ((1, 5), (2, 4), (3, 3), (5, 1)):
+        for row in itertools.product(range(-bound, bound + 1), repeat=n):
+            assert (_on_probe(row, bound) == 0) == (not any(row)), (row, bound)
+    assert IntMatrix.zeros(3, 4).mul_vec(matrices._probe(4, 10**60)) == (0, 0, 0)
+    assert matrices._probe(0, 10**60) == ()
+    assert IntMatrix(2, 0, ()).mul_vec(matrices._probe(0, 7)) == (0, 0)
+
+
 def test_snf_identity_case():
     r = snf(IntMatrix.identity(3))
     assert r.U == IntMatrix.identity(3)
