@@ -9,23 +9,28 @@ A certificate is only as strong as its hypotheses.  Positivity of s.s and of
 every pairing s . s_i and s . (s - s_i) is decided exactly; the section
 existence h0(s - s_i) > 0 is not lattice-decidable, so it is recorded as an
 explicit assumption (sanity-checked by (s - s_i)^2 >= -2) instead of being
-silently claimed.
+silently claimed.  As the Gram matrix G is symmetric, a certificate forms G s
+once and reads every pairing off it: s.s = s . Gs, s.g = g . Gs,
+s.(s - g) = s.s - s.g and (s - g)^2 = s.s - 2 s.g + g.G.g, where g.G.g sums
+g_i (row i of G) . g over the nonzero coordinates g_i of g.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
     AmbiguousZeroPairing,
+    DimensionMismatch,
     GensDoNotSpan,
     OddSelfIntersection,
     SquareTooNegative,
 )
 from .lattices import Lattice, pair
-from .matrices import IntMatrix, snf
+from .matrices import IntMatrix, _echelon
 
 
 # A divisor class is its coordinate tuple in a fixed Picard basis.
@@ -102,26 +107,30 @@ def effectivity(lattice: Lattice, c: DivisorClass, ample: DivisorClass) -> Effec
 def nakai_certificate(
     lattice: Lattice, s: DivisorClass, gens: Sequence[DivisorClass]
 ) -> AmpleCertificate:
-    """Certify ampleness of s against effective generators of the lattice."""
-    gen_matrix = IntMatrix.from_cols([list(g) for g in gens])
-    if snf(gen_matrix).rank < lattice.rank:
+    """Certify ampleness of s against effective generators of the lattice:
+    they span when one `_echelon` of their rows finds rank many pivots, and
+    each pairing is read off one G s by the identities of the module docstring."""
+    gen_rows = [list(g) for g in gens]
+    ncols = IntMatrix.from_rows(gen_rows).cols  # rejects ragged and non-integer rows
+    if len(list(_echelon(gen_rows, ncols, []))) < lattice.rank:
         raise GensDoNotSpan("generators do not span the lattice over Q")
 
-    self_int = pair(lattice, s, s)
-    checks = []
-    assumptions = []
-    reason = None
+    n, e = lattice.rank, lattice.gram.entries
+    for length in (len(s), ncols):  # ncols is the length of every generator
+        if length != n:
+            raise DimensionMismatch(f"vectors of length {len(s)}, {length} against rank {n}")
+    gs = lattice.gram.mul_vec(s)
+    self_int = sum(map(mul, s, gs))
+    checks, assumptions, reason = [], [], None
     if self_int <= 0:
         reason = f"s.s = {self_int} is not positive"
     for i, g in enumerate(gens, start=1):
-        with_gen = pair(lattice, s, g)
-        residual = tuple([a - b for a, b in zip(s, g)])
-        with_residual = pair(lattice, s, residual)
+        with_gen = sum(map(mul, g, gs))
+        with_residual = self_int - with_gen
+        g_square = sum([x * sum(map(mul, e[k * n:k * n + n], g)) for k, x in enumerate(g) if x])
+        residual_square = self_int - 2 * with_gen + g_square
         checks.append((i, with_gen, with_residual))
-        residual_square = pair(lattice, residual, residual)
-        assumptions.append(
-            f"h0(s - s{i}) > 0 assumed; (s - s{i})^2 = {residual_square}"
-        )
+        assumptions.append(f"h0(s - s{i}) > 0 assumed; (s - s{i})^2 = {residual_square}")
         if reason is None and with_gen <= 0:
             reason = f"s . s{i} = {with_gen} is not positive"
         elif reason is None and with_residual <= 0:

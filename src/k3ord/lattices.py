@@ -6,10 +6,10 @@ builders below assemble the standard summands used throughout the package:
 the negative definite E8 form, the hyperbolic plane H, and their orthogonal
 sum E8 + E8 + H + H + H of rank 22 and signature (3, 19).
 
-A lattice carries nothing but its Gram matrix.  The rank 22 basis is, in
-order, la1..la8 and la1p..la8p for the two E8 blocks, then mu1, mu2, mu1p,
-mu2p, mu1pp, mu2pp for the three hyperbolic blocks; the columns of the
-catalog's embedding matrices are written in that basis.
+A lattice carries nothing but its Gram matrix; K3 is built once, at import.
+Its rank 22 basis is, in order, la1..la8 and la1p..la8p for the two E8
+blocks, then mu1, mu2, mu1p, mu2p, mu1pp, mu2pp for the three hyperbolic
+blocks; the columns of the catalog's embedding matrices are in that basis.
 """
 
 from __future__ import annotations
@@ -63,13 +63,16 @@ def build_H() -> Lattice:
     return Lattice(H_GRAM)
 
 
+_K3 = Lattice(IntMatrix.block_diag([E8_GRAM, E8_GRAM, H_GRAM, H_GRAM, H_GRAM]))
+
+
 def build_K3() -> Lattice:
-    """The rank 22 orthogonal sum E8 + E8 + H + H + H.
+    """The rank 22 orthogonal sum E8 + E8 + H + H + H, built once at import.
 
     >>> build_K3().rank
     22
     """
-    return Lattice(IntMatrix.block_diag([E8_GRAM, E8_GRAM, H_GRAM, H_GRAM, H_GRAM]))
+    return _K3
 
 
 def direct_sum(a: Lattice, b: Lattice) -> Lattice:

@@ -200,15 +200,17 @@ class IntMatrix:
         return IntMatrix(self.rows, ocols, tuple(out))
 
     def mul_vec(self, v: Sequence[int]) -> IntVector:
-        if len(v) != self.cols:
-            raise DimensionMismatch(f"vector length {len(v)} != cols {self.cols}")
-        return tuple([sum(map(mul, self.row(i), v)) for i in range(self.rows)])
+        e, c = self.entries, self.cols
+        if len(v) != c:
+            raise DimensionMismatch(f"vector length {len(v)} != cols {c}")
+        return tuple([sum(map(mul, e[i * c:i * c + c], v)) for i in range(self.rows)])
 
     def tmul_vec(self, v: Sequence[int]) -> IntVector:
         """self^T * v, one column of self against v per entry."""
         if len(v) != self.rows:
             raise DimensionMismatch(f"vector length {len(v)} != rows {self.rows}")
-        return tuple([sum(map(mul, self.col(j), v)) for j in range(self.cols)])
+        e, c = self.entries, self.cols
+        return tuple([sum(map(mul, e[j::c], v)) for j in range(c)])
 
     @property
     def height(self) -> int:
@@ -389,10 +391,10 @@ def snf(a: IntMatrix) -> SNFResult:
     ulog, vlog = [], []
     while True:
         list(_echelon(d, ncols, ulog))
-        dt = [[r[j] for r in d] for j in range(ncols)]
+        dt = [list(c) for c in zip(*d)]
         rank = len(list(_echelon(dt, nrows, vlog)))
-        d = [[r[i] for r in dt] for i in range(nrows)]
-        if any(x for i, r in enumerate(d) for j, x in enumerate(r) if i != j):
+        d = [list(r) for r in zip(*dt)]
+        if any(any(r[:i]) or any(r[i + 1:]) for i, r in enumerate(d)):
             continue
         bad = next((
             (i, j) for i in range(rank) for j in range(i + 1, rank) if d[j][j] % d[i][i]
@@ -438,11 +440,12 @@ def _echelon(rows: list[list[int]], ncols: int, log: list[RowOp]) -> Iterator[in
             rt, p = rows[top], rows[top][j]
             done = True
             for i in range(top + 1, nrows):
-                q = rows[i][j] // p
+                x = rows[i][j]
+                q = x and x // p  # a zero entry is not divided
                 if q:
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rt)]
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rt)]
                     log.append((i, top, q))
-                if rows[i][j]:
+                if x - q * p:
                     done = False
             if done:
                 break

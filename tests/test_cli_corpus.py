@@ -486,6 +486,16 @@ def test_cli_corpus_run_json(capsys):
     assert tree["totals"]["error"] == "0"
 
 
+def test_cli_corpus_json_report_is_pinned(capsys):
+    """The bytes `k3ord corpus run --format json` prints with the packaged
+    corpus, pinned across commits.  A change that alters the report on
+    purpose re-records this digest and says so in CHANGES.md."""
+    assert main(["corpus", "run", "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "b7ef6e655635ec47abf0bb434eb8fa5e200014bbe7091ba5ba31f0eee233b260"
+    )
+
+
 def test_cli_corpus_filter(capsys):
     code = main(
         [

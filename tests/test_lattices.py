@@ -2,6 +2,7 @@
 
 import doctest
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,7 @@ def test_build_H():
 
 def test_build_K3():
     k3 = build_K3()
+    assert k3 is build_K3()  # built once, at import
     assert k3.rank == 22
     assert is_even(k3)
     assert det(k3.gram) == -1
@@ -52,6 +54,16 @@ def test_build_K3():
     assert k3.gram == IntMatrix.block_diag(
         [build_E8().gram, build_E8().gram] + [build_H().gram] * 3
     )
+
+
+def test_pair_of_fraction_zeros_is_a_fraction():
+    """orders pairs Fraction vectors and needs a Fraction back, also when
+    every coordinate is zero."""
+    k3 = build_K3()
+    zero, e1 = (Fraction(0),) * 22, (1,) + (0,) * 21
+    for x, y in ((zero, zero), (zero, e1), (e1, zero)):
+        p = pair(k3, x, y)
+        assert p == 0 and type(p) is Fraction
 
 
 def test_lattice_validation():

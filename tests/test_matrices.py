@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import k3ord.fibrations as fibrations
 import k3ord.matrices as matrices
 from k3ord import catalog
 from k3ord.errors import DimensionMismatch, NonSquare, NotSymmetric
@@ -134,6 +135,23 @@ def test_matrix_vector_products_and_height():
         IntMatrix.identity(2).tmul_vec((1, 2, 3))
     for n in range(6):
         assert IntMatrix.identity(n) == IntMatrix.diagonal([1] * n)
+
+
+def test_matrix_vector_products_on_empty_shapes():
+    """A 3x0 matrix maps to three zeros and its transpose to the empty
+    vector, and the other way round for 0x3; 0x0 gives the empty vector
+    both ways.  A twist check with no free part applies such a 0x0 norm."""
+    assert IntMatrix(3, 0, ()).mul_vec(()) == (0, 0, 0)
+    assert IntMatrix(3, 0, ()).tmul_vec((1, 2, 3)) == ()
+    assert IntMatrix(0, 3, ()).mul_vec((1, 2, 3)) == ()
+    assert IntMatrix(0, 3, ()).tmul_vec(()) == (0, 0, 0)
+    assert IntMatrix(0, 0, ()).mul_vec(()) == ()
+    assert IntMatrix(0, 0, ()).tmul_vec(()) == ()
+    model = fibrations.AbGroupModel(elliptic_count=1)
+    s = fibrations.GroupElement(model, elliptic=(fibrations.TorsionPoint("eps", 3),))
+    endo = fibrations.trivial_endo(model, 3)
+    assert endo.free.norm.rows == endo.free.norm.cols == 0
+    assert fibrations.cocycle_check(endo, s)
 
 
 def _on_probe(row, bound):
@@ -789,11 +807,11 @@ def _isometry_case(rng: random.Random, kind: str) -> tuple[list[list[int]], list
 
 
 def test_is_isometry_agrees_with_the_triple_product():
-    """is_isometry compares the entries of sigma^T * G * sigma on and above
-    the diagonal with those of G; the oracle forms the whole triple product.
-    The broken cases pin down which entries differ: one diagonal entry, or
-    one off-diagonal pair, so a comparison that skips the diagonal or the
-    entries off it does not pass."""
+    """is_isometry compares sigma^T * (G * (sigma * x)) with G * x on one
+    probe vector x; the oracle forms the whole triple product.  The broken
+    cases pin down which entries of the oracle's product differ: one
+    diagonal entry, or one off-diagonal pair, so a check that misses a
+    change on the diagonal or off it does not pass."""
     rng = random.Random(21)
     seen = {}
     for case in range(800):
