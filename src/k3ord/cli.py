@@ -25,7 +25,6 @@ from pathlib import Path
 
 from . import jsonio
 from .errors import K3OrdError, SchemaError
-from .jsonio import require
 from .runner import (
     KINDS,
     CheckOutcome,
@@ -95,18 +94,14 @@ def _print_report(report: Report, fmt: str) -> None:
 
 def _run_single(kind: str, args) -> int:
     doc = jsonio.load_file(args.file)
-    jsonio.check_schema(doc, "payload document")
+    jsonio.check_schema(doc)
     declared = doc.get("kind")
     if declared is not None and declared != kind:
-        raise SchemaError(
-            f"file declares kind {declared!r}, subcommand runs {kind!r}"
-        )
+        raise SchemaError(f"kind: declares {declared!r}, the subcommand runs {kind!r}")
     if kind in _FLAT_DOCUMENTS:
         payload = doc
     else:
-        payload = jsonio.as_dict(
-            require(doc, "payload", "payload document"), "payload"
-        )
+        payload = jsonio.field(doc, "", "payload", jsonio.as_dict)
     expected = load_expected(args.expect) if args.expect else None
     outcome = run_check(kind, kind, payload, expected, args.timing)
     report = Report(

@@ -15,6 +15,15 @@ form would exceed it, is a SchemaError.
 Documents carry a "schema": "k3ord/1" field.  Emission is canonical
 (sorted keys, fixed separators, UTF-8, trailing newline) so that equal
 reports are equal bytes.
+
+Every reader takes the JSON path of the value it reads, and every
+SchemaError it raises starts with that path: a dot before a key, [i]
+after an array index, as in payload.gram[0][1] or checks[1].name.  A
+check's payload is read from the root "payload" (for the flat signature
+document that is the document itself); paths in a scenario, expected or
+payload file start at the document root.  Readers of vectors, lists and
+matrices take the expected sizes too.  An entry's index is formatted
+only on the way to an error.
 """
 
 import json
@@ -22,7 +31,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Union
+from typing import Callable, Union
 
 from .errors import ParseError, SchemaError
 from .matrices import IntMatrix
@@ -109,50 +118,68 @@ def encode(value):
     raise SchemaError(f"cannot encode {type(value).__name__} values")
 
 
-# --- decoding with shape checks ------------------------------------------------------
+# --- decoding with paths and shapes --------------------------------------------------
 
 
-def as_int(node, what: str = "integer") -> int:
+def _at(path: str, text: str) -> SchemaError:
+    return SchemaError(f"{path}: {text}" if path else text)
+
+
+def as_int(node, path: str) -> int:
     if isinstance(node, str) and _DECIMAL.fullmatch(node):
         try:
             return int(node)
         except ValueError as exc:
             limit = sys.get_int_max_str_digits()
-            raise SchemaError(f"{what} exceeds the {limit}-digit limit") from exc
-    raise SchemaError(f"expected a decimal string for {what}, got {node!r}")
+            raise _at(path, f"exceeds the {limit}-digit limit") from exc
+    raise _at(path, f"expected a decimal string, got {node!r}")
 
 
-def as_fraction(node, what: str = "rational") -> Fraction:
+def as_fraction(node, path: str) -> Fraction:
     if isinstance(node, str):
-        return Fraction(as_int(node, what))
+        return Fraction(as_int(node, path))
     if isinstance(node, dict) and set(node) == {"num", "den"}:
-        den = as_int(node["den"], f"{what} denominator")
+        den = as_int(node["den"], f"{path}.den")
         if den <= 0:
-            raise SchemaError(f"{what} denominator must be positive, got {den}")
-        return Fraction(as_int(node["num"], f"{what} numerator"), den)
-    raise SchemaError(f"expected a rational for {what}, got {node!r}")
+            raise _at(f"{path}.den", f"must be positive, got {den}")
+        return Fraction(as_int(node["num"], f"{path}.num"), den)
+    raise _at(path, f"expected a rational, got {node!r}")
 
 
-def as_str(node, what: str = "string") -> str:
+def as_str(node, path: str) -> str:
     if isinstance(node, str):
         return node
-    raise SchemaError(f"expected a string for {what}, got {node!r}")
+    raise _at(path, f"expected a string, got {node!r}")
 
 
-def as_list(node, what: str = "array") -> list:
-    if isinstance(node, list):
-        return node
-    raise SchemaError(f"expected an array for {what}, got {node!r}")
-
-
-def as_dict(node, what: str = "object") -> dict:
+def as_dict(node, path: str) -> dict:
     if isinstance(node, dict):
         return node
-    raise SchemaError(f"expected an object for {what}, got {node!r}")
+    raise _at(path, f"expected an object, got {node!r}")
 
 
-def as_int_vector(node, what: str = "vector") -> tuple[int, ...]:
-    items = as_list(node, what)
+def as_list(node, path: str, length=None) -> list:
+    if not isinstance(node, list):
+        raise _at(path, f"expected an array, got {node!r}")
+    if length is not None and len(node) != length:
+        raise _at(path, f"length {len(node)}, expected {length}")
+    return node
+
+
+def as_items(node, path: str, read: Callable, length=None) -> list:
+    """The entries of an array, each put through read(entry, path).  When one
+    fails they are read again with indexed paths, so read must be pure."""
+    items = as_list(node, path, length)
+    try:
+        return [read(x, path) for x in items]
+    except SchemaError:
+        for i, x in enumerate(items):
+            read(x, f"{path}[{i}]")
+        raise
+
+
+def as_int_vector(node, path: str, length=None) -> tuple[int, ...]:
+    items = as_list(node, path, length)
     # fast path: one type scan and one match over the joined entries; any
     # offender, an over-long number included, takes the per-entry loop
     if set(map(type, items)) <= {str} and _DECIMALS.fullmatch(",".join(items)):
@@ -160,31 +187,39 @@ def as_int_vector(node, what: str = "vector") -> tuple[int, ...]:
             return tuple([*map(int, items)])
         except ValueError:
             pass
-    return tuple([as_int(x, f"{what} entry") for x in items])
+    return tuple([as_int(x, f"{path}[{i}]") for i, x in enumerate(items)])
 
 
-def as_fraction_vector(node, what: str = "vector") -> tuple[Fraction, ...]:
-    return tuple([as_fraction(x, f"{what} entry") for x in as_list(node, what)])
+def as_fraction_vector(node, path: str, length=None) -> tuple[Fraction, ...]:
+    return tuple(as_items(node, path, as_fraction, length))
 
 
-def as_int_matrix(node, what: str = "matrix") -> IntMatrix:
-    rows = [as_int_vector(r, f"{what} row") for r in as_list(node, what)]
-    widths = {len(r) for r in rows}
-    if len(widths) > 1:
-        raise SchemaError(f"{what} has ragged rows")
-    return IntMatrix.from_rows(rows)
+def as_int_rows(node, path: str, rows=None, cols=None) -> list[tuple[int, ...]]:
+    """The rows of an integer matrix; without cols, each as long as the first."""
+    items = as_list(node, path, rows)
+    if cols is None and items and isinstance(items[0], list):
+        cols = len(items[0])
+    return as_items(items, path, lambda row, at: as_int_vector(row, at, cols))
 
 
-def require(mapping: dict, key: str, what: str = "document"):
-    mapping = as_dict(mapping, what)
+def as_int_matrix(node, path: str, rows=None, cols=None) -> IntMatrix:
+    return IntMatrix.from_rows(as_int_rows(node, path, rows, cols))
+
+
+def require(mapping, key: str, path: str):
+    """The key field of the object at path."""
+    mapping = as_dict(mapping, path)
     if key not in mapping:
-        raise SchemaError(f"{what} is missing the {key!r} field")
+        raise _at(path, f"missing the {key!r} field")
     return mapping[key]
 
 
-def check_schema(document: dict, what: str = "document") -> None:
-    declared = require(document, "schema", what)
+def field(mapping, path: str, key: str, read: Callable, *shape):
+    """The key field of the object at path, put through read with its shape."""
+    return read(require(mapping, key, path), f"{path}.{key}" if path else key, *shape)
+
+
+def check_schema(document) -> None:
+    declared = require(document, "schema", "")
     if declared != SCHEMA:
-        raise SchemaError(
-            f"{what} declares schema {declared!r}, this tool reads {SCHEMA!r}"
-        )
+        raise _at("schema", f"declares {declared!r}, this tool reads {SCHEMA!r}")

@@ -35,14 +35,16 @@ from .fibrations import (
 )
 from .jsonio import (
     as_dict,
+    as_fraction_vector,
     as_int,
     as_int_matrix,
+    as_int_rows,
     as_int_vector,
-    as_fraction_vector,
+    as_items,
     as_list,
     as_str,
     encode,
-    require,
+    field,
 )
 from .lattices import Lattice, build_K3
 from .matrices import IntMatrix, signature, solve_columns
@@ -69,38 +71,27 @@ ERROR = "Error"
 ANNOTATION_KEYS = frozenset({"source", "note"})
 
 
-def _ambient(node) -> Lattice:
-    if node == "K3":
-        return build_K3()
-    return Lattice(as_int_matrix(node, "target gram"))
+def _gram(node, path: str) -> IntMatrix:
+    """A square integer matrix: as many entries in each row as there are rows."""
+    rows = as_list(node, path)
+    return as_int_matrix(rows, path, cols=len(rows))
 
 
-def _square_action(node, rank: int, what: str = "action") -> IntMatrix:
-    action = as_int_matrix(node, what)
-    if action.rows != rank or action.cols != rank:
-        raise SchemaError(
-            f"{what} is {action.rows}x{action.cols} on a rank {rank} lattice"
-        )
-    return action
+def _ambient(node, path: str) -> Lattice:
+    return build_K3() if node == "K3" else Lattice(_gram(node, path))
 
 
 def _embedding_from(payload: dict) -> Embedding:
-    target = _ambient(require(payload, "target", "payload"))
-    source = Lattice(as_int_matrix(require(payload, "source_gram", "payload")))
-    columns = as_int_matrix(require(payload, "columns", "payload"))
-    if columns.rows != target.rank or columns.cols != source.rank:
-        raise SchemaError(
-            f"columns are {columns.rows}x{columns.cols}, expected "
-            f"{target.rank}x{source.rank}"
-        )
+    target = field(payload, "payload", "target", _ambient)
+    source = Lattice(field(payload, "payload", "source_gram", _gram))
+    columns = field(
+        payload, "payload", "columns", as_int_matrix, target.rank, source.rank
+    )
     return Embedding(source, target, columns)
 
 
 def _run_signature(payload: dict):
-    gram = as_int_matrix(require(payload, "gram", "payload"))
-    if not gram.is_square:
-        raise SchemaError("gram matrix must be square")
-    pos, neg, zero = signature(gram)
+    pos, neg, zero = signature(field(payload, "payload", "gram", _gram))
     return {"positive": pos, "negative": neg, "zero": zero}, ()
 
 
@@ -117,9 +108,8 @@ def _run_embedding_check(payload: dict):
 
 def _run_isometry_extend(payload: dict):
     emb = _embedding_from(payload)
-    action = _square_action(
-        require(payload, "action", "payload"), emb.source.rank
-    )
+    rank = emb.source.rank
+    action = field(payload, "payload", "action", as_int_matrix, rank, rank)
     result = extend_by_minus_one(emb, action)
     computed = {
         "integral": result.integral,
@@ -131,41 +121,45 @@ def _run_isometry_extend(payload: dict):
 
 
 def _glattice_from(payload: dict) -> GLattice:
-    gram = as_int_matrix(require(payload, "gram", "payload"))
-    action = _square_action(require(payload, "action", "payload"), gram.rows)
-    order = as_int(require(payload, "order", "payload"), "order")
+    gram = field(payload, "payload", "gram", _gram)
+    action = field(payload, "payload", "action", as_int_matrix, gram.rows, gram.rows)
+    order = field(payload, "payload", "order", as_int)
     return GLattice(Lattice(gram), action, order)
+
+
+def _classes_from(node, rank: int) -> dict:
+    def read(entry, path):
+        name = field(entry, path, "name", as_str)
+        return name, field(entry, path, "vector", as_int_vector, rank)
+
+    classes = {}
+    for i, (name, vector) in enumerate(as_items(node, "payload.classes", read)):
+        if name in classes:
+            raise SchemaError(
+                f"payload.classes[{i}].name: duplicate class name {name!r}"
+            )
+        classes[name] = vector
+    return classes
 
 
 def _run_h1(payload: dict):
     gl = _glattice_from(payload)
+    named = payload.get("classes")
+    classes = None if named is None else _classes_from(named, gl.lattice.rank)
     result = h1(gl)
     computed = {
         "invariant_factors": list(result.invariant_factors),
         "free_rank": result.free_rank,
     }
-    named = payload.get("classes")
-    if named is not None:
-        entries = {}
-        for entry in as_list(named, "classes"):
-            name = as_str(require(entry, "name", "class"), "class name")
-            if name in entries:
-                raise SchemaError(f"duplicate class name {name!r}")
-            vector = as_int_vector(require(entry, "vector", "class"), "class vector")
-            if len(vector) != gl.lattice.rank:
-                raise SchemaError(
-                    f"class {name!r} has length {len(vector)} on rank "
-                    f"{gl.lattice.rank}"
-                )
-            entries[name] = vector
+    if classes is not None:
         norm, diff = norm_and_diff(gl)
-        solutions = solve_columns(diff, list(entries.values()))
+        solutions = solve_columns(diff, list(classes.values()))
         computed["classes"] = {
             name: {
                 "cocycle": not any(norm.mul_vec(vector)),
                 "coboundary": solution is not None,
             }
-            for (name, vector), solution in zip(entries.items(), solutions)
+            for (name, vector), solution in zip(classes.items(), solutions)
         }
     return computed, ()
 
@@ -184,22 +178,13 @@ def _run_quotient_pic(payload: dict):
 
 
 def _run_ample_cert(payload: dict):
-    lattice = Lattice(as_int_matrix(require(payload, "gram", "payload")))
-    candidate = as_int_vector(require(payload, "candidate", "payload"), "candidate")
-    if len(candidate) != lattice.rank:
-        raise SchemaError(
-            f"candidate has length {len(candidate)} on rank {lattice.rank}"
-        )
+    lattice = Lattice(field(payload, "payload", "gram", _gram))
+    candidate = field(payload, "payload", "candidate", as_int_vector, lattice.rank)
     gens_node = payload.get("generators")
     if gens_node is None:
         gens = IntMatrix.identity(lattice.rank).to_rows()
     else:
-        gens = [as_int_vector(v, "generator") for v in as_list(gens_node, "generators")]
-        for i, g in enumerate(gens):
-            if len(g) != lattice.rank:
-                raise SchemaError(
-                    f"generator {i} has length {len(g)} on rank {lattice.rank}"
-                )
+        gens = as_int_rows(gens_node, "payload.generators", cols=lattice.rank)
     cert = nakai_certificate(lattice, candidate, gens)
     computed = {
         "passed": cert.verdict.passed,
@@ -226,8 +211,8 @@ def _surface_by_name(name: str):
         ("ruled-elliptic-", surface_ruled_elliptic),
     ):
         if name.startswith(prefix):
-            return builder(as_int(name[len(prefix):], "surface parameter"))
-    raise SchemaError(f"unknown surface model {name!r}")
+            return builder(as_int(name[len(prefix):], "payload.surface"))
+    raise SchemaError(f"payload.surface: unknown surface model {name!r}")
 
 
 _IRREDUCIBLE = {
@@ -238,24 +223,20 @@ _IRREDUCIBLE = {
 
 
 def _run_order_classify(payload: dict):
-    surface = _surface_by_name(
-        as_str(require(payload, "surface", "payload"), "surface")
-    )
-    ramification = []
-    for entry in as_list(payload.get("ramification", []), "ramification"):
-        coords = as_fraction_vector(require(entry, "class", "divisor"), "class")
-        if len(coords) != surface.rank:
-            raise SchemaError(
-                f"divisor class has length {len(coords)} on rank {surface.rank}"
-            )
-        e = as_int(require(entry, "e", "divisor"), "ramification index")
-        word = as_str(entry.get("cover_irreducible", "unknown"), "cover_irreducible")
+    surface = _surface_by_name(field(payload, "payload", "surface", as_str))
+
+    def read(node, path):
+        coords = field(node, path, "class", as_fraction_vector, surface.rank)
+        e = field(node, path, "e", as_int)
+        path += ".cover_irreducible"
+        word = as_str(node.get("cover_irreducible", "unknown"), path)
         if word not in _IRREDUCIBLE:
-            raise SchemaError(f"cover_irreducible must be yes/no/unknown, got {word!r}")
-        ramification.append(
-            RamifiedDivisor(coords, e, _IRREDUCIBLE[word])
-        )
-    degree = as_int(payload.get("cover_degree", "1"), "cover_degree")
+            raise SchemaError(f"{path}: must be yes/no/unknown, got {word!r}")
+        return RamifiedDivisor(coords, e, _IRREDUCIBLE[word])
+
+    entries = payload.get("ramification", [])
+    ramification = as_items(entries, "payload.ramification", read)
+    degree = as_int(payload.get("cover_degree", "1"), "payload.cover_degree")
     order = OrderDescriptor(surface, tuple(ramification), degree)
     result = classify_order(order)
     indices = ramification_transfer(
@@ -273,55 +254,45 @@ def _run_order_classify(payload: dict):
     return computed, result.assumptions
 
 
-def _model_from(node) -> AbGroupModel:
-    node = as_dict(node, "model")
+def _model_from(node, path: str) -> AbGroupModel:
+    node = as_dict(node, path)
     return AbGroupModel(
-        free_rank=as_int(node.get("free_rank", "0"), "free_rank"),
-        finite_cyclic=as_int_vector(node.get("finite_cyclic", []), "finite_cyclic"),
-        elliptic_count=as_int(node.get("elliptic_count", "0"), "elliptic_count"),
+        as_int(node.get("free_rank", "0"), f"{path}.free_rank"),
+        as_int_vector(node.get("finite_cyclic", []), f"{path}.finite_cyclic"),
+        as_int(node.get("elliptic_count", "0"), f"{path}.elliptic_count"),
     )
 
 
-def _endo_from(node, model: AbGroupModel) -> BlockEndo:
-    node = as_dict(node, "endo")
-    order = as_int(require(node, "order", "endo"), "order")
+def _endo_from(node, path: str, model: AbGroupModel) -> BlockEndo:
+    order = field(node, path, "order", as_int)
+    # BlockEndo checks this too, but after the default blocks, which are as
+    # long as the model, have been built
+    if order < 1:
+        raise SchemaError(f"{path}.order: must be positive, got {order}")
+    rank, finite = model.free_rank, len(model.finite_cyclic)
     free_node = node.get("free_action")
     if free_node is None:
-        free_action = IntMatrix.identity(model.free_rank)
+        free_action = IntMatrix.identity(rank)
     else:
-        free_action = _square_action(free_node, model.free_rank, "free_action")
+        free_action = as_int_matrix(free_node, f"{path}.free_action", rank, rank)
     finite_node = node.get("finite_action")
     if finite_node is None:
-        finite_action = (1,) * len(model.finite_cyclic)
+        finite_action = (1,) * finite
     else:
-        finite_action = as_int_vector(finite_node, "finite_action")
-        if len(finite_action) != len(model.finite_cyclic):
-            raise SchemaError(
-                f"finite_action lists {len(finite_action)} multipliers for "
-                f"{len(model.finite_cyclic)} summands"
-            )
-    elliptic_node = node.get("elliptic_action")
-    if elliptic_node is None:
+        finite_action = as_int_vector(finite_node, f"{path}.finite_action", finite)
+    pairs = node.get("elliptic_action")
+    if pairs is None:
         elliptic_action = tuple([(1, i) for i in range(model.elliptic_count)])
     else:
-        pairs = []
-        for pair_node in as_list(elliptic_node, "elliptic_action"):
-            pair_values = as_int_vector(pair_node, "elliptic_action entry")
-            if len(pair_values) != 2:
-                raise SchemaError("elliptic_action entries are [sign, image] pairs")
-            pairs.append((pair_values[0], pair_values[1]))
-        if len(pairs) != model.elliptic_count:
-            raise SchemaError(
-                f"elliptic_action lists {len(pairs)} summands for "
-                f"{model.elliptic_count}"
-            )
-        elliptic_action = tuple(pairs)
+        elliptic_action = tuple(
+            as_int_rows(pairs, f"{path}.elliptic_action", model.elliptic_count, 2)
+        )
     return BlockEndo(free_action, finite_action, elliptic_action, order)
 
 
 def _run_fibration_h1(payload: dict):
-    model = _model_from(require(payload, "model", "payload"))
-    endo = _endo_from(require(payload, "endo", "payload"), model)
+    model = field(payload, "payload", "model", _model_from)
+    endo = field(payload, "payload", "endo", _endo_from, model)
     result = h1_structured(model, endo)
     computed = {
         "invariant_factors": list(result.invariant_factors),
@@ -333,37 +304,36 @@ def _run_fibration_h1(payload: dict):
     return computed, ()
 
 
-def _element_from(node, model: AbGroupModel) -> GroupElement:
-    node = as_dict(node, "element")
+def _point_from(node, path: str) -> Optional[TorsionPoint]:
+    if node is None:
+        return None
+    return TorsionPoint(
+        field(node, path, "symbol", as_str),
+        field(node, path, "order", as_int),
+        as_int(node.get("mult", "1"), f"{path}.mult"),
+    )
+
+
+def _element_from(node, path: str, model: AbGroupModel) -> GroupElement:
+    node = as_dict(node, path)
     free = node.get("free")
     finite = node.get("finite")
-    points = []
-    for entry in as_list(node.get("elliptic", [None] * model.elliptic_count), "elliptic"):
-        if entry is None:
-            points.append(None)
-            continue
-        entry = as_dict(entry, "elliptic point")
-        points.append(
-            TorsionPoint(
-                symbol=as_str(require(entry, "symbol", "point"), "symbol"),
-                order=as_int(require(entry, "order", "point"), "point order"),
-                mult=as_int(entry.get("mult", "1"), "point multiple"),
-            )
-        )
+    points = node.get("elliptic")
+    rank, n, count = model.free_rank, len(model.finite_cyclic), model.elliptic_count
     return GroupElement(
         model,
-        as_int_vector(free, "free") if free is not None else (0,) * model.free_rank,
-        as_int_vector(finite, "finite")
-        if finite is not None
-        else (0,) * len(model.finite_cyclic),
-        tuple(points),
+        (0,) * rank if free is None else as_int_vector(free, f"{path}.free", rank),
+        (0,) * n if finite is None else as_int_vector(finite, f"{path}.finite", n),
+        (None,) * count
+        if points is None
+        else tuple(as_items(points, f"{path}.elliptic", _point_from, count)),
     )
 
 
 def _run_twist_check(payload: dict):
-    model = _model_from(require(payload, "model", "payload"))
-    endo = _endo_from(require(payload, "endo", "payload"), model)
-    element = _element_from(require(payload, "element", "payload"), model)
+    model = field(payload, "payload", "model", _model_from)
+    endo = field(payload, "payload", "endo", _endo_from, model)
+    element = field(payload, "payload", "element", _element_from, model)
     computed = {
         "cocycle": cocycle_check(endo, element),
         "coboundary": coboundary_check(endo, element),
@@ -491,7 +461,7 @@ def run_check(
     elapsed = int(round((time.perf_counter() - started) * 1000)) if with_timing else None
     diff = []
     if expected is not None:
-        for key in sorted(as_dict(expected, "expected block")):
+        for key in sorted(as_dict(expected, "expected")):
             if key in ANNOTATION_KEYS:
                 continue
             want = expected[key]
@@ -520,8 +490,16 @@ def _worst(verdicts) -> str:
 def load_expected(path: Union[str, Path]) -> dict:
     """The expected map of an expected-values document."""
     doc = jsonio.load_file(path)
-    jsonio.check_schema(doc, "expected document")
-    return as_dict(require(doc, "expected", "expected document"), "expected map")
+    jsonio.check_schema(doc)
+    return field(doc, "", "expected", as_dict)
+
+
+def _check_from(node, path: str) -> tuple[str, str, dict]:
+    return (
+        field(node, path, "name", as_str),
+        field(node, path, "kind", as_str),
+        field(node, path, "payload", as_dict),
+    )
 
 
 def run_scenario(path: Union[str, Path], with_timing: bool = False) -> Report:
@@ -535,30 +513,20 @@ def run_scenario(path: Union[str, Path], with_timing: bool = False) -> Report:
     case_id = scenario_path.parent.name
     try:
         doc = jsonio.load_file(scenario_path)
-        jsonio.check_schema(doc, "scenario")
-        case_id = as_str(require(doc, "id", "scenario"), "scenario id")
+        jsonio.check_schema(doc)
+        case_id = field(doc, "", "id", as_str)
         expected_path = scenario_path.parent / "expected.json"
         expected_map = load_expected(expected_path) if expected_path.exists() else {}
-        checks_node = as_list(require(doc, "checks", "scenario"), "checks")
-        names = []
-        parsed = []
-        for node in checks_node:
-            node = as_dict(node, "check")
-            name = as_str(require(node, "name", "check"), "check name")
+        parsed = field(doc, "", "checks", as_items, _check_from)
+        names = set()
+        for i, (name, _, _) in enumerate(parsed):
             if name in names:
-                raise SchemaError(f"duplicate check name {name!r}")
-            names.append(name)
-            parsed.append(
-                (
-                    name,
-                    as_str(require(node, "kind", "check"), "check kind"),
-                    as_dict(require(node, "payload", "check"), "payload"),
-                )
-            )
-        stray = set(expected_map) - set(names)
+                raise SchemaError(f"checks[{i}].name: duplicate check name {name!r}")
+            names.add(name)
+        stray = set(expected_map) - names
         if stray:
             raise SchemaError(
-                f"expected.json names unknown checks: {', '.join(sorted(stray))}"
+                f"expected: names unknown checks: {', '.join(sorted(stray))}"
             )
     except K3OrdError as exc:
         return Report(

@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from k3ord.runner import (
     KINDS,
     PASS,
     exit_code,
+    find_cases,
     run_check,
     run_corpus,
     run_scenario,
@@ -55,24 +57,24 @@ def test_parse_rejects_raw_numbers():
 
 
 def test_decoders_reject_wrong_shapes():
-    assert jsonio.as_int("-7") == -7
-    with pytest.raises(SchemaError):
-        jsonio.as_int("7.5")
-    with pytest.raises(SchemaError):
-        jsonio.as_int("")
+    assert jsonio.as_int("-7", "n") == -7
+    with pytest.raises(SchemaError, match=r"^n: "):
+        jsonio.as_int("7.5", "n")
+    with pytest.raises(SchemaError, match=r"^n: "):
+        jsonio.as_int("", "n")
     # non-ASCII digits: "3²" passes str.isdigit but not int(), "٣" passes both
     for text in ("3²", "٣", "-٣", "７"):
-        with pytest.raises(SchemaError):
-            jsonio.as_int(text)
-    with pytest.raises(SchemaError):
-        jsonio.as_int(7)
-    assert jsonio.as_fraction({"num": "1", "den": "2"}) == Fraction(1, 2)
-    assert jsonio.as_fraction("3") == Fraction(3)
-    with pytest.raises(SchemaError):
-        jsonio.as_fraction({"num": "1", "den": "0"})
-    with pytest.raises(SchemaError):
-        jsonio.as_int_matrix([["1", "2"], ["3"]])
-    with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=r"^n: "):
+            jsonio.as_int(text, "n")
+    with pytest.raises(SchemaError, match=r"^n: "):
+        jsonio.as_int(7, "n")
+    assert jsonio.as_fraction({"num": "1", "den": "2"}, "q") == Fraction(1, 2)
+    assert jsonio.as_fraction("3", "q") == Fraction(3)
+    with pytest.raises(SchemaError, match=r"^q\.den: "):
+        jsonio.as_fraction({"num": "1", "den": "0"}, "q")
+    with pytest.raises(SchemaError, match=r"^m\[1\]: length 1, expected 2"):
+        jsonio.as_int_matrix([["1", "2"], ["3"]], "m")
+    with pytest.raises(SchemaError, match=r"^schema: "):
         jsonio.check_schema({"schema": "other/9"})
 
 
@@ -80,12 +82,14 @@ def test_int_vector_fast_path_keeps_the_per_entry_messages():
     """as_int_vector scans a vector at once and falls back to as_int per
     entry on any offender; the error must be the one that loop raises."""
     for bad in ("3\u00b2", " 1", "1_0", "x", 1, True, "7" * 5000, "1,2", "", "+1", "\u0663"):
-        with pytest.raises(SchemaError) as per_entry:
-            jsonio.as_int(bad, "row entry")
         for vector in ([bad], ["4", bad], ["-4", "0", bad, "9"]):
+            at = f"row[{vector.index(bad)}]"
+            with pytest.raises(SchemaError) as per_entry:
+                jsonio.as_int(bad, at)
             with pytest.raises(SchemaError) as fast:
                 jsonio.as_int_vector(vector, "row")
             assert str(fast.value) == str(per_entry.value)
+            assert str(fast.value).startswith(f"{at}: ")
     assert jsonio.as_int_vector(["0", "-12", "7" * 60], "row") == (0, -12, int("7" * 60))
     assert jsonio.as_int_vector([], "row") == ()
 
@@ -111,7 +115,7 @@ def test_encode_decode_round_trip_matrix():
     m = IntMatrix.from_rows([[0, 1], [1, 0]])
     tree = jsonio.encode(m)
     text = jsonio.dumps_canonical(tree)
-    assert jsonio.as_int_matrix(jsonio.loads_strict(text)) == m
+    assert jsonio.as_int_matrix(jsonio.loads_strict(text), "m") == m
 
 
 # --- run_check dispatch --------------------------------------------------------------
@@ -169,7 +173,7 @@ def test_run_check_h1_decides_every_class_in_one_solve(monkeypatch):
     ]
     outcome = run_check("h1", "h1", payload, None)
     assert outcome.verdict == ERROR
-    assert "'long' has length 2" in outcome.error
+    assert "payload.classes[1].vector: length 2, expected 1" in outcome.error
     assert calls == [3]
 
 
@@ -215,7 +219,7 @@ def test_ample_cert_generator_length_is_schema_error(tmp_path, capsys, generator
     # a short generator used to read as "generators do not span", a long one
     # as a DimensionMismatch from the pairing
     payload = {"gram": [["2", "0"], ["0", "2"]], "candidate": ["1", "1"], "generators": generators}
-    message = f"generator 1 has length {length} on rank 2"
+    message = f"payload.generators[1]: length {length}, expected 2"
     outcome = run_check("ample", "ample-cert", payload, None)
     assert outcome.verdict == ERROR
     assert outcome.error == f"SchemaError: {message}"
@@ -253,6 +257,112 @@ def test_twist_check_payload():
     }
     outcome = run_check("twist", "twist-check", payload, None)
     assert outcome.computed == {"cocycle": True, "coboundary": False}
+
+
+_TWIST = {"model": {"free_rank": "1", "finite_cyclic": ["2"], "elliptic_count": "1"},
+          "endo": {"order": "2"}}
+
+
+@pytest.mark.parametrize("kind, payload, path", [
+    ("h1", dict(_h1_payload(), gram=[["x"]]), "payload.gram[0][0]"),
+    ("h1", {"gram": [["2", "x"], ["x", "2"]], "action": [["1", "0"], ["0", "1"]],
+            "order": "2"}, "payload.gram[0][1]"),
+    ("h1", dict(_h1_payload(), classes=[{"name": "d", "vector": ["1", "0"]}]),
+     "payload.classes[0].vector"),
+    ("h1", dict(_h1_payload(), classes=[{"name": "d"}]), "payload.classes[0]"),
+    ("isometry-extend", {"target": [["2", "0"], ["0", "2"]], "source_gram": [["2"]],
+                         "columns": [["1"]], "action": [["1"]]}, "payload.columns"),
+    ("twist-check", dict(_TWIST, element={"free": ["0", "0"]}), "payload.element.free"),
+    ("twist-check", dict(_TWIST, element={"finite": []}), "payload.element.finite"),
+    ("twist-check", dict(_TWIST, element={"elliptic": [None, None]}),
+     "payload.element.elliptic"),
+    ("twist-check", dict(_TWIST, element={"elliptic": [{"symbol": "e"}]}),
+     "payload.element.elliptic[0]"),
+], ids=["gram-entry", "gram-entry-off-diagonal", "long-class", "missing-vector",
+        "short-columns", "long-free", "short-finite", "long-elliptic", "missing-order"])
+def test_error_names_the_field_at_fault(tmp_path, capsys, kind, payload, path):
+    outcome = run_check(kind, kind, payload, None)
+    assert outcome.verdict == ERROR
+    assert outcome.error.startswith(f"SchemaError: {path}: ")
+    document = tmp_path / "document.json"
+    _write(document, {"schema": "k3ord/1", "payload": payload})
+    assert main([*KINDS[kind].words, str(document), "--format", "json"]) == 2
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["error"] == outcome.error
+
+
+@pytest.mark.parametrize("kind", ["fibration-h1", "twist-check"])
+def test_nonpositive_order_is_rejected_before_the_default_blocks(kind):
+    # the default elliptic block has one pair per summand; an order of -1
+    # must be refused before it is built, not by BlockEndo after
+    payload = {"model": {"elliptic_count": "1000000"}, "endo": {"order": "-1"},
+               "element": {}}
+    tracemalloc.start()
+    try:
+        outcome = run_check(kind, kind, payload, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.error == "SchemaError: payload.endo.order: must be positive, got -1"
+    assert peak < 2**20
+
+
+def _leaves_and_vectors(node, path, leaves, vectors):
+    """Collect (path, container, key) for every string leaf under node and
+    (path, list) for every non-empty list of strings: vectors and matrix rows."""
+    keyed = isinstance(node, dict)
+    for key, value in node.items() if keyed else enumerate(node):
+        at = f"{path}.{key}" if keyed else f"{path}[{key}]"
+        if isinstance(value, str):
+            leaves.append((at, node, key))
+        elif value is not None:
+            _leaves_and_vectors(value, at, leaves, vectors)
+    if not keyed and node and all(isinstance(v, str) for v in node):
+        vectors.append((path, node))
+
+
+def test_every_corpus_leaf_error_names_its_path():
+    """Walk every corpus payload: put an invalid value in one leaf at a time,
+    then drop the last entry of one vector or matrix row at a time.  Each
+    check must end in a SchemaError whose message starts with the path of
+    that leaf, or of that vector or row.  A leaf or vector already tried at
+    the same path in a check of the same kind is skipped, since the message
+    depends on the kind and the path, not on the values around them; that
+    keeps the walk to about 4,000 checks.  model.finite_cyclic is left
+    whole: it declares the shape that other fields are held to."""
+
+    def names(error, path):
+        head = f"SchemaError: {path}"
+        return error.startswith(head) and error[len(head)] in ":.["
+
+    tried = set()
+    wrong = []
+    for case in find_cases(CORPUS):
+        for check in jsonio.load_file(case / "scenario.json")["checks"]:
+            kind, payload = check["kind"], check["payload"]
+            leaves, vectors = [], []
+            _leaves_and_vectors(payload, "payload", leaves, vectors)
+            for path, parent, key in leaves:
+                if (kind, path) in tried:
+                    continue
+                tried.add((kind, path))
+                value = parent[key]
+                parent[key] = "x" if value.lstrip("-").isdigit() else {}
+                error = run_check("walk", kind, payload).error
+                parent[key] = value
+                if error is None or not names(error, path):
+                    wrong.append((case.name, path, error))
+            for path, vector in vectors:
+                if (kind, path) in tried or path.endswith(".finite_cyclic"):
+                    continue
+                tried.add((kind, path))
+                value = vector.pop()
+                error = run_check("walk", kind, payload).error
+                vector.append(value)
+                if error is None or not names(error, path):
+                    wrong.append((case.name, f"{path} shortened", error))
+    assert len(tried) > 3000
+    assert wrong == []
 
 
 # --- scenarios and the corpus --------------------------------------------------------
@@ -542,9 +652,9 @@ def test_cli_signature(tmp_path, capsys):
     "gram, error",
     [
         ([["1", "2"], ["3", "1"]], "NotSymmetric"),
-        ([["1", "2"]], "SchemaError"),
-        ([["3²"]], "SchemaError"),
-        ([["٣"]], "SchemaError"),
+        ([["1", "2"]], "SchemaError: payload.gram[0]: length 2, expected 1"),
+        ([["3²"]], "SchemaError: payload.gram[0][0]: "),
+        ([["٣"]], "SchemaError: payload.gram[0][0]: "),
     ],
     ids=["not-symmetric", "not-square", "superscript-digit", "arabic-indic-digit"],
 )
