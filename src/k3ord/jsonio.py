@@ -21,9 +21,10 @@ SchemaError it raises starts with that path: a dot before a key, [i]
 after an array index, as in payload.gram[0][1] or checks[1].name.  A
 check's payload is read from the root "payload" (for the flat signature
 document that is the document itself); paths in a scenario, expected or
-payload file start at the document root.  Readers of vectors, lists and
-matrices take the expected sizes too.  An entry's index is formatted
-only on the way to an error.
+payload file start at the document root (the runner puts an expected
+file's name before its errors).  Readers of vectors, lists and
+matrices take the expected sizes too.  as_int_vector formats an entry's
+index only on the way to an error.
 """
 
 import json
@@ -167,15 +168,8 @@ def as_list(node, path: str, length=None) -> list:
 
 
 def as_items(node, path: str, read: Callable, length=None) -> list:
-    """The entries of an array, each put through read(entry, path).  When one
-    fails they are read again with indexed paths, so read must be pure."""
-    items = as_list(node, path, length)
-    try:
-        return [read(x, path) for x in items]
-    except SchemaError:
-        for i, x in enumerate(items):
-            read(x, f"{path}[{i}]")
-        raise
+    """The entries of an array, each put through read(entry, path[i])."""
+    return [read(x, f"{path}[{i}]") for i, x in enumerate(as_list(node, path, length))]
 
 
 def as_int_vector(node, path: str, length=None) -> tuple[int, ...]:
@@ -217,6 +211,12 @@ def require(mapping, key: str, path: str):
 def field(mapping, path: str, key: str, read: Callable, *shape):
     """The key field of the object at path, put through read with its shape."""
     return read(require(mapping, key, path), f"{path}.{key}" if path else key, *shape)
+
+
+def optional_field(mapping: dict, path: str, key: str, read: Callable, *shape):
+    """As field, but None when the object at path has no such key."""
+    node = mapping.get(key)
+    return None if node is None else read(node, f"{path}.{key}", *shape)
 
 
 def check_schema(document) -> None:

@@ -22,7 +22,7 @@ from . import jsonio
 from .cohomology import GLattice, _half_gram, fixed_sublattice, h1, norm_and_diff
 from .divisors import nakai_certificate
 from .embeddings import Embedding, check_isometric, is_primitive
-from .errors import K3OrdError, MissingCorpus, SchemaError
+from .errors import K3OrdError, MissingCorpus, ParseError, SchemaError
 from .extension import extend_by_minus_one
 from .fibrations import (
     AbGroupModel,
@@ -45,6 +45,7 @@ from .jsonio import (
     as_str,
     encode,
     field,
+    optional_field,
 )
 from .lattices import Lattice, build_K3
 from .matrices import IntMatrix, signature, solve_columns
@@ -127,25 +128,23 @@ def _glattice_from(payload: dict) -> GLattice:
     return GLattice(Lattice(gram), action, order)
 
 
-def _classes_from(node, rank: int) -> dict:
-    def read(entry, path):
-        name = field(entry, path, "name", as_str)
-        return name, field(entry, path, "vector", as_int_vector, rank)
+def _classes_from(node, path: str, rank: int) -> dict:
+    def read(entry, at):
+        name = field(entry, at, "name", as_str)
+        return name, field(entry, at, "vector", as_int_vector, rank)
 
     classes = {}
-    for i, (name, vector) in enumerate(as_items(node, "payload.classes", read)):
+    for i, (name, vector) in enumerate(as_items(node, path, read)):
         if name in classes:
-            raise SchemaError(
-                f"payload.classes[{i}].name: duplicate class name {name!r}"
-            )
+            raise SchemaError(f"{path}[{i}].name: duplicate class name {name!r}")
         classes[name] = vector
     return classes
 
 
 def _run_h1(payload: dict):
     gl = _glattice_from(payload)
-    named = payload.get("classes")
-    classes = None if named is None else _classes_from(named, gl.lattice.rank)
+    rank = gl.lattice.rank
+    classes = optional_field(payload, "payload", "classes", _classes_from, rank)
     result = h1(gl)
     computed = {
         "invariant_factors": list(result.invariant_factors),
@@ -179,12 +178,11 @@ def _run_quotient_pic(payload: dict):
 
 def _run_ample_cert(payload: dict):
     lattice = Lattice(field(payload, "payload", "gram", _gram))
-    candidate = field(payload, "payload", "candidate", as_int_vector, lattice.rank)
-    gens_node = payload.get("generators")
-    if gens_node is None:
-        gens = IntMatrix.identity(lattice.rank).to_rows()
-    else:
-        gens = as_int_rows(gens_node, "payload.generators", cols=lattice.rank)
+    rank = lattice.rank
+    candidate = field(payload, "payload", "candidate", as_int_vector, rank)
+    gens = optional_field(payload, "payload", "generators", as_int_rows, None, rank)
+    if gens is None:
+        gens = IntMatrix.identity(rank).to_rows()
     cert = nakai_certificate(lattice, candidate, gens)
     computed = {
         "passed": cert.verdict.passed,
@@ -234,13 +232,12 @@ def _run_order_classify(payload: dict):
             raise SchemaError(f"{path}: must be yes/no/unknown, got {word!r}")
         return RamifiedDivisor(coords, e, _IRREDUCIBLE[word])
 
-    entries = payload.get("ramification", [])
-    ramification = as_items(entries, "payload.ramification", read)
+    ramified = optional_field(payload, "payload", "ramification", as_items, read) or []
     degree = as_int(payload.get("cover_degree", "1"), "payload.cover_degree")
-    order = OrderDescriptor(surface, tuple(ramification), degree)
+    order = OrderDescriptor(surface, tuple(ramified), degree)
     result = classify_order(order)
     indices = ramification_transfer(
-        [(f"D{i}", r.e) for i, r in enumerate(ramification, start=1)]
+        [(f"D{i}", r.e) for i, r in enumerate(ramified, start=1)]
     )
     computed = {
         "kind": result.kind,
@@ -269,25 +266,16 @@ def _endo_from(node, path: str, model: AbGroupModel) -> BlockEndo:
     # long as the model, have been built
     if order < 1:
         raise SchemaError(f"{path}.order: must be positive, got {order}")
-    rank, finite = model.free_rank, len(model.finite_cyclic)
-    free_node = node.get("free_action")
-    if free_node is None:
-        free_action = IntMatrix.identity(rank)
-    else:
-        free_action = as_int_matrix(free_node, f"{path}.free_action", rank, rank)
-    finite_node = node.get("finite_action")
-    if finite_node is None:
-        finite_action = (1,) * finite
-    else:
-        finite_action = as_int_vector(finite_node, f"{path}.finite_action", finite)
-    pairs = node.get("elliptic_action")
-    if pairs is None:
-        elliptic_action = tuple([(1, i) for i in range(model.elliptic_count)])
-    else:
-        elliptic_action = tuple(
-            as_int_rows(pairs, f"{path}.elliptic_action", model.elliptic_count, 2)
-        )
-    return BlockEndo(free_action, finite_action, elliptic_action, order)
+    rank, n, count = model.free_rank, len(model.finite_cyclic), model.elliptic_count
+    free = optional_field(node, path, "free_action", as_int_matrix, rank, rank)
+    scalars = optional_field(node, path, "finite_action", as_int_vector, n)
+    pairs = optional_field(node, path, "elliptic_action", as_int_rows, count, 2)
+    return BlockEndo(
+        IntMatrix.identity(rank) if free is None else free,
+        (1,) * n if scalars is None else scalars,
+        tuple([(1, i) for i in range(count)] if pairs is None else pairs),
+        order,
+    )
 
 
 def _run_fibration_h1(payload: dict):
@@ -461,7 +449,7 @@ def run_check(
     elapsed = int(round((time.perf_counter() - started) * 1000)) if with_timing else None
     diff = []
     if expected is not None:
-        for key in sorted(as_dict(expected, "expected")):
+        for key in sorted(expected):
             if key in ANNOTATION_KEYS:
                 continue
             want = expected[key]
@@ -487,11 +475,23 @@ def _worst(verdicts) -> str:
     return max(verdicts, key=_RANK.__getitem__, default=PASS)
 
 
-def load_expected(path: Union[str, Path]) -> dict:
-    """The expected map of an expected-values document."""
-    doc = jsonio.load_file(path)
-    jsonio.check_schema(doc)
-    return field(doc, "", "expected", as_dict)
+def load_expected(path: Union[str, Path], names: Optional[set] = None) -> dict:
+    """The expected map of an expected-values document.  Given the names of
+    a case's checks, its keys must be among them and its values objects.
+    Its errors start with the file's name, so they read apart from those of
+    the document it is held against."""
+    try:
+        doc = jsonio.load_file(path)
+        jsonio.check_schema(doc)
+        expected = field(doc, "", "expected", as_dict)
+        if names is not None:
+            for name, block in expected.items():
+                if name not in names:
+                    raise SchemaError(f"expected.{name}: no check has this name")
+                as_dict(block, f"expected.{name}")
+        return expected
+    except (ParseError, SchemaError) as exc:
+        raise type(exc)(f"{Path(path).name}: {exc}") from exc
 
 
 def _check_from(node, path: str) -> tuple[str, str, dict]:
@@ -515,19 +515,14 @@ def run_scenario(path: Union[str, Path], with_timing: bool = False) -> Report:
         doc = jsonio.load_file(scenario_path)
         jsonio.check_schema(doc)
         case_id = field(doc, "", "id", as_str)
-        expected_path = scenario_path.parent / "expected.json"
-        expected_map = load_expected(expected_path) if expected_path.exists() else {}
         parsed = field(doc, "", "checks", as_items, _check_from)
         names = set()
         for i, (name, _, _) in enumerate(parsed):
             if name in names:
                 raise SchemaError(f"checks[{i}].name: duplicate check name {name!r}")
             names.add(name)
-        stray = set(expected_map) - names
-        if stray:
-            raise SchemaError(
-                f"expected: names unknown checks: {', '.join(sorted(stray))}"
-            )
+        recorded = scenario_path.parent / "expected.json"
+        expected_map = load_expected(recorded, names) if recorded.exists() else {}
     except K3OrdError as exc:
         return Report(
             case_id=case_id,

@@ -557,6 +557,61 @@ def test_stray_expected_name_rejected(tmp_path):
     assert "typo" in report.error
 
 
+@pytest.mark.parametrize("expected, error", [
+    ({"typo": {}}, "expected.json: expected.typo: no check has this name"),
+    ({"h1": "x"}, "expected.json: expected.h1: expected an object, got 'x'"),
+])
+def test_bad_expected_block_is_error_report(tmp_path, expected, error):
+    """A fault in expected.json becomes the case's Error report, by path."""
+    case = tmp_path / "case-c"
+    case.mkdir()
+    _write(
+        case / "scenario.json",
+        {
+            "schema": "k3ord/1",
+            "id": "case-c",
+            "checks": [{"name": "h1", "kind": "h1", "payload": _h1_payload()}],
+        },
+    )
+    _write(
+        case / "expected.json",
+        {"schema": "k3ord/1", "expected": expected},
+    )
+    report = run_scenario(case)
+    assert report.verdict == ERROR
+    assert report.error == f"SchemaError: {error}"
+    (other,) = run_corpus(tmp_path)
+    assert other.verdict == ERROR
+
+
+def test_root_errors_name_the_expected_file(tmp_path, capsys):
+    """A root field at fault in expected.json reads apart from the same
+    fault in scenario.json, in a corpus case and under --expect."""
+    case = tmp_path / "case-e"
+    case.mkdir()
+    scenario = {
+        "schema": "k3ord/2",
+        "id": "case-e",
+        "checks": [{"name": "sig", "kind": "signature", "payload": {"gram": [["2"]]}}],
+    }
+    expected = {"schema": "k3ord/2", "expected": {}}
+    _write(case / "scenario.json", scenario)
+    _write(case / "expected.json", expected)
+    from_scenario = run_scenario(case).error
+    _write(case / "scenario.json", {**scenario, "schema": "k3ord/1"})
+    from_expected = run_scenario(case).error
+    assert from_scenario == "SchemaError: schema: declares 'k3ord/2', this tool reads 'k3ord/1'"
+    assert from_expected == "SchemaError: expected.json: " + from_scenario[len("SchemaError: "):]
+
+    gram = tmp_path / "gram.json"
+    _write(gram, {"schema": "k3ord/1", "gram": [["2"]]})
+    _write(case / "expected.json", {"expected": {}})
+    assert main(["signature", str(gram), "--expect", str(case / "expected.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: SchemaError: expected.json: missing the 'schema' field\n"
+    )
+
+
 def test_gen_corpus_regenerates_committed_corpus(tmp_path, capsys):
     spec = importlib.util.spec_from_file_location(
         "gen_corpus", REPO / "tools" / "gen_corpus.py"
