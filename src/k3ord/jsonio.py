@@ -23,14 +23,16 @@ check's payload is read from the root "payload" (for the flat signature
 document that is the document itself); paths in a scenario, expected or
 payload file start at the document root (the runner puts an expected
 file's name before its errors).  Readers of vectors, lists and
-matrices take the expected sizes too.  as_int_vector formats an entry's
-index only on the way to an error.
+matrices take the expected sizes too.  Vectors and matrices are read
+whole, and encode writes a matrix with one str map; each formats a path,
+or falls back to one entry at a time, only on the way to an error.
 """
 
 import json
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Union
 
@@ -51,14 +53,19 @@ def _reject_number(token):
     )
 
 
+_DECODER = json.JSONDecoder(
+    parse_int=_reject_number, parse_float=_reject_number, parse_constant=_reject_number
+)
+
+
 def loads_strict(text: str):
-    """Parse JSON, refusing numeric literals."""
+    """Parse JSON, refusing numeric literals, NaN and Infinity included."""
     try:
-        return json.loads(
-            text,
-            parse_int=_reject_number,
-            parse_float=_reject_number,
-        )
+        if text.startswith("\ufeff"):  # json.loads' own check and words
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0
+            )
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
     except RecursionError as exc:
@@ -66,13 +73,15 @@ def loads_strict(text: str):
 
 
 def load_file(path: Union[str, Path]):
-    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        if exc.filename is not None:  # named as Path.read_text names it
+            exc.filename = str(Path(path))
+        raise ParseError(f"cannot read {Path(path)}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8: {exc}") from exc
+        raise ParseError(f"{Path(path)} is not UTF-8: {exc}") from exc
     return loads_strict(text)
 
 
@@ -104,7 +113,12 @@ def encode(value):
     if isinstance(value, Fraction):
         return {"num": _decimal(value.numerator), "den": _decimal(value.denominator)}
     if isinstance(value, IntMatrix):
-        return [list(map(_decimal, r)) for r in value.to_rows()]
+        try:
+            flat = [*map(str, value.entries)]
+        except ValueError:
+            flat = [*map(_decimal, value.entries)]  # raises, naming the limit
+        c = value.cols
+        return [flat[i * c:(i + 1) * c] for i in range(value.rows)]
     if isinstance(value, (list, tuple)):
         return [encode(v) for v in value]
     if isinstance(value, dict):
@@ -172,32 +186,45 @@ def as_items(node, path: str, read: Callable, length=None) -> list:
     return [read(x, f"{path}[{i}]") for i, x in enumerate(as_list(node, path, length))]
 
 
-def as_int_vector(node, path: str, length=None) -> tuple[int, ...]:
-    items = as_list(node, path, length)
-    # fast path: one type scan and one match over the joined entries; any
-    # offender, an over-long number included, takes the per-entry loop
+def _ints(items: list):
+    """The ints of decimal strings by one type scan, one match and one int
+    map; None on any offender, an over-long number included."""
     if set(map(type, items)) <= {str} and _DECIMALS.fullmatch(",".join(items)):
         try:
-            return tuple([*map(int, items)])
+            return [*map(int, items)]
         except ValueError:
             pass
-    return tuple([as_int(x, f"{path}[{i}]") for i, x in enumerate(items)])
+    return None
+
+
+def as_int_vector(node, path: str, length=None) -> tuple[int, ...]:
+    items = as_list(node, path, length)
+    ints = _ints(items)
+    if ints is None:
+        ints = [as_int(x, f"{path}[{i}]") for i, x in enumerate(items)]
+    return tuple(ints)
 
 
 def as_fraction_vector(node, path: str, length=None) -> tuple[Fraction, ...]:
     return tuple(as_items(node, path, as_fraction, length))
 
 
-def as_int_rows(node, path: str, rows=None, cols=None) -> list[tuple[int, ...]]:
-    """The rows of an integer matrix; without cols, each as long as the first."""
+def as_int_matrix(node, path: str, rows=None, cols=None) -> IntMatrix:
+    """An integer matrix; without cols, each row as long as the first."""
     items = as_list(node, path, rows)
     if cols is None and items and isinstance(items[0], list):
         cols = len(items[0])
-    return as_items(items, path, lambda row, at: as_int_vector(row, at, cols))
+    # fast path: read whole, as _ints reads a vector; any offender, a
+    # ragged or non-list row included, takes the per-row loop
+    if items and set(map(type, items)) == {list} and {*map(len, items)} == {cols}:
+        ints = _ints([*chain.from_iterable(items)])
+        if ints is not None:
+            return IntMatrix(len(items), cols, tuple(ints))
+    return IntMatrix.from_rows(as_items(items, path, lambda r, at: as_int_vector(r, at, cols)))
 
 
-def as_int_matrix(node, path: str, rows=None, cols=None) -> IntMatrix:
-    return IntMatrix.from_rows(as_int_rows(node, path, rows, cols))
+def as_int_rows(node, path: str, rows=None, cols=None) -> tuple[tuple[int, ...], ...]:
+    return as_int_matrix(node, path, rows, cols).to_rows()
 
 
 def require(mapping, key: str, path: str):

@@ -225,7 +225,7 @@ def _run_order_classify(payload: dict):
 
     def read(node, path):
         coords = field(node, path, "class", as_fraction_vector, surface.rank)
-        e = field(node, path, "e", as_int)
+        e = field(node, path, "e", _int_at_least, 2, "at least 2")
         path += ".cover_irreducible"
         word = as_str(node.get("cover_irreducible", "unknown"), path)
         if word not in _IRREDUCIBLE:
@@ -251,21 +251,31 @@ def _run_order_classify(payload: dict):
     return computed, result.assumptions
 
 
+def _int_at_least(node, path: str, low: int, words: str) -> int:
+    """An integer refused by path below low: the library refuses it too, but
+    without naming the field, and an order only after building blocks as
+    long as the model."""
+    value = as_int(node, path)
+    if value < low:
+        raise SchemaError(f"{path}: must be {words}, got {value}")
+    return value
+
+
 def _model_from(node, path: str) -> AbGroupModel:
     node = as_dict(node, path)
-    return AbGroupModel(
-        as_int(node.get("free_rank", "0"), f"{path}.free_rank"),
-        as_int_vector(node.get("finite_cyclic", []), f"{path}.finite_cyclic"),
-        as_int(node.get("elliptic_count", "0"), f"{path}.elliptic_count"),
+    rank = _int_at_least(node.get("free_rank", "0"), f"{path}.free_rank", 0, "nonnegative")
+    moduli = as_int_vector(node.get("finite_cyclic", []), f"{path}.finite_cyclic")
+    for i, m in enumerate(moduli):
+        if m < 2:
+            raise SchemaError(f"{path}.finite_cyclic[{i}]: must be at least 2, got {m}")
+    count = _int_at_least(
+        node.get("elliptic_count", "0"), f"{path}.elliptic_count", 0, "nonnegative"
     )
+    return AbGroupModel(rank, moduli, count)
 
 
 def _endo_from(node, path: str, model: AbGroupModel) -> BlockEndo:
-    order = field(node, path, "order", as_int)
-    # BlockEndo checks this too, but after the default blocks, which are as
-    # long as the model, have been built
-    if order < 1:
-        raise SchemaError(f"{path}.order: must be positive, got {order}")
+    order = field(node, path, "order", _int_at_least, 1, "positive")
     rank, n, count = model.free_rank, len(model.finite_cyclic), model.elliptic_count
     free = optional_field(node, path, "free_action", as_int_matrix, rank, rank)
     scalars = optional_field(node, path, "finite_action", as_int_vector, n)
@@ -297,7 +307,7 @@ def _point_from(node, path: str) -> Optional[TorsionPoint]:
         return None
     return TorsionPoint(
         field(node, path, "symbol", as_str),
-        field(node, path, "order", as_int),
+        field(node, path, "order", _int_at_least, 1, "positive"),
         as_int(node.get("mult", "1"), f"{path}.mult"),
     )
 

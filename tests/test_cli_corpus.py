@@ -56,6 +56,23 @@ def test_parse_rejects_raw_numbers():
     assert jsonio.loads_strict('{"a": "5"}') == {"a": "5"}
 
 
+def test_parse_rejects_constants_and_keeps_the_bom_message():
+    # NaN and Infinity are raw numbers too; the one decoder must still word
+    # a leading BOM as json.loads does
+    for token in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ParseError) as refused:
+            jsonio.loads_strict(f'{{"schema": "k3ord/1", "gram": [[{token}]]}}')
+        assert str(refused.value) == (
+            f"raw JSON number {token!r}; integers must be decimal strings"
+        )
+    with pytest.raises(ParseError) as bom:
+        jsonio.loads_strict('\ufeff{"schema": "k3ord/1"}')
+    assert str(bom.value) == (
+        "malformed JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0)"
+    )
+
+
 def test_decoders_reject_wrong_shapes():
     assert jsonio.as_int("-7", "n") == -7
     with pytest.raises(SchemaError, match=r"^n: "):
@@ -92,6 +109,66 @@ def test_int_vector_fast_path_keeps_the_per_entry_messages():
             assert str(fast.value).startswith(f"{at}: ")
     assert jsonio.as_int_vector(["0", "-12", "7" * 60], "row") == (0, -12, int("7" * 60))
     assert jsonio.as_int_vector([], "row") == ()
+
+
+def _per_row(node, rows=None, cols=None):
+    """The rows of a matrix read one as_int_vector at a time."""
+    items = jsonio.as_list(node, "m", rows)
+    if cols is None and items and isinstance(items[0], list):
+        cols = len(items[0])
+    return [jsonio.as_int_vector(row, f"m[{i}]", cols) for i, row in enumerate(items)]
+
+
+def _matrix_cases():
+    good = [[str(3 * i + j - 4) for j in range(3)] for i in range(3)]
+    for bad in ("3\u00b2", " 1", "1_0", "x", 1, True, "7" * 5000, "1,2", "", "+1", "\u0663"):
+        for i in (0, 1, 2):
+            for j in (0, 1, 2):
+                m = [list(r) for r in good]
+                m[i][j] = bad
+                yield m, None, None
+                yield m, 3, 3
+    for i in (0, 1, 2):
+        for row in (good[i][:2], good[i] + ["1"], [], "1 2 3", None, {"0": "1"}):
+            m = [list(r) for r in good]
+            m[i] = row
+            yield m, None, None
+            yield m, 3, 3
+    yield good, None, None
+    yield good, 3, 3
+    yield good, 2, None
+    yield good, 4, 3
+    yield good, None, 2
+    yield [["7" * 60, "-0"]], 1, 2
+    yield [], None, 3
+    yield [], 0, None
+    yield [[]], None, None
+    yield [[], []], 2, 0
+    yield [[], ["1"]], None, None
+    yield "x", None, None
+    yield None, 2, 2
+
+
+def test_int_matrix_fast_path_keeps_the_per_row_messages():
+    """as_int_matrix and as_int_rows read a matrix whole and fall back to
+    one as_int_vector per row on any offender; the error must be the one
+    that loop raises, and a matrix read whole must be the one it reads."""
+    for node, rows, cols in _matrix_cases():
+        try:
+            reference = _per_row(node, rows, cols)
+        except SchemaError as exc:
+            assert str(exc)[:2] in ("m:", "m[")
+            for read in (jsonio.as_int_matrix, jsonio.as_int_rows):
+                with pytest.raises(SchemaError) as fast:
+                    read(node, "m", rows, cols)
+                assert str(fast.value) == str(exc)
+            continue
+        read_rows = jsonio.as_int_rows(node, "m", rows, cols)
+        assert list(read_rows) == reference
+        matrix = jsonio.as_int_matrix(node, "m", rows, cols)
+        assert matrix == IntMatrix.from_rows(read_rows)
+    assert jsonio.as_int_matrix([], "m", cols=3) == IntMatrix(0, 0, ())
+    assert jsonio.as_int_matrix([[]], "m") == IntMatrix(1, 0, ())
 
 
 def test_encode_reads_a_matrix_by_rows():
@@ -278,8 +355,20 @@ _TWIST = {"model": {"free_rank": "1", "finite_cyclic": ["2"], "elliptic_count": 
      "payload.element.elliptic"),
     ("twist-check", dict(_TWIST, element={"elliptic": [{"symbol": "e"}]}),
      "payload.element.elliptic[0]"),
+    ("fibration-h1", {"model": {"free_rank": "-1"}, "endo": {"order": "2"}},
+     "payload.model.free_rank"),
+    ("fibration-h1", {"model": {"finite_cyclic": ["2", "1"]}, "endo": {"order": "2"}},
+     "payload.model.finite_cyclic[1]"),
+    ("twist-check", {"model": {"elliptic_count": "-1"}, "endo": {"order": "2"},
+                     "element": {}}, "payload.model.elliptic_count"),
+    ("twist-check", dict(_TWIST, element={"elliptic": [{"symbol": "e", "order": "0"}]}),
+     "payload.element.elliptic[0].order"),
+    ("order-classify", {"surface": "p2", "ramification": [{"class": ["1"], "e": "1"}]},
+     "payload.ramification[0].e"),
 ], ids=["gram-entry", "gram-entry-off-diagonal", "long-class", "missing-vector",
-        "short-columns", "long-free", "short-finite", "long-elliptic", "missing-order"])
+        "short-columns", "long-free", "short-finite", "long-elliptic", "missing-order",
+        "negative-free-rank", "modulus-one", "negative-elliptic-count", "point-order-zero",
+        "ramification-index-one"])
 def test_error_names_the_field_at_fault(tmp_path, capsys, kind, payload, path):
     outcome = run_check(kind, kind, payload, None)
     assert outcome.verdict == ERROR
