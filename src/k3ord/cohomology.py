@@ -19,8 +19,8 @@ the first integer relation among e_j, sigma e_j, sigma^2 e_j, ..., found on
 rows of rank entries.  Each mu_j divides mu, so each must be a product of
 distinct Phi_m with m dividing n, and the lcm is the product of Phi_m over
 the union of their m.  The lcm of mu_1, ..., mu_j divides mu, so it is mu as
-soon as it kills sigma; that is tested on one probe vector (see
-`matrices._probe`) each time the lcm grows, and after e_rank it is mu anyway.
+soon as it kills sigma; that is tested exactly by `matrices.annihilates`
+each time the lcm grows, and after e_rank it is mu anyway.
 
 The quotient is read off D alone.  As sigma is semisimple over Q,
 Q^r = ker(1 - sigma) + im(1 - sigma) is a direct sum; N is
@@ -65,11 +65,11 @@ from .matrices import (
     IntMatrix,
     IntVector,
     _echelon,
-    _probe,
     _replay,
     _undo,
+    annihilates,
     integer_kernel,
-    is_isometry,
+    is_congruence,
     snf,
 )
 
@@ -116,18 +116,6 @@ def _cyclotomic_orders(mu: list[int]) -> dict[int, list[int]] | None:
     return factors if mu == [1] else None
 
 
-def _annihilates(mu: list[int], sigma: IntMatrix) -> bool:
-    """mu(sigma) == 0 for a monic mu, by Horner on one `_probe` x.  An entry
-    of sigma^k is at most (n * s)^k for s = max |sigma|, so one of mu(sigma)
-    is at most sum |mu_k| * (n * s)^k."""
-    n, s = sigma.rows, sigma.height
-    x = _probe(n, sum(abs(c) * (n * s) ** k for k, c in enumerate(mu)))
-    acc = x
-    for c in reversed(mu[:-1]):
-        acc = [y + c * z for y, z in zip(sigma.mul_vec(acc), x)]
-    return not any(acc)
-
-
 @dataclass(frozen=True)
 class GLattice:
     """A lattice together with an isometry generating a finite cyclic group.
@@ -135,9 +123,9 @@ class GLattice:
     sigma^order = I when the minimal polynomial mu of sigma is a product of
     distinct Phi_m, each m dividing `order`, and UnsupportedParameter is
     raised otherwise.  mu is the lcm of the minimal polynomials of the basis
-    vectors, and the search stops once the lcm kills sigma on a probe vector
-    (see the module docstring).  `norm` is N = sum_{i<order} sigma^i and
-    `diff` is D = 1 - sigma, both built once here.
+    vectors, and the search stops once the lcm kills sigma (see the module
+    docstring).  `norm` is N = sum_{i<order} sigma^i and `diff` is
+    D = 1 - sigma, both built once here.
 
     >>> phi6 = IntMatrix.from_rows([[0, -1], [1, 1]])
     >>> GLattice(Lattice(IntMatrix.zeros(2, 2)), phi6, 6).norm == IntMatrix.zeros(2, 2)
@@ -162,7 +150,7 @@ class GLattice:
             )
         if self.order < 1:
             raise UnsupportedParameter(f"group order {self.order} < 1")
-        if not is_isometry(self.sigma, self.lattice.gram):
+        if not is_congruence(self.sigma, self.lattice.gram, self.lattice.gram):
             raise ActionNotIsometric("sigma does not preserve the pairing")
 
         # For each e_j, W * krylov is an echelon form, W unimodular and logged
@@ -191,7 +179,7 @@ class GLattice:
             for m in new:
                 mu = _times(mu, factors[m])
             ms |= new
-            if new and j < n - 1 and _annihilates(mu, self.sigma):
+            if new and j < n - 1 and annihilates(mu, self.sigma):
                 break
         # g(1) divides lcm(ms), so order // g(1) is exact
         g, (mu_at_1,) = _divide(mu, [-1, 1])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch
 from .lattices import Lattice
-from .matrices import IntMatrix, _probe, det, integer_kernel, snf
+from .matrices import IntMatrix, det, integer_kernel, is_congruence, snf
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,7 @@ class ComplementResult:
 
 
 def check_isometric(e: Embedding) -> bool:
-    """True iff P^T G_target P equals G_source exactly.
-
-    Both sides are tested on one `_probe` x of length source.rank:
-    P^T (G_target (P x)) against G_source x.  An entry of the left side is
-    at most n^2 p^2 g, for n = target.rank, p = max |P| and g = max |G_target|,
-    so that plus max |G_source| bounds their difference.
+    """True iff P^T G_target P equals G_source exactly, by `is_congruence`.
 
     >>> from .lattices import build_H, Lattice
     >>> amb = build_H()
@@ -71,9 +66,7 @@ def check_isometric(e: Embedding) -> bool:
     >>> check_isometric(Embedding(sub, amb, IntMatrix.from_rows([[1, 0], [0, 2]])))
     True
     """
-    p, g, n = e.matrix, e.target.gram, e.target.rank
-    x = _probe(e.source.rank, n * n * p.height ** 2 * g.height + e.source.gram.height)
-    return p.tmul_vec(g.mul_vec(p.mul_vec(x))) == e.source.gram.mul_vec(x)
+    return is_congruence(e.matrix, e.target.gram, e.source.gram)
 
 
 def is_primitive(e: Embedding) -> bool:

@@ -18,9 +18,9 @@ M to P.a + T.b = 0 gives Q.a = 0, and Q.a = 0 puts P.a in ker M.
 phi is an integer numerator F over the denominator d of Q^(-1), in lowest
 terms; it preserves the integer lattice exactly when d is 1, never by a
 tolerance test.  The result records that integrality flag with two
-certificates of the computed phi, each an integer identity tested exactly
-on one probe vector (see `matrices._probe`): phi is orthogonal when
-F^T.G.F = d^2.G and involutive when F.F = d^2.I.
+certificates of the computed phi, each an integer identity tested exactly:
+phi is orthogonal when F^T.G.F = d^2.G (`matrices.is_congruence`) and
+involutive when F.F - d^2.I = 0 (`matrices.annihilates`).
 
 Only the lattice-side conditions are certified.  Whether the extension is
 induced by a geometric symmetry involves conditions on the transcendental
@@ -35,7 +35,7 @@ from typing import Optional
 
 from .embeddings import Embedding
 from .errors import ActionNotIsometric, DimensionMismatch, SingularFrame
-from .matrices import IntMatrix, RatMatrix, _probe, is_isometry
+from .matrices import IntMatrix, RatMatrix, annihilates, is_congruence
 
 EXTENSION_ASSUMPTIONS = (
     "acts as -1 on the orthogonal complement of the embedded sublattice",
@@ -68,26 +68,21 @@ def extend_by_minus_one(pic: Embedding, action: IntMatrix) -> ExtensionResult:
         raise DimensionMismatch(
             f"action is {action.rows}x{action.cols}, expected {n}x{n}"
         )
-    if not is_isometry(action, pic.source.gram):
+    if not is_congruence(action, pic.source.gram, pic.source.gram):
         raise ActionNotIsometric("action does not preserve the sublattice pairing")
 
     p = pic.matrix
     m = p.transpose() @ target.gram
     try:
-        q_inv = (m @ p).to_rat().inverse()
+        q_inv = RatMatrix(m @ p).inverse()
     except ValueError:  # singular
         raise SingularFrame("embedding and complement do not span the ambient space") from None
     lift = p @ (action + IntMatrix.identity(n)) @ q_inv.num @ m
     phi = RatMatrix(lift - IntMatrix.identity(target.rank).scale(q_inv.den), q_inv.den)
 
-    # |F^T.G.F - d^2.G| <= r^2 hf^2 hg + d^2 hg and |F.F - d^2.I| <= r hf^2 + d^2
-    # for hf = max |F| and hg = max |G|, so one probe tests both identities
-    f, g, r, dd = phi.num, target.gram, target.rank, phi.den ** 2
-    hf, hg = f.height, g.height
-    x = _probe(r, max(r * r * hf * hf * hg + dd * hg, r * hf * hf + dd))
-    fx = f.mul_vec(x)
-    orthogonal = f.tmul_vec(g.mul_vec(fx)) == tuple([dd * y for y in g.mul_vec(x)])
-    involutive = f.mul_vec(fx) == tuple([dd * y for y in x])
+    f, d = phi.num, phi.den
+    orthogonal = is_congruence(f, target.gram, target.gram.scale(d * d))
+    involutive = annihilates((-d * d, 0, 1), f)
     integral = phi.is_integral
     phi_integer = phi.to_int() if integral else None
     return ExtensionResult(

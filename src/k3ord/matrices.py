@@ -32,9 +32,9 @@ Provided operations:
   (Kronecker substitution: each row is read as the integer it packs in base
   T), so an identity A = B of matrices with |A - B| <= bound is tested as
   A * x == B * x: a few matrix-vector products instead of n x n products.
-* `is_isometry` tests sigma^T * G * sigma = G as
-  sigma^T * (G * (sigma * x)) == G * x on the probe x, with the bound
-  n^2 * s^2 * g + g for s = max |sigma| and g = max |G|.
+* `is_congruence(p, g, h)` tests p^T * g * p = h and `annihilates(mu, a)`
+  tests mu(a) = 0, each on one probe; they are its only callers, so every
+  certified matrix identity in the package takes its bound from them.
 * `IntMatrix.__matmul__` (and `RatMatrix.__matmul__`, which delegates to
   it) picks its loop from the left operand.  When at least half of its
   entries are zero, each output row is built as the sum of x * (row k of
@@ -212,9 +212,9 @@ class IntMatrix:
         e, c = self.entries, self.cols
         return tuple([sum(map(mul, e[j::c], v)) for j in range(c)])
 
-    @property
+    @cached_property
     def height(self) -> int:
-        """The largest absolute value of an entry, 0 for an empty matrix."""
+        """The largest absolute value of an entry, 0 for an empty matrix; kept once read."""
         return max(map(abs, self.entries), default=0)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
@@ -228,6 +228,8 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols, tuple([*map(sub, self.entries, other.entries)]))
 
     def scale(self, k: int) -> "IntMatrix":
+        if k == 1:
+            return self
         return IntMatrix(self.rows, self.cols, tuple([k * a for a in self.entries]))
 
     def transpose(self) -> "IntMatrix":
@@ -242,9 +244,6 @@ class IntMatrix:
             out.extend(self.row(i))
             out.extend(other.row(i))
         return IntMatrix(self.rows, self.cols + other.cols, tuple(out))
-
-    def to_rat(self) -> "RatMatrix":
-        return RatMatrix(self)
 
 
 @dataclass(frozen=True)
@@ -269,9 +268,6 @@ class RatMatrix:
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         return RatMatrix(self.num @ other.num, self.den * other.den)
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.num.transpose(), self.den)
 
     @property
     def is_integral(self) -> bool:
@@ -306,26 +302,45 @@ def _probe(n: int, bound: int) -> IntVector:
     return tuple([1 << (t * k) for k in range(n)])
 
 
-def is_isometry(sigma: IntMatrix, gram: IntMatrix) -> bool:
-    """sigma^T * gram * sigma == gram.
+def is_congruence(p: IntMatrix, g: IntMatrix, h: IntMatrix) -> bool:
+    """p^T * g * p == h for an m x n map p, an m x m form g and an n x n h.
 
-    Both sides are tested on one `_probe` x: sigma^T * (gram * (sigma * x))
-    against gram * x, four matrix-vector products.  An entry of the left
-    side is at most n^2 * s^2 * g and one of gram at most g, for
-    s = max |sigma| and g = max |gram|, which bounds their difference.  A
-    zero gram is kept by every sigma and costs nothing.
+    Both sides are tested on one `_probe` x: p^T * (g * (p * x)) against
+    h * x.  An entry of p^T * g * p is a sum of m^2 terms p_ki * g_kl * p_lj,
+    so at most m^2 * max|p|^2 * max|g|; that plus max|h| bounds the
+    difference.  A zero g forms no probe.
 
-    >>> is_isometry(IntMatrix.from_rows([[0, 1], [1, 0]]), IntMatrix.from_rows([[2, 1], [1, 2]]))
+    >>> u = IntMatrix.from_rows([[2, 1], [1, 2]])
+    >>> is_congruence(IntMatrix.from_rows([[0, 1], [1, 0]]), u, u)
     True
     """
-    n = gram.rows
-    if not gram.is_square or (sigma.rows, sigma.cols) != (n, n):
-        raise DimensionMismatch(f"{sigma.rows}x{sigma.cols} action on a {gram.rows}x{gram.cols} form")
-    if not any(gram.entries):
-        return True
-    s, g = sigma.height, gram.height
-    x = _probe(n, n * n * s * s * g + g)
-    return sigma.tmul_vec(gram.mul_vec(sigma.mul_vec(x))) == gram.mul_vec(x)
+    m, n = p.rows, p.cols
+    if (g.rows, g.cols, h.rows, h.cols) != (m, m, n, n):
+        raise DimensionMismatch(f"{m}x{n} map of a {g.rows}x{g.cols} form to {h.rows}x{h.cols}")
+    if not any(g.entries):
+        return not any(h.entries)
+    x = _probe(n, m * m * p.height ** 2 * g.height + h.height)
+    return p.tmul_vec(g.mul_vec(p.mul_vec(x))) == h.mul_vec(x)
+
+
+def annihilates(mu: Sequence[int], a: IntMatrix) -> bool:
+    """mu(a) == 0 for a square a and mu = mu_0 + mu_1 x + ..., by Horner on
+    one `_probe` x.  An entry of a^k, k >= 1, is at most n^(k-1) * s^k for
+    s = max |a|, as one of a^(k+1) = a^k * a sums n products of an entry of
+    a^k and one of a; so one of mu(a) is at most
+    |mu_0| + sum_{k>=1} |mu_k| * n^(k-1) * s^k.
+
+    >>> annihilates([-1, 0, 1], IntMatrix.from_rows([[0, 1], [1, 0]]))
+    True
+    """
+    if not a.is_square:
+        raise NonSquare(f"polynomial of a {a.rows}x{a.cols} matrix")
+    n, s = a.rows, a.height
+    x = _probe(n, abs(mu[0]) + sum(abs(c) * n ** (k - 1) * s ** k for k, c in enumerate(mu) if k))
+    acc = [mu[-1] * y for y in x]
+    for c in reversed(mu[:-1]):
+        acc = [y + c * z for y, z in zip(a.mul_vec(acc), x)]
+    return not any(acc)
 
 
 @dataclass(frozen=True)

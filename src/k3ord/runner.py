@@ -73,9 +73,14 @@ ANNOTATION_KEYS = frozenset({"source", "note"})
 
 
 def _gram(node, path: str) -> IntMatrix:
-    """A square integer matrix: as many entries in each row as there are rows."""
+    """A symmetric integer matrix: as many entries in each row as there are rows."""
     rows = as_list(node, path)
-    return as_int_matrix(rows, path, cols=len(rows))
+    gram = as_int_matrix(rows, path, cols=len(rows))
+    if not gram.is_symmetric:
+        i, j = next((i, j) for i in range(gram.rows) for j in range(i)
+                    if gram.entry(i, j) != gram.entry(j, i))
+        raise SchemaError(f"{path}[{i}][{j}]: must equal {path}[{j}][{i}] in a symmetric matrix")
+    return gram
 
 
 def _ambient(node, path: str) -> Lattice:

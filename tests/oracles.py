@@ -536,3 +536,15 @@ def power_sum(sigma: list[list[int]], order: int) -> list[list[int]]:
         power = [[sum(r[k] * sigma[k][j] for k in range(n)) for j in range(n)] for r in power]
         total = [[x + y for x, y in zip(r, s)] for r, s in zip(total, power)]
     return total
+
+
+def poly_at(mu: list[int], a: list[list[int]]) -> list[list[int]]:
+    """mu(a) = sum of mu_k * a^k, coefficients constant term first, for a
+    square matrix a given as rows; each power is one schoolbook product."""
+    n = len(a)
+    total, power = [[0] * n for _ in range(n)], _identity_rows(n)
+    for k, c in enumerate(mu):
+        if k:
+            power = [[sum(r[i] * a[i][j] for i in range(n)) for j in range(n)] for r in power]
+        total = [[x + c * y for x, y in zip(r, s)] for r, s in zip(total, power)]
+    return total

@@ -336,6 +336,7 @@ def test_twist_check_payload():
     assert outcome.computed == {"cocycle": True, "coboundary": False}
 
 
+_ASYMMETRIC = [["2", "1"], ["0", "2"]]
 _TWIST = {"model": {"free_rank": "1", "finite_cyclic": ["2"], "elliptic_count": "1"},
           "endo": {"order": "2"}}
 
@@ -365,10 +366,19 @@ _TWIST = {"model": {"free_rank": "1", "finite_cyclic": ["2"], "elliptic_count": 
      "payload.element.elliptic[0].order"),
     ("order-classify", {"surface": "p2", "ramification": [{"class": ["1"], "e": "1"}]},
      "payload.ramification[0].e"),
+    ("h1", dict(_h1_payload(), gram=_ASYMMETRIC), "payload.gram[1][0]"),
+    ("quotient-pic", dict(_h1_payload(), gram=_ASYMMETRIC), "payload.gram[1][0]"),
+    ("ample-cert", {"gram": _ASYMMETRIC, "candidate": ["1", "1"]}, "payload.gram[1][0]"),
+    ("embedding-check", {"target": _ASYMMETRIC, "source_gram": [["2"]],
+                         "columns": [["1"], ["0"]]}, "payload.target[1][0]"),
+    ("embedding-check", {"target": [["2", "0"], ["0", "2"]], "source_gram": _ASYMMETRIC,
+                         "columns": [["1", "0"], ["0", "1"]]}, "payload.source_gram[1][0]"),
 ], ids=["gram-entry", "gram-entry-off-diagonal", "long-class", "missing-vector",
         "short-columns", "long-free", "short-finite", "long-elliptic", "missing-order",
         "negative-free-rank", "modulus-one", "negative-elliptic-count", "point-order-zero",
-        "ramification-index-one"])
+        "ramification-index-one", "h1-asymmetric", "quotient-pic-asymmetric",
+        "ample-cert-asymmetric", "embedding-target-asymmetric",
+        "embedding-source-asymmetric"])
 def test_error_names_the_field_at_fault(tmp_path, capsys, kind, payload, path):
     outcome = run_check(kind, kind, payload, None)
     assert outcome.verdict == ERROR
@@ -518,6 +528,19 @@ def test_package_has_no_unused_imports():
         }
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         assert not imported - used, f"{path.name}: unused imports {sorted(imported - used)}"
+
+
+def test_only_matrices_builds_a_probe():
+    """Every certified matrix identity goes through matrices.is_congruence or
+    matrices.annihilates, so no other module names the probe behind them."""
+    for path in sorted((REPO / "src" / "k3ord").glob("*.py")):
+        if path.name == "matrices.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert "_probe" not in names, path.name
 
 
 def test_package_builds_no_tuple_from_an_iterator():
@@ -795,12 +818,15 @@ def test_cli_signature(tmp_path, capsys):
 @pytest.mark.parametrize(
     "gram, error",
     [
-        ([["1", "2"], ["3", "1"]], "NotSymmetric"),
+        ([["1", "2"], ["3", "1"]], "SchemaError: payload.gram[1][0]: "),
+        ([["1", "2", "0"], ["2", "1", "0"], ["0", "5", "1"]], "SchemaError: payload.gram[2][1]: "),
+        ([["1", "2", "7"], ["3", "1", "0"], ["0", "5", "1"]], "SchemaError: payload.gram[1][0]: "),
         ([["1", "2"]], "SchemaError: payload.gram[0]: length 2, expected 1"),
         ([["3²"]], "SchemaError: payload.gram[0][0]: "),
         ([["٣"]], "SchemaError: payload.gram[0][0]: "),
     ],
-    ids=["not-symmetric", "not-square", "superscript-digit", "arabic-indic-digit"],
+    ids=["not-symmetric", "not-symmetric-below", "not-symmetric-twice", "not-square",
+         "superscript-digit", "arabic-indic-digit"],
 )
 def test_cli_signature_bad_gram_is_error_report(tmp_path, capsys, gram, error):
     path = tmp_path / "gram.json"

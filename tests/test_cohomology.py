@@ -27,6 +27,7 @@ from k3ord.embeddings import is_primitive
 from k3ord.errors import (
     ActionNotIsometric,
     DimensionMismatch,
+    NonSquare,
     OddEntry,
     UnsupportedAction,
     UnsupportedParameter,
@@ -48,7 +49,9 @@ from k3ord.runner import PASS, run_check
 from oracles import (
     h1_box_class_count,
     mat_mul,
+    poly_at,
     power_sum,
+    random_int_matrix,
     random_unimodular,
     snf_with_transforms,
 )
@@ -341,11 +344,66 @@ def test_norm_agrees_with_the_plain_power_sum_on_seeded_actions():
         ), (ms, order)
 
 
+def _annihilates_as_the_oracle(mu, a):
+    """matrices.annihilates(mu, a) against the plain value mu(a), whose
+    entries must also keep within the bound the probe is built on; returns
+    the verdict."""
+    value = poly_at(list(mu), [list(r) for r in a.to_rows()])
+    n, s = a.rows, a.height
+    bound = abs(mu[0]) + sum(abs(c) * n ** (k - 1) * s ** k for k, c in enumerate(mu) if k)
+    assert max((abs(x) for r in value for x in r), default=0) <= bound, (mu, a)
+    verdict = matrices.annihilates(mu, a)
+    assert verdict == (not any(map(any, value))), (mu, a)
+    return verdict
+
+
+def test_annihilates_agrees_with_the_plain_polynomial_value():
+    """annihilates tests mu(a) = 0 by Horner on one probe vector; the oracle
+    forms mu(a) from the powers of a.  The cases: seeded matrices and
+    polynomials, products of cyclotomic polynomials on sums of their
+    companion blocks, s * J (J all ones), whose powers (s J)^k = s^k n^(k-1) J
+    meet the bound, and values that are 1 or -1 in a single entry."""
+    rng = random.Random(2525)
+    kills = 0
+    for _ in range(400):
+        n = rng.randint(0, 5)
+        a = random_int_matrix(rng, n, n, -3, 3)
+        mu = [rng.randint(-4, 4) for _ in range(rng.randint(1, 5))]
+        _annihilates_as_the_oracle(mu, a)
+    for ms, sigma, _ in _seeded_cyclotomic_actions(random.Random(2526), 200):
+        first, *rest = sorted(set(ms))
+        proper, extra = [1], _cyclotomic(rng.randint(1, 12))
+        for m in rest:
+            proper = _times(proper, _cyclotomic(m))
+        mu = _times(proper, _cyclotomic(first))
+        for poly in (mu, _times(mu, extra), proper, extra):
+            kills += _annihilates_as_the_oracle(poly, sigma)
+    assert kills >= 400
+    for n, s, k in ((1, 5, 3), (3, 1, 4), (4, 9, 5), (6, 10**12, 3)):
+        a, top = IntMatrix(n, n, (s,) * (n * n)), (s * n) ** (k - 1)
+        power = [0] * k + [1]
+        assert poly_at(power, [list(r) for r in a.to_rows()])[0][0] == s ** k * n ** (k - 1)
+        assert not _annihilates_as_the_oracle(power, a)
+        assert _annihilates_as_the_oracle([0, -top] + [0] * (k - 2) + [1], a)
+        assert not _annihilates_as_the_oracle([rng.choice((-1, 1)), -top] + [0] * (k - 2) + [1], a)
+    # c I + E_ij: x - c leaves the single entry 1, (x - c)^2 kills it
+    for c in (0, 1, -7, 10**30):
+        for n, i, j in ((2, 0, 1), (3, 2, 0), (5, 1, 3)):
+            a = IntMatrix.identity(n).scale(c) + IntMatrix.from_rows(
+                [[int((r, t) == (i, j)) for t in range(n)] for r in range(n)])
+            assert not _annihilates_as_the_oracle([-c, 1], a)
+            assert not _annihilates_as_the_oracle([c, -1], a)
+            assert _annihilates_as_the_oracle([c * c, -2 * c, 1], a)
+            assert not _annihilates_as_the_oracle([c * c + 1, -2 * c, 1], a)
+    with pytest.raises(NonSquare):
+        matrices.annihilates([0, 1], IntMatrix.zeros(2, 3))
+
+
 def _lcm_steps(monkeypatch):
-    """Record each lcm that GLattice tests on a probe, with the verdict."""
+    """Record each lcm that GLattice tests on sigma, with the verdict."""
     steps = []
-    annihilates = cohomology._annihilates
-    monkeypatch.setattr(cohomology, "_annihilates", lambda mu, sigma: steps.append(
+    annihilates = cohomology.annihilates
+    monkeypatch.setattr(cohomology, "annihilates", lambda mu, sigma: steps.append(
         (list(mu), annihilates(mu, sigma))) or steps[-1][1])
     return steps
 

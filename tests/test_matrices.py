@@ -637,7 +637,7 @@ def test_hermite_row_basis_canonical():
 
 
 def test_rat_matrix_inverse_and_integrality():
-    a = IntMatrix.from_rows([[1, 2], [3, 5]]).to_rat()
+    a = RatMatrix(IntMatrix.from_rows([[1, 2], [3, 5]]))
     inv = a.inverse()
     assert a @ inv == RatMatrix.identity(2)
     assert inv.is_integral
@@ -646,9 +646,9 @@ def test_rat_matrix_inverse_and_integrality():
     with pytest.raises(ValueError):
         half.to_int()
     with pytest.raises(ValueError):
-        IntMatrix.from_rows([[1, 1], [1, 1]]).to_rat().inverse()
+        RatMatrix(IntMatrix.from_rows([[1, 1], [1, 1]])).inverse()
     with pytest.raises(NonSquare):
-        IntMatrix.zeros(2, 3).to_rat().inverse()
+        RatMatrix(IntMatrix.zeros(2, 3)).inverse()
     # lowest terms with a positive denominator: equal rationals are equal
     m = IntMatrix.from_rows([[3, -6], [9, 4]])
     assert RatMatrix(m.scale(2), 2) == RatMatrix(m)
@@ -806,12 +806,20 @@ def _isometry_case(rng: random.Random, kind: str) -> tuple[list[list[int]], list
     return _permuted(s0, perm), _permuted(g0, perm)
 
 
-def test_is_isometry_agrees_with_the_triple_product():
-    """is_isometry compares sigma^T * (G * (sigma * x)) with G * x on one
-    probe vector x; the oracle forms the whole triple product.  The broken
-    cases pin down which entries of the oracle's product differ: one
-    diagonal entry, or one off-diagonal pair, so a check that misses a
-    change on the diagonal or off it does not pass."""
+def _congruence(p, g, m, n):
+    """p^T * g * p for a plain m x n list p and m x m list g, by the oracle."""
+    pt = [p[k * n + i] for i in range(n) for k in range(m)]
+    return mat_mul(mat_mul(pt, g, n, m, m), p, n, m, n)
+
+
+def test_is_congruence_agrees_with_the_triple_product():
+    """is_congruence compares p^T * (g * (p * x)) with h * x on one probe
+    vector x; the oracle forms the whole triple product.  On isometries
+    (p = sigma, h = g) the broken cases pin down which entries of the
+    oracle's product differ: one diagonal entry, or one off-diagonal pair,
+    so a check that misses a change on the diagonal or off it does not
+    pass.  Non-square maps are then checked against their own product,
+    changed by 1 at one diagonal entry or one off-diagonal pair."""
     rng = random.Random(21)
     seen = {}
     for case in range(800):
@@ -819,8 +827,7 @@ def test_is_isometry_agrees_with_the_triple_product():
         sigma, gram = _isometry_case(rng, kind)
         n = len(gram)
         flat_s, flat_g = [x for r in sigma for x in r], [x for r in gram for x in r]
-        st_ = [flat_s[j * n + i] for i in range(n) for j in range(n)]
-        product = mat_mul(mat_mul(st_, flat_g, n, n, n), flat_s, n, n, n)
+        product = _congruence(flat_s, flat_g, n, n)
         broken = [(i, j) for i in range(n) for j in range(n) if product[i * n + j] != flat_g[i * n + j]]
         if kind == "isometry":
             assert broken == [], (sigma, gram)
@@ -828,17 +835,54 @@ def test_is_isometry_agrees_with_the_triple_product():
             assert len(broken) == 1 and broken[0][0] == broken[0][1], (sigma, gram)
         elif kind == "pair":
             assert len(broken) == 2 and broken[0] == broken[1][::-1], (sigma, gram)
-        verdict = matrices.is_isometry(IntMatrix.from_rows(sigma), IntMatrix.from_rows(gram))
+        g = IntMatrix.from_rows(gram)
+        verdict = matrices.is_congruence(IntMatrix.from_rows(sigma), g, g)
         assert verdict == (not broken), (kind, sigma, gram)
         seen[kind, verdict] = seen.get((kind, verdict), 0) + 1
     assert seen[("random", False)] > 150 and seen[("isometry", True)] == 200, seen
     assert seen[("diagonal", False)] == seen[("pair", False)] == 200, seen
-    # a zero form is kept by anything; shapes must match
-    assert matrices.is_isometry(IntMatrix.from_rows([[5, 1], [2, 3]]), IntMatrix.zeros(2, 2))
-    with pytest.raises(DimensionMismatch):
-        matrices.is_isometry(IntMatrix.identity(2), IntMatrix.identity(3))
-    with pytest.raises(DimensionMismatch):
-        matrices.is_isometry(IntMatrix.zeros(2, 3), IntMatrix.identity(2))
+    # an m x n map with m != n, against its own product and a changed one
+    for trial in range(300):
+        m, n = rng.randint(1, 6), rng.randint(2, 6)
+        m += m == n
+        height = 10 ** rng.randint(0, 30)
+        p = random_int_matrix(rng, m, n, -height, height)
+        g = random_symmetric(rng, m, -height, height)
+        h = _congruence(list(p.entries), list(g.entries), m, n)
+        assert matrices.is_congruence(p, g, IntMatrix(n, n, tuple(h))), (p, g)
+        i, j = rng.randrange(n), rng.randrange(n - 1)
+        j += j >= i
+        for delta in (1, -1):
+            diagonal = list(h)
+            diagonal[i * n + i] += delta
+            pair = list(h)
+            pair[i * n + j] += delta
+            pair[j * n + i] += delta
+            for changed in (diagonal, pair):
+                assert not matrices.is_congruence(p, g, IntMatrix(n, n, tuple(changed)))
+        other = random_symmetric(rng, n, -3, 3)
+        assert matrices.is_congruence(p, g, other) == (list(other.entries) == h)
+    # every entry of p^T * g * p at the bound m^2 * s^2 * t, and h its negative
+    for m, n, s, t in ((1, 2, 1, 1), (3, 2, 7, 5), (5, 4, 10**20, 3)):
+        p, g = IntMatrix(m, n, (s,) * (m * n)), IntMatrix(m, m, (t,) * (m * m))
+        top = IntMatrix(n, n, (m * m * s * s * t,) * (n * n))
+        assert matrices.is_congruence(p, g, top)
+        assert not matrices.is_congruence(p, g, top.scale(-1))
+    # a zero form is sent to zero by anything; shapes must match
+    for p in (IntMatrix.from_rows([[5, 1], [2, 3]]), IntMatrix.from_rows([[5, 1, 0], [2, 3, 4]])):
+        n = p.cols
+        assert matrices.is_congruence(p, IntMatrix.zeros(2, 2), IntMatrix.zeros(n, n))
+        assert not matrices.is_congruence(p, IntMatrix.zeros(2, 2), IntMatrix.identity(n))
+    p = IntMatrix.zeros(2, 3)
+    for g, h in (
+        (IntMatrix.identity(3), IntMatrix.identity(3)),  # g does not have p's rows
+        (IntMatrix.zeros(2, 3), IntMatrix.identity(3)),  # g is not square
+        (IntMatrix.identity(2), IntMatrix.identity(2)),  # h does not have p's columns
+        (IntMatrix.identity(2), IntMatrix.zeros(3, 2)),  # h is not square
+        (IntMatrix.zeros(2, 2), IntMatrix.zeros(2, 2)),  # zero g, h the wrong size
+    ):
+        with pytest.raises(DimensionMismatch):
+            matrices.is_congruence(p, g, h)
 
 
 def test_subtraction_is_entrywise_and_checks_shapes():
