@@ -12,7 +12,9 @@ sigma^n = I exactly when mu divides the squarefree x^n - 1: mu is a product
 of distinct cyclotomic polynomials Phi_m, each m dividing n.  Then sigma is
 semisimple over Q and N is n on the eigenvalue 1 and 0 on the others, as is
 (n / g(1)) g(sigma) for mu = (x - 1) g, or 0 if mu(1) != 0.  So N needs
-sigma^k only for k < deg mu, and an involution forms no product.
+sigma^k only for k < deg mu, and an involution forms no product.  mu is kept
+with the lattice and N is built from it when first read, so a caller that
+reads only D never forms N.
 
 mu is the lcm of the minimal polynomials mu_j of the basis vectors e_j, each
 the first integer relation among e_j, sigma e_j, sigma^2 e_j, ..., found on
@@ -35,7 +37,8 @@ it lies in im D, so it lies in the saturation of im D and N kills it.  Each
 generator can be checked directly: it is killed by N and is not an image of
 D.  The generators are representatives read off U, which is not unique, so
 they are not canonical vectors: another U can give other generators of the
-same group.
+same group.  The result keeps the Smith form and undoes its log only when
+the generators are first read, and results compare as groups.
 
 Since ker N / im D is the torsion of Z^r / im D, H^1 has no free part (as
 for any finite group, n times a cocycle lies in im D); free_rank is always
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, repeat
 from operator import add, mul
 
@@ -64,6 +68,7 @@ from .lattices import Lattice
 from .matrices import (
     IntMatrix,
     IntVector,
+    SNFResult,
     _echelon,
     _replay,
     _undo,
@@ -124,8 +129,9 @@ class GLattice:
     distinct Phi_m, each m dividing `order`, and UnsupportedParameter is
     raised otherwise.  mu is the lcm of the minimal polynomials of the basis
     vectors, and the search stops once the lcm kills sigma (see the module
-    docstring).  `norm` is N = sum_{i<order} sigma^i and `diff` is
-    D = 1 - sigma, both built once here.
+    docstring).  `mu` is kept, coefficients constant term first.  `diff` is
+    D = 1 - sigma, built here; `norm` is N = sum_{i<order} sigma^i, built
+    from mu on first read, so a caller that never reads it never forms it.
 
     >>> phi6 = IntMatrix.from_rows([[0, -1], [1, 1]])
     >>> GLattice(Lattice(IntMatrix.zeros(2, 2)), phi6, 6).norm == IntMatrix.zeros(2, 2)
@@ -139,7 +145,7 @@ class GLattice:
     lattice: Lattice
     sigma: IntMatrix
     order: int
-    norm: IntMatrix = field(init=False, compare=False, repr=False)
+    mu: tuple[int, ...] = field(init=False, compare=False, repr=False)
     diff: IntMatrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -181,8 +187,15 @@ class GLattice:
             ms |= new
             if new and j < n - 1 and annihilates(mu, self.sigma):
                 break
+        object.__setattr__(self, "mu", tuple(mu))
+        object.__setattr__(self, "diff", IntMatrix.identity(n) - self.sigma)
+
+    @cached_property
+    def norm(self) -> IntMatrix:
+        """N = sum_{i<order} sigma^i, built from mu on first read."""
+        n = self.lattice.rank
         # g(1) divides lcm(ms), so order // g(1) is exact
-        g, (mu_at_1,) = _divide(mu, [-1, 1])
+        g, (mu_at_1,) = _divide(self.mu, [-1, 1])
         norm = [0] * (n * n)
         if not mu_at_1:
             k, power = self.order // sum(g), IntMatrix.identity(n)
@@ -191,17 +204,31 @@ class GLattice:
                     power = self.sigma if i == 1 else power @ self.sigma
                 if c:
                     norm = list(map(add, norm, map(mul, repeat(c * k), power.entries)))
-        object.__setattr__(self, "norm", IntMatrix(n, n, tuple(norm)))
-        object.__setattr__(self, "diff", IntMatrix.identity(n) - self.sigma)
+        return IntMatrix(n, n, tuple(norm))
 
 
 @dataclass(frozen=True)
 class CohResult:
-    """Torsion invariant factors, free rank, and generator representatives."""
+    """Torsion invariant factors, free rank, and generator representatives.
+
+    `generators` holds one representative per torsion factor, undone from
+    the row log of `smith`, the Smith form of D, on first read.  They are
+    not canonical (see the module docstring), so two results compare equal
+    when they are the same group: same invariant factors and free rank.
+    """
 
     invariant_factors: tuple[int, ...]
     free_rank: int
-    generators: tuple[IntVector, ...]
+    smith: SNFResult = field(repr=False, compare=False)
+
+    @cached_property
+    def generators(self) -> tuple[IntVector, ...]:
+        n = self.smith.D.rows
+        return tuple([
+            tuple(_undo(self.smith.ulog, [int(j == i) for j in range(n)]))
+            for i, d in enumerate(self.smith.diagonal)
+            if d > 1
+        ])
 
     @property
     def group_order(self) -> int:
@@ -219,7 +246,8 @@ def h1(gl: GLattice) -> CohResult:
     The torsion of Z^r / im D is ker N / im D because ker N is the
     saturation of im D (see the module docstring), so N itself is never
     eliminated and free_rank is 0.  The Smith form is of `gl.diff`, and the
-    generator of each Z/d_i, d_i > 1, is U^-1.e_i, undone from its row log.
+    generator of each Z/d_i, d_i > 1, is U^-1.e_i, undone from its row log
+    when the result's `generators` are first read, and not before.
 
     >>> from .lattices import Lattice
     >>> minus = IntMatrix.from_rows([[-1, 0], [0, -1]])
@@ -228,14 +256,7 @@ def h1(gl: GLattice) -> CohResult:
     (2, 2)
     """
     res = snf(gl.diff)
-    n = gl.diff.rows
-    torsion = tuple([d for d in res.diagonal if d > 1])
-    generators = tuple([
-        tuple(_undo(res.ulog, [int(j == i) for j in range(n)]))
-        for i, d in enumerate(res.diagonal)
-        if d > 1
-    ])
-    return CohResult(torsion, 0, generators)
+    return CohResult(tuple([d for d in res.diagonal if d > 1]), 0, res)
 
 
 def fixed_sublattice(gl: GLattice) -> Embedding:

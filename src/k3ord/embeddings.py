@@ -8,10 +8,12 @@ embedding are answered here exactly:
   * is it primitive (is the quotient target/image torsion free),
   * what is its orthogonal complement inside the target.
 
-Primitivity is decided through the Smith normal form of the embedding
-matrix: the image is a direct summand exactly when every invariant factor
-is 1.  The complement is the saturated integer kernel of P^T G, so it comes
-out in a canonical basis and is itself primitive by construction.
+Primitivity is decided by one row echelon form of the embedding matrix P,
+m x n: with W.P = [T; 0] for a unimodular W, the quotient Z^m / im P is
+Z^n / T.Z^n + Z^(m-n), so the image is a direct summand exactly when there
+are n pivots and each is 1.  The complement is the saturated integer
+kernel of P^T G, so it comes out in a canonical basis and is itself
+primitive by construction.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch
 from .lattices import Lattice
-from .matrices import IntMatrix, det, integer_kernel, is_congruence, snf
+from .matrices import IntMatrix, _echelon, det, integer_kernel, is_congruence
 
 
 @dataclass(frozen=True)
@@ -70,9 +72,22 @@ def check_isometric(e: Embedding) -> bool:
 
 
 def is_primitive(e: Embedding) -> bool:
-    """True iff target/image is torsion free (all invariant factors 1)."""
-    n = e.source.rank
-    return snf(e.matrix).invariant_factors == tuple([1] * n)
+    """True iff target/image is torsion free: the echelon form of the
+    matrix has a pivot in every column and each pivot is 1, as det T is
+    their product (see the module docstring).  The first pivot that is
+    not 1 decides.
+
+    >>> from .lattices import build_H
+    >>> p = IntMatrix.from_rows([[2], [4]])
+    >>> is_primitive(Embedding(Lattice(IntMatrix.zeros(1, 1)), build_H(), p))
+    False
+    """
+    rows, pivots = [list(r) for r in e.matrix.to_rows()], 0
+    for k, j in enumerate(_echelon(rows, e.matrix.cols, [])):
+        if rows[k][j] != 1:
+            return False
+        pivots = k + 1
+    return pivots == e.matrix.cols
 
 
 def orthogonal_complement(e: Embedding) -> ComplementResult:

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
-from .cohomology import CohResult, GLattice, h1, norm_and_diff
+from .cohomology import CohResult, GLattice, h1
 from .divisors import DivisorClass
 from .errors import (
     DimensionMismatch,
@@ -293,7 +293,7 @@ def coboundary_check(endo: BlockEndo, s: GroupElement) -> bool:
     """
     model = s.model
     _check_compat(model, endo)
-    if solve_integer(norm_and_diff(endo.free)[1], list(s.free)) is None:
+    if solve_integer(endo.free.diff, list(s.free)) is None:
         return False
     for u, c, m in zip(endo.finite_action, s.finite, model.finite_cyclic):
         g = math.gcd((1 - u) % m, m)

@@ -32,7 +32,7 @@ from k3ord.errors import (
     UnsupportedAction,
     UnsupportedParameter,
 )
-from k3ord.fibrations import BlockEndo
+from k3ord.fibrations import AbGroupModel, BlockEndo, GroupElement, coboundary_check
 from k3ord.lattices import Lattice
 import k3ord.matrices as matrices
 from k3ord.matrices import (
@@ -44,7 +44,7 @@ from k3ord.matrices import (
     solve_integer,
 )
 
-from k3ord.runner import PASS, run_check
+from k3ord.runner import PASS, find_cases, load_expected, run_check
 
 from oracles import (
     h1_box_class_count,
@@ -676,7 +676,7 @@ def test_h1_identity_action_trivial():
     for order in (1, 2, 3):
         gl = GLattice(Lattice(IntMatrix.zeros(3, 3)), IntMatrix.identity(3), order)
         res = h1(gl)
-        assert res == CohResult((), 0, ())
+        assert (res.invariant_factors, res.free_rank, res.generators) == ((), 0, ())
 
 
 def test_h1_minus_identity():
@@ -841,8 +841,9 @@ def test_transforms_are_replayed_only_where_they_are_read(monkeypatch):
     gens = list(IntMatrix.identity(4).to_rows()) + [(0, 1, 1, -1)]
     assert nakai_certificate(quadric.pic, (1, 1, 1, 0), gens).verdict.passed
     assert replayed == []
-    # h1 builds neither U nor V and replays nothing: it undoes ulog once per
-    # torsion factor, and with no torsion it undoes nothing (the GLattices
+    # h1 builds neither U nor V, replays nothing and undoes nothing; reading
+    # its generators undoes ulog once per torsion factor, and a second read
+    # undoes nothing more; with no torsion nothing is undone (the GLattices
     # are built first, as each replays its minimal polynomial)
     undone = []
     undo = cohomology._undo
@@ -850,13 +851,17 @@ def test_transforms_are_replayed_only_where_they_are_read(monkeypatch):
     gl = model_glattice(quadric)
     trivial = GLattice(quadric.pic, IntMatrix.identity(4), 2)
     monkeypatch.setattr(cohomology, "_replay", lambda log, y: replayed.append(log) or replay(log, y))
-    assert h1(gl).invariant_factors == (2,)
+    h = h1(gl)
+    assert h.invariant_factors == (2,)
     (res,) = results
-    assert replayed == []
+    assert replayed == [] and undone == []
+    generators = h.generators
+    assert h.generators is generators
     assert len(undone) == len([d for d in res.diagonal if d > 1]) == 1
     assert all(log is res.ulog for log in undone)
     undone.clear()
-    assert h1(trivial).invariant_factors == ()
+    h = h1(trivial)
+    assert h.invariant_factors == () and h.generators == ()
     assert replayed == [] and undone == []
     # one replay per solvable column, none for a column that dropped out
     # at a pivot or kept a remainder past the last pivot
@@ -865,6 +870,92 @@ def test_transforms_are_replayed_only_where_they_are_read(monkeypatch):
         (2, 1, 0), None, (1, 2, 0), None
     ]
     assert len(replayed) == 2
+
+
+def _corpus_checks(kind):
+    """(name, payload, expected) of every corpus check of the given kind."""
+    for case in find_cases(REPO / "corpus"):
+        expected = load_expected(case / "expected.json")
+        for check in json.loads((case / "scenario.json").read_text())["checks"]:
+            if check["kind"] == kind:
+                yield check["name"], check["payload"], expected[check["name"]]
+
+
+def test_checks_build_generators_and_norm_only_where_they_read_them(monkeypatch):
+    undone, built = [], []
+    undo, build = cohomology._undo, GLattice.norm.func
+    monkeypatch.setattr(cohomology, "_undo", lambda log, y: undone.append(log) or undo(log, y))
+    monkeypatch.setattr(GLattice, "norm", property(lambda gl: built.append(gl) or build(gl)))
+
+    def run(kind):
+        checks = list(_corpus_checks(kind))
+        assert checks, kind
+        for name, payload, expected in checks:
+            assert run_check(name, kind, payload, expected).verdict == PASS, name
+        return len(checks)
+
+    # an h1 check reports the group only; its class verdicts read N
+    run("h1")
+    assert undone == []
+    assert len(built) == sum(1 for _, p, _ in _corpus_checks("h1") if "classes" in p) > 0
+    built.clear()
+    # quotient-pic reads D alone
+    run("quotient-pic")
+    assert built == [] and undone == []
+    # a twist check reads N for its cocycle test and never for its
+    # coboundary test
+    checks = run("twist-check")
+    assert len(built) == checks
+    built.clear()
+    endo = BlockEndo(IntMatrix.from_rows([[0, 1], [1, 0]]), (), (), 2)
+    assert coboundary_check(endo, GroupElement(AbGroupModel(free_rank=2), (1, -1)))
+    assert built == [] and undone == []
+    # fibration-h1 reports the free generators: one undo per free factor
+    factors = 0
+    for name, payload, expected in _corpus_checks("fibration-h1"):
+        outcome = run_check(name, "fibration-h1", payload, expected)
+        assert outcome.verdict == PASS, name
+        factors += len(outcome.computed["free_generators"])
+    assert len(undone) == factors > 0
+
+
+def test_lazy_norm_is_the_power_sum_on_seeded_actions():
+    # N is formed on the first read only, after work that reads D alone,
+    # and kept; it is the plain power sum on actions that are not
+    # involutions, where it takes powers of sigma
+    count = 0
+    for ms, sigma, order in _seeded_cyclotomic_actions(random.Random(2626), 200):
+        if order <= 2:
+            continue
+        r = sigma.rows
+        gl = GLattice(Lattice(IntMatrix.zeros(r, r)), sigma, order)
+        h1(gl)
+        fixed_sublattice(gl)
+        assert "norm" not in vars(gl)
+        norm = gl.norm
+        assert vars(gl)["norm"] is norm is gl.norm
+        assert [list(row) for row in norm.to_rows()] == power_sum(
+            [list(row) for row in sigma.to_rows()], order
+        ), (ms, order)
+        count += 1
+    assert count > 100
+
+
+def test_h1_results_of_conjugate_actions_compare_equal():
+    # the results compare as groups, whatever generators each Smith form
+    # gives; the generators themselves are not compared
+    rng = random.Random(2626)
+    differ = 0
+    for model in cover_models():
+        r = model.pic.rank
+        p, p_inv = random_unimodular(rng, r, steps=2 * r)
+        res = h1(model_glattice(model))
+        lattice = Lattice(p.transpose() @ model.pic.gram @ p)
+        conj = h1(GLattice(lattice, p_inv @ model.action @ p, 2))
+        assert res == conj and hash(res) == hash(conj), model.name
+        assert res != CohResult(res.invariant_factors + (2,), 0, snf(IntMatrix.zeros(0, 0)))
+        differ += res.generators != conj.generators
+    assert differ > 0
 
 
 def test_half_gram_quotient_errors():

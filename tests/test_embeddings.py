@@ -174,6 +174,23 @@ def test_primitivity_agrees_with_minor_gcd_oracle():
             checked_not += 1
 
 
+def test_primitivity_is_the_smith_verdict_on_every_shape():
+    # one echelon form decides: n pivots, each 1; the Smith form says the
+    # same with its n invariant factors all 1.  Empty shapes, m < n and
+    # rank-deficient matrices come up among the draws
+    rng = random.Random(2626)
+    seen = set()
+    for _ in range(1500):
+        m, n = rng.randint(0, 5), rng.randint(0, 4)
+        p = IntMatrix(m, n, tuple([rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(m * n)]))
+        source, target = Lattice(IntMatrix.zeros(n, n)), Lattice(IntMatrix.zeros(m, m))
+        verdict = is_primitive(Embedding(source, target, p))
+        assert verdict == (snf(p).invariant_factors == (1,) * n), (m, n, p.entries)
+        seen.add((verdict, m < n, 0 in (m, n)))
+    assert seen == {(True, False, False), (False, False, False), (False, True, False),
+                    (True, False, True), (False, True, True)}
+
+
 def test_primitivity_matches_definition_by_exhaustion():
     # Tiny cases only: the box oracle tests the torsion-free-quotient
     # definition directly by enumerating the saturation.
