@@ -51,7 +51,6 @@ matrix gives the pairing of the quotient lattice downstairs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
@@ -229,10 +228,6 @@ class CohResult:
             for i, d in enumerate(self.smith.diagonal)
             if d > 1
         ])
-
-    @property
-    def group_order(self) -> int:
-        return math.prod(self.invariant_factors)
 
 
 def norm_and_diff(gl: GLattice) -> tuple[IntMatrix, IntMatrix]:

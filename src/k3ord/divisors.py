@@ -1,8 +1,4 @@
-"""Numerical divisor calculus on an even Picard lattice.
-
-Everything here is lattice arithmetic about divisor classes: the genus
-formula g = c.c/2 + 1, nodal classes (square -2), an effectivity decision
-for classes of square >= -2 against a fixed ample class, and ampleness
+"""Numerical divisor calculus on an even Picard lattice: ampleness
 certificates in the style of the Nakai-Moishezon criterion.
 
 A certificate is only as strong as its hypotheses.  Positivity of s.s and of
@@ -18,29 +14,16 @@ g_i (row i of G) . g over the nonzero coordinates g_i of g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import (
-    AmbiguousZeroPairing,
-    DimensionMismatch,
-    GensDoNotSpan,
-    OddSelfIntersection,
-    SquareTooNegative,
-)
-from .lattices import Lattice, pair
+from .errors import DimensionMismatch, GensDoNotSpan
+from .lattices import Lattice
 from .matrices import IntMatrix, _echelon
 
 
 # A divisor class is its coordinate tuple in a fixed Picard basis.
 DivisorClass = tuple[int, ...]
-
-
-class Effectivity(Enum):
-    EFFECTIVE = "effective"
-    ANTI_EFFECTIVE = "anti-effective"
-    ZERO = "zero"
 
 
 @dataclass(frozen=True)
@@ -64,44 +47,6 @@ class AmpleCertificate:
     pair_checks: tuple[tuple[int, int, int], ...]
     assumptions: tuple[str, ...]
     verdict: Verdict
-
-
-def genus(lattice: Lattice, c: DivisorClass) -> int:
-    """The arithmetic genus c.c/2 + 1 of a class on an even lattice.
-
-    >>> genus(Lattice(IntMatrix.from_rows([[-2]])), (1,))
-    0
-    """
-    square = pair(lattice, c, c)
-    if square % 2 != 0:
-        raise OddSelfIntersection(f"self-intersection {square} is odd")
-    return square // 2 + 1
-
-
-def is_nodal_class(lattice: Lattice, c: DivisorClass) -> bool:
-    """True iff the class has self-intersection -2."""
-    return pair(lattice, c, c) == -2
-
-
-def effectivity(lattice: Lattice, c: DivisorClass, ample: DivisorClass) -> Effectivity:
-    """Decide whether c or -c is effective, against a certified ample class.
-
-    Valid for c = 0 or c.c >= -2, where one of the two is effective; the
-    ample class then separates them by the sign of the pairing.
-    """
-    if not any(c):
-        return Effectivity.ZERO
-    square = pair(lattice, c, c)
-    if square < -2:
-        raise SquareTooNegative(f"square {square} < -2 leaves effectivity undecided")
-    p = pair(lattice, ample, c)
-    if p > 0:
-        return Effectivity.EFFECTIVE
-    if p < 0:
-        return Effectivity.ANTI_EFFECTIVE
-    raise AmbiguousZeroPairing(
-        "nonzero class pairs to zero with the ample class"
-    )
 
 
 def nakai_certificate(

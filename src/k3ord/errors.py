@@ -43,18 +43,6 @@ class OddEntry(K3OrdError):
 
 # --- divisor calculus -------------------------------------------------------
 
-class OddSelfIntersection(K3OrdError):
-    """Genus needs an even self-intersection number."""
-
-
-class SquareTooNegative(K3OrdError):
-    """Effectivity trichotomy only applies to classes with square >= -2."""
-
-
-class AmbiguousZeroPairing(K3OrdError):
-    """A nonzero class paired to zero with the ample class; no verdict."""
-
-
 class GensDoNotSpan(K3OrdError):
     """The generator list does not span the lattice rationally."""
 
@@ -63,10 +51,6 @@ class GensDoNotSpan(K3OrdError):
 
 class UnsupportedParameter(K3OrdError):
     """A surface-model parameter outside the supported range."""
-
-
-class OutOfAssertedRange(K3OrdError):
-    """A closed-form formula was evaluated outside its valid regime."""
 
 
 class DNotDividing(K3OrdError):

@@ -18,14 +18,13 @@ for twisting the action block by block: Shapiro's lemma reduces a
 permutation cycle to the single summand it wraps around, so no walk
 follows a whole element, whose orbit is as long as the lcm of the cycle
 lengths.  An element is data in block coordinates: nothing here adds
-whole elements or applies the action to one.  The module also maps
-section symbols to line-bundle expressions and adds numerical sections
-on the rank-ten elliptic model.
+whole elements or applies the action to one.  The module also adds
+numerical sections on the rank-ten elliptic model.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from .cohomology import CohResult, GLattice, h1
 from .divisors import DivisorClass
@@ -38,8 +37,6 @@ from .errors import (
 from .lattices import Lattice, pair
 from .matrices import IntMatrix, solve_integer
 from .orders import surface_rational_elliptic
-
-ZERO_POINT = "e0"
 
 
 @dataclass(frozen=True)
@@ -320,10 +317,6 @@ class StructuredH1:
     finite_factors: tuple[int, ...]
     elliptic_factors: tuple[int, ...]
 
-    @property
-    def group_order(self) -> int:
-        return math.prod(self.invariant_factors)
-
 
 def _push(runs: list, factor: int, count: int) -> None:
     if count and factor > 1:
@@ -392,114 +385,6 @@ def h1_structured(model: AbGroupModel, endo: BlockEndo) -> StructuredH1:
         free_part=free_part,
         finite_factors=tuple(finite_factors),
         elliptic_factors=tuple(elliptic_factors),
-    )
-
-
-# --- section symbols and their line bundles ---------------------------------------
-
-
-@dataclass(frozen=True)
-class ZeroSection:
-    pass
-
-
-@dataclass(frozen=True)
-class Horizontal:
-    """The constant section through a named point of the fibre curve."""
-
-    point: str
-
-
-@dataclass(frozen=True)
-class Graph:
-    """The graph of a named nonconstant morphism from the base to the fibre."""
-
-    name: str
-    degree: int
-    preimages_of_zero: int
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise UnsupportedParameter("a graph needs degree at least 1")
-        if not 1 <= self.preimages_of_zero <= self.degree:
-            raise UnsupportedParameter(
-                "the zero fibre has between 1 and degree preimages"
-            )
-
-
-SectionExpr = Union[ZeroSection, Horizontal, Graph]
-
-
-@dataclass(frozen=True)
-class FormalDivisor:
-    """An integer combination of named divisor symbols."""
-
-    terms: tuple[tuple[int, str], ...]
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "O"
-        parts = []
-        for coeff, symbol in self.terms:
-            if coeff == 1:
-                chunk = symbol
-            elif coeff == -1:
-                chunk = f"-{symbol}"
-            else:
-                chunk = f"{coeff}*{symbol}"
-            if parts and not chunk.startswith("-"):
-                parts.append(f"+ {chunk}")
-            elif parts:
-                parts.append(f"- {chunk[1:]}")
-            else:
-                parts.append(chunk)
-        return " ".join(parts)
-
-
-def section_line_bundle(
-    s: SectionExpr, model: AbGroupModel
-) -> FormalDivisor:
-    """Line bundle attached to a section: the class of S - S_0 - D_S.
-
-    Works on the three section symbols: the zero section gives the
-    trivial class, a horizontal section S = {e} x C gives S - {e0} x C,
-    and the graph of a degree-d morphism gives the graph minus the zero
-    horizontal section minus the fibres over the preimages of the zero
-    point.
-
-    >>> str(section_line_bundle(Graph("id", 1, 1), AbGroupModel(
-    ...     free_rank=1, elliptic_count=1)))
-    'graph(id) - horizontal(e0) - vertical(id^-1(e0))'
-    """
-    if isinstance(s, ZeroSection):
-        return FormalDivisor(())
-    if isinstance(s, Horizontal):
-        if model.elliptic_count < 1:
-            raise UnsupportedParameter(
-                "horizontal sections need an elliptic summand in the model"
-            )
-        if s.point == ZERO_POINT:
-            return FormalDivisor(())
-        return FormalDivisor(
-            (
-                (1, f"horizontal({s.point})"),
-                (-1, f"horizontal({ZERO_POINT})"),
-            )
-        )
-    if isinstance(s, Graph):
-        if model.free_rank < 1:
-            raise UnsupportedParameter(
-                "graph sections need a free summand in the model"
-            )
-        return FormalDivisor(
-            (
-                (1, f"graph({s.name})"),
-                (-1, f"horizontal({ZERO_POINT})"),
-                (-s.preimages_of_zero, f"vertical({s.name}^-1({ZERO_POINT}))"),
-            )
-        )
-    raise UnsupportedParameter(
-        f"{type(s).__name__} is not a section symbol"
     )
 
 

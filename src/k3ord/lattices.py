@@ -53,11 +53,6 @@ class Lattice:
         return self.gram.rows
 
 
-def build_E8() -> Lattice:
-    """The negative definite even unimodular lattice of rank 8."""
-    return Lattice(E8_GRAM)
-
-
 def build_H() -> Lattice:
     """The hyperbolic plane: rank 2, Gram [[0,1],[1,0]]."""
     return Lattice(H_GRAM)
@@ -93,14 +88,3 @@ def pair(lattice: Lattice, x: Sequence[int], y: Sequence[int]) -> int:
         )
     gy = lattice.gram.mul_vec(y)
     return sum(x[i] * gy[i] for i in range(n))
-
-
-def is_even(lattice: Lattice) -> bool:
-    """True iff x . x is even for every x (equivalently: even diagonal).
-
-    >>> is_even(build_H())
-    True
-    >>> is_even(Lattice(IntMatrix.from_rows([[-1, 1], [1, 0]])))
-    False
-    """
-    return all(lattice.gram.entry(i, i) % 2 == 0 for i in range(lattice.rank))

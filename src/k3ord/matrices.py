@@ -373,10 +373,6 @@ class SNFResult:
     def invariant_factors(self) -> IntVector:
         return tuple([d for d in self.diagonal if d != 0])
 
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
-
 
 def snf(a: IntMatrix) -> SNFResult:
     """Smith normal form with transforms.

@@ -28,7 +28,6 @@ from .cohomology import GLattice
 from .errors import (
     DNotDividing,
     DimensionMismatch,
-    OutOfAssertedRange,
     UnsupportedParameter,
 )
 from .lattices import Lattice, pair
@@ -191,11 +190,6 @@ def canonical_order_class(order: OrderDescriptor) -> QDivisor:
     return tuple(total)
 
 
-def is_numerically_trivial(model: SurfaceModel, q: QDivisor) -> bool:
-    """True iff q pairs to zero with every basis class of the model."""
-    return not any(model.pic.gram.mul_vec(q))
-
-
 class OrderKind(Enum):
     NCY = "numerically-calabi-yau"
     DEL_PEZZO = "del-pezzo"
@@ -347,25 +341,3 @@ def maximality_check(order: OrderDescriptor) -> MaximalityVerdict:
     ):
         return MaximalityVerdict.MAXIMAL
     return MaximalityVerdict.UNKNOWN
-
-
-def h0_hirzebruch2(a: int, b: int) -> int:
-    """Sections of O(aC0 + bF) on the degree-two Hirzebruch surface.
-
-    Closed form 1 - a^2 + ab + b, valid when a >= 0 and b >= 2a:
-    pushing forward along the ruling gives a sum of a + 1 line-bundle
-    degrees on the base line, all nonnegative exactly in that regime,
-    where the sum telescopes to the closed form.  Outside the regime
-    the formula undercounts (negative-degree summands contribute
-    nothing, not negatively), so the call refuses.
-
-    >>> h0_hirzebruch2(1, 2)
-    4
-    >>> h0_hirzebruch2(0, 0)
-    1
-    """
-    if a < 0 or b < 2 * a:
-        raise OutOfAssertedRange(
-            f"formula asserted only for 0 <= a and 2a <= b, got ({a}, {b})"
-        )
-    return 1 - a * a + a * b + b

@@ -142,11 +142,44 @@ def no_solution_in_box(a: IntMatrix, b: tuple[int, ...], box: int) -> bool:
     return True
 
 
-def h0_pushforward(a: int, b: int) -> int:
-    """Sections of a*C0 + b*F on the Hirzebruch surface F2, summed over
-    the line-bundle pieces of the pushforward to the base line."""
-    assert a >= 0
-    return sum(max(0, b - 2 * k + 1) for k in range(a + 1))
+# --- lattice blocks and divisor classes, on plain lists ------------------------
+
+# The negative definite even unimodular E8 form, as its Gram rows.
+E8_ROWS = [
+    [-2, 0, 0, 1, 0, 0, 0, 0],
+    [0, -2, 1, 0, 0, 0, 0, 0],
+    [0, 1, -2, 1, 0, 0, 0, 0],
+    [1, 0, 1, -2, 1, 0, 0, 0],
+    [0, 0, 0, 1, -2, 1, 0, 0],
+    [0, 0, 0, 0, 1, -2, 1, 0],
+    [0, 0, 0, 0, 0, 1, -2, 1],
+    [0, 0, 0, 0, 0, 0, 1, -2],
+]
+
+
+def has_even_diagonal(gram) -> bool:
+    """x.x is even for every integer x exactly when each G_ii is even, as
+    x.x = sum of G_ii x_i^2 plus twice the terms above the diagonal."""
+    return all(row[i] % 2 == 0 for i, row in enumerate(gram))
+
+
+def _form(gram, x, y) -> int:
+    return sum(x[i] * sum(map(operator.mul, row, y)) for i, row in enumerate(gram))
+
+
+def riemann_roch_sign(gram, c, ample):
+    """Which of c and -c is effective on a K3 surface, from the Gram rows.
+
+    Riemann-Roch gives h0(c) + h0(-c) >= c.c/2 + 2, so one of the two is
+    effective when c.c >= -2, and an ample class meets a nonzero effective
+    class positively.  Returns 1 for c, -1 for -c, 0 when the ample class
+    pairs to zero with c (so it cannot be ample), and None when the rule
+    does not apply: c = 0 or c.c < -2.
+    """
+    if not any(c) or _form(gram, c, c) < -2:
+        return None
+    p = _form(gram, ample, c)
+    return (p > 0) - (p < 0)
 
 
 # --- box-enumeration H1 oracle ---------------------------------------------

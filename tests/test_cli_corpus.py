@@ -5,6 +5,7 @@ import ast
 import hashlib
 import importlib.util
 import json
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -528,6 +529,66 @@ def test_package_has_no_unused_imports():
         }
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         assert not imported - used, f"{path.name}: unused imports {sorted(imported - used)}"
+
+
+def _loaded_names(tree: ast.AST) -> set[str]:
+    """The names a tree reads: bare names in load context and attributes."""
+    nodes = list(ast.walk(tree))
+    names = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return names | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+
+
+def _public_names(node: ast.stmt) -> list[str]:
+    """The public names that one top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_public_surface_is_reached_outside_the_tests():
+    """Every public top-level name of the package is read somewhere that is
+    not its own definition and not a test: elsewhere in the package, by a
+    demo, by tools/gen_corpus.py or by perfbench, whose tracer names the
+    functions it wraps in strings.  README lists any other name under
+    "Library surface without a check kind", and every backticked
+    `module.name` in README resolves."""
+    reached = set()
+    for path in [*(REPO / "demos").glob("*.py"), REPO / "tools" / "gen_corpus.py",
+                 *(REPO / "perfbench").glob("*.py")]:
+        tree = ast.parse(path.read_text(), str(path))
+        reached |= _loaded_names(tree)
+        if path.name == "tracing.py":
+            strings = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)]
+            reached |= {part for v in strings if isinstance(v, str) for part in v.split(".")}
+    statements = [
+        (path.stem, node, _loaded_names(node))
+        for path in sorted((REPO / "src" / "k3ord").glob("*.py"))
+        for node in ast.parse(path.read_text(), str(path)).body
+    ]
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library surface without a check kind\n", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"^\* `(\w+\.\w+)`", section, re.M))
+    unreached = {
+        f"{module}.{name}"
+        for module, node, _ in statements
+        for name in _public_names(node)
+        if name not in reached
+        and not any(name in loaded for _, other, loaded in statements if other is not node)
+    }
+    assert unreached <= listed, sorted(unreached - listed)
+
+    modules = {module for module, _, _ in statements}
+    for module, name in re.findall(r"`(\w+)\.(\w+)`", readme):
+        if module == "k3ord":
+            assert name in modules, f"k3ord.{name}"
+        elif module in modules:
+            assert hasattr(importlib.import_module(f"k3ord.{module}"), name), f"{module}.{name}"
 
 
 def test_only_matrices_builds_a_probe():

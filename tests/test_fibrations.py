@@ -22,12 +22,8 @@ from k3ord.errors import (
 from k3ord.fibrations import (
     AbGroupModel,
     BlockEndo,
-    FormalDivisor,
-    Graph,
     GroupElement,
-    Horizontal,
     TorsionPoint,
-    ZeroSection,
     cocycle_check,
     coboundary_check,
     geometric_sum,
@@ -35,7 +31,6 @@ from k3ord.fibrations import (
     invariant_chain,
     mw_sum_rational_elliptic,
     negation_endo,
-    section_line_bundle,
     trivial_endo,
 )
 from k3ord.lattices import Lattice, pair
@@ -138,14 +133,14 @@ def test_h1_trivial_elliptic_action():
         assert res.invariant_factors == (n, n)
         assert res.elliptic_factors == (n, n)
         assert res.free_rank == 0
-        assert res.group_order == n * n
+        assert math.prod(res.invariant_factors) == n * n
 
 
 def test_h1_negation_elliptic_action():
     model = AbGroupModel(elliptic_count=1)
     res = h1_structured(model, negation_endo(model))
     assert res.invariant_factors == ()
-    assert res.group_order == 1
+    assert math.prod(res.invariant_factors) == 1
 
 
 def test_h1_graph_of_negation():
@@ -252,7 +247,7 @@ def test_invariant_factor_normalization():
     res = h1_structured(shared, trivial_endo(shared, 24))
     assert res.finite_factors == (8, 12)
     assert res.invariant_factors == (4, 24)
-    assert res.group_order == 96
+    assert math.prod(res.invariant_factors) == 96
 
 
 # --- cocycle and coboundary checks --------------------------------------------------
@@ -587,41 +582,6 @@ def test_differences_are_always_trivial_twists():
         assert coboundary_check(endo, s)
 
 
-# --- section symbols ----------------------------------------------------------------
-
-
-def test_section_line_bundle_cases():
-    model = AbGroupModel(free_rank=1, elliptic_count=1)
-    assert section_line_bundle(ZeroSection(), model).terms == ()
-    assert section_line_bundle(Horizontal("e0"), model).terms == ()
-    horizontal = section_line_bundle(Horizontal("p"), model)
-    assert horizontal.terms == (
-        (1, "horizontal(p)"),
-        (-1, "horizontal(e0)"),
-    )
-    graph = section_line_bundle(Graph("psi", 2, 1), model)
-    assert graph.terms == (
-        (1, "graph(psi)"),
-        (-1, "horizontal(e0)"),
-        (-1, "vertical(psi^-1(e0))"),
-    )
-    assert str(graph) == "graph(psi) - horizontal(e0) - vertical(psi^-1(e0))"
-
-
-def test_section_line_bundle_rejections():
-    model = AbGroupModel(free_rank=1, elliptic_count=1)
-    with pytest.raises(UnsupportedParameter):
-        section_line_bundle("t0", model)
-    with pytest.raises(UnsupportedParameter):
-        section_line_bundle(Horizontal("p"), AbGroupModel(free_rank=1))
-    with pytest.raises(UnsupportedParameter):
-        section_line_bundle(Graph("psi", 2, 1), AbGroupModel(elliptic_count=1))
-    with pytest.raises(UnsupportedParameter):
-        Graph("psi", 1, 2)
-    with pytest.raises(UnsupportedParameter):
-        Graph("psi", 0, 0)
-
-
 def test_twist_check_names_both_orders_of_unrelated_points():
     """A swap carries p of order 3 onto p of order 2; the error says which."""
     payload = {
@@ -635,12 +595,6 @@ def test_twist_check_names_both_orders_of_unrelated_points():
         "UnsupportedAction: cannot add unrelated symbolic points p of order 3 "
         "and p of order 2"
     )
-
-
-def test_formal_divisor_rendering():
-    assert str(FormalDivisor(())) == "O"
-    d = FormalDivisor(((2, "A"), (-3, "B"), (1, "C")))
-    assert str(d) == "2*A - 3*B + C"
 
 
 # --- the group law on numerical sections --------------------------------------------

@@ -345,7 +345,7 @@ def test_kernel_saturated_and_complete():
         a = random_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), -6, 6)
         k = integer_kernel(a)
         assert a @ k == IntMatrix.zeros(a.rows, k.cols)
-        assert k.cols == a.cols - snf(a).rank
+        assert k.cols == a.cols - len(snf(a).invariant_factors)
         assert k.cols == len(rational_kernel_basis(a))
         if k.cols:
             assert all(f == 1 for f in snf(k).invariant_factors)
@@ -402,7 +402,7 @@ def _check_against_snf(a: IntMatrix, b) -> None:
         assert a.mul_vec(x) == tuple(b)
     k = integer_kernel(a)
     assert k.rows == a.cols
-    assert k.cols == a.cols - snf(a).rank
+    assert k.cols == a.cols - len(snf(a).invariant_factors)
     assert a @ k == IntMatrix.zeros(a.rows, k.cols)
     if k.cols:
         assert all(f == 1 for f in snf(k).invariant_factors)

@@ -13,7 +13,6 @@ from k3ord.cohomology import GLattice
 from k3ord.errors import (
     DNotDividing,
     DimensionMismatch,
-    OutOfAssertedRange,
     UnsupportedParameter,
 )
 from k3ord.lattices import Lattice, pair
@@ -28,8 +27,6 @@ from k3ord.orders import (
     YesNoUnknown,
     canonical_order_class,
     classify_order,
-    h0_hirzebruch2,
-    is_numerically_trivial,
     maximality_check,
     overlap_applicable,
     ramification_transfer,
@@ -41,8 +38,6 @@ from k3ord.orders import (
     untot_restriction,
 )
 from k3ord.runner import run_check
-
-from oracles import h0_pushforward
 
 RULED_VECTORS = [(2, 2, 2, 2), (3, 3, 3), (2, 4, 4), (2, 3, 6)]
 
@@ -198,17 +193,6 @@ def test_canonical_class_entries_are_fractions_for_int_classes():
 
 
 # --- triviality and classification ----------------------------------------------
-
-
-def test_numerical_triviality():
-    p2 = surface_p2()
-    assert is_numerically_trivial(p2, (0,))
-    assert not is_numerically_trivial(p2, (Fraction(1, 2),))
-    quadric = surface_quadric()
-    k_a = canonical_order_class(
-        OrderDescriptor(quadric, (RamifiedDivisor((4, 4), 2),), 2)
-    )
-    assert is_numerically_trivial(quadric, k_a)
 
 
 def test_classify_reference_ncy_orders():
@@ -400,34 +384,6 @@ def test_maximality_check():
         maximality_check(OrderDescriptor(p2, ram(no,), 2))
         is MaximalityVerdict.UNKNOWN
     )
-
-
-# --- section counts on the degree-two Hirzebruch surface -------------------------
-
-
-def test_h0_reference_values():
-    assert h0_hirzebruch2(1, 2) == 4
-    assert h0_hirzebruch2(0, 0) == 1
-    assert h0_hirzebruch2(3, 6) == 16
-    for b in range(9):
-        assert h0_hirzebruch2(0, b) == b + 1
-
-
-def test_h0_grid_against_pushforward():
-    for a in range(5):
-        for b in range(9):
-            if b >= 2 * a:
-                assert h0_hirzebruch2(a, b) == h0_pushforward(a, b), (a, b)
-            else:
-                with pytest.raises(OutOfAssertedRange):
-                    h0_hirzebruch2(a, b)
-
-
-def test_h0_range_gate():
-    with pytest.raises(OutOfAssertedRange):
-        h0_hirzebruch2(-1, 0)
-    with pytest.raises(OutOfAssertedRange):
-        h0_hirzebruch2(4, 0)
 
 
 # --- classification certificate payload ------------------------------------------
