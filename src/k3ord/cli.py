@@ -6,10 +6,13 @@ subcommands are built in a loop over `runner.KINDS`, the one table of
 check kinds: each row gives the command words (`h1`, or a group and a
 word such as `order classify`) and the help line, and every subcommand
 runs its document through `runner.run_check`.  The tree depends on
-nothing but `runner.KINDS`, so `build_parser` builds it once per process
-and every `main` call parses with that one tree.  All output is
-deterministic; `--timing` adds wall-clock fields and is off by default
-so that repeated runs emit identical bytes.
+nothing but `runner.KINDS`, so `build_parser` builds it once per process.
+`main` parses with the deepest parser that its leading words name (a
+check kind's own, a group's for a group word alone, else the root's), so
+one parser reads a command's arguments where argparse would descend to it
+through every level; help, usage and error text are those of the descent.
+All output is deterministic; `--timing` adds wall-clock fields and is off
+by default so that repeated runs emit identical bytes.
 
 Exit codes: 0 every check passed, 1 at least one comparison failed,
 2 a file or computation was rejected.  Errors inside a check go to the
@@ -151,6 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
+    # every parser of the tree under its command words, () for the root
+    parser.nodes = nodes = {(): parser}
     groups = {}
     for kind, row in KINDS.items():
         *group, word = row.words
@@ -158,11 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
         if group:
             (name,) = group
             if name not in groups:
-                groups[name] = subparsers.add_parser(
-                    name, help=_GROUP_HELP[name]
-                ).add_subparsers(dest="subcommand", required=True)
+                nodes[(name,)] = subparsers.add_parser(name, help=_GROUP_HELP[name])
+                groups[name] = nodes[(name,)].add_subparsers(
+                    dest="subcommand", required=True
+                )
             target = groups[name]
-        single = target.add_parser(word, help=row.help, description=row.help)
+        single = nodes[row.words] = target.add_parser(
+            word, help=row.help, description=row.help
+        )
         single.add_argument(
             "file", help=_FLAT_DOCUMENTS.get(kind, "payload JSON document")
         )
@@ -170,9 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(single)
         single.set_defaults(handler=functools.partial(_run_single, kind))
 
-    corpus = subparsers.add_parser("corpus", help="packaged worked examples")
+    corpus = nodes[("corpus",)] = subparsers.add_parser(
+        "corpus", help="packaged worked examples"
+    )
     corpus_sub = corpus.add_subparsers(dest="subcommand", required=True)
-    run = corpus_sub.add_parser("run", help="run corpus cases")
+    run = nodes[("corpus", "run")] = corpus_sub.add_parser("run", help="run corpus cases")
     run.add_argument(
         "--corpus", default="corpus", help="corpus directory (default ./corpus)"
     )
@@ -185,7 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    depth = 0
+    while depth < len(argv) and tuple(argv[: depth + 1]) in parser.nodes:
+        depth += 1
+    # what `parser.parse_args(argv)` does, minus the descent to this node
+    args, extras = parser.nodes[tuple(argv[:depth])].parse_known_args(argv[depth:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.handler(args)
     except K3OrdError as exc:

@@ -4,6 +4,7 @@ import argparse
 import ast
 import hashlib
 import importlib.util
+import itertools
 import json
 import re
 import sys
@@ -1067,6 +1068,109 @@ def test_shared_parser_leaks_no_state_between_calls(monkeypatch, tmp_path, capsy
     fresh = [run(argv) for argv in good]
     assert [code for code, _ in fresh] == [1, 0, 0, 0, 0]
     assert shared == fresh
+
+
+_PARSED = ("file", "expect", "format", "timing", "corpus", "case", "handler")
+
+
+def _argv_shapes(nodes):
+    """Argument lists around every node of the parser tree: valid ones in
+    every option order, help, and each way of getting them wrong."""
+    shapes = [[], ["bogus"], ["bogus", "doc.json"], ["--bogus"], ["--", "h1", "doc.json"]]
+    for words, node in nodes.items():
+        words = list(words)
+        shapes += [words + tail for tail in (["-h"], ["--help"], ["--he"], ["bogus"], ["--bogus"])]
+        if node.get_default("handler") is None:
+            continue
+        if words == ["corpus", "run"]:
+            groups = [["--corpus", "corpus"], ["--case", "f2"], ["--format", "json"], ["--timing"]]
+        else:
+            groups = [["doc.json"], ["--expect", "exp.json"], ["--format", "json"], ["--timing"]]
+        first, lone = groups[0], groups[1][0]
+        shapes += [words + sum(order, []) for order in itertools.permutations(groups)]
+        shapes += [words + tail for tail in (
+            [],
+            first,
+            first + ["extra"],
+            first + ["--format", "yaml"],
+            first + ["--format=json", "--tim"],
+            first + ["--bogus"],
+            first + ["--bogus", "extra"],
+            first + [lone],
+            ["--"] + first,
+            ["--format", "json", "--"] + first,
+        )]
+        shapes += [["--format", "json", *words, *first], ["--timing", *words, *first]]
+    return shapes
+
+
+def _recording_tree(monkeypatch):
+    """A fresh parser tree whose handlers record their arguments and return 0,
+    used by every `main` call while the test runs."""
+    tree, seen = cli.build_parser.__wrapped__(), []
+    for node in tree.nodes.values():
+        if node.get_default("handler") is not None:
+            node.set_defaults(handler=lambda args: seen.append(args) or 0)
+    monkeypatch.setattr(cli, "build_parser", lambda: tree)
+    return tree, seen
+
+
+def test_main_parses_as_the_whole_tree_does(monkeypatch, capsys):
+    """`main` starts argparse at the deepest parser that its leading words
+    name; for every argument list it must end exactly as the descent from
+    the root does: the same exit, output, error text and parsed fields."""
+    tree, seen = _recording_tree(monkeypatch)
+
+    def reference(argv):
+        args = tree.parse_args(argv)
+        return args.handler(args)
+
+    def outcome(call, argv):
+        seen.clear()
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+        out, err = capsys.readouterr()
+        fields = [{key: getattr(args, key, None) for key in _PARSED} for args in seen]
+        return code, out, err, fields
+
+    shapes = _argv_shapes(tree.nodes)
+    assert len(tree.nodes) == 1 + 3 + 1 + len(KINDS) + 1
+    outcomes = {}
+    for argv in shapes:
+        outcomes[tuple(argv)] = outcome(main, argv)
+        assert outcomes[tuple(argv)] == outcome(reference, argv), argv
+    codes = [code for code, *_ in outcomes.values()]
+    assert codes.count(0) > 10 * 24 and codes.count("SystemExit(0)") > 40
+    assert codes.count("SystemExit(2)") > 100
+    _, _, err, _ = outcomes[("h1", "doc.json", "--bogus", "extra")]
+    assert err.endswith("k3ord: error: unrecognized arguments: --bogus extra\n")
+
+
+def test_a_check_kind_command_runs_only_its_own_parser(monkeypatch, capsys):
+    tree, _ = _recording_tree(monkeypatch)
+    ran = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        ran.append(self)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for row in KINDS.values():
+        ran.clear()
+        assert main([*row.words, "doc.json", "--format", "json"]) == 0
+        assert ran == [tree.nodes[row.words]], row.words
+    ran.clear()
+    assert main(["corpus", "run", "--case", "f2"]) == 0
+    assert ran == [tree.nodes["corpus", "run"]]
+    # a shape that names no parser below the root starts at the root
+    ran.clear()
+    with pytest.raises(SystemExit):
+        main(["--timing", "h1", "doc.json"])
+    assert ran[0] is tree
+    capsys.readouterr()
 
 
 _UNREADABLE = {
