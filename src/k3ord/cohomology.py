@@ -44,9 +44,9 @@ Since ker N / im D is the torsion of Z^r / im D, H^1 has no free part (as
 for any finite group, n times a cocycle lies in im D); free_rank is always
 0 and is kept in the result for completeness.
 
-The fixed sublattice ker(1 - sigma) is returned as a saturated embedding.
-For an involution whose fixed pairing is uniformly even, halving that Gram
-matrix gives the pairing of the quotient lattice downstairs.
+The fixed sublattice ker(1 - sigma) is a saturated embedding, built on first
+read and kept, as N is.  For an involution whose fixed pairing is uniformly
+even, halving its Gram matrix gives the pairing of the quotient downstairs.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ class GLattice:
     raised otherwise.  mu is the lcm of the minimal polynomials of the basis
     vectors, and the search stops once the lcm kills sigma (see the module
     docstring).  `mu` is kept, coefficients constant term first.  `diff` is
-    D = 1 - sigma, built here; `norm` is N = sum_{i<order} sigma^i, built
-    from mu on first read, so a caller that never reads it never forms it.
+    D = 1 - sigma, built here; `norm`, N = sum_{i<order} sigma^i from mu, and
+    `fixed`, the saturated ker D, are built on first read, or never.
 
     >>> phi6 = IntMatrix.from_rows([[0, -1], [1, 1]])
     >>> GLattice(Lattice(IntMatrix.zeros(2, 2)), phi6, 6).norm == IntMatrix.zeros(2, 2)
@@ -205,6 +205,13 @@ class GLattice:
                     norm = list(map(add, norm, map(mul, repeat(c * k), power.entries)))
         return IntMatrix(n, n, tuple(norm))
 
+    @cached_property
+    def fixed(self) -> Embedding:
+        """The saturated sublattice ker D of vectors fixed by sigma, built on first read."""
+        kernel = integer_kernel(self.diff)
+        gram = kernel.transpose() @ self.lattice.gram @ kernel
+        return Embedding(Lattice(gram), self.lattice, kernel)
+
 
 @dataclass(frozen=True)
 class CohResult:
@@ -255,27 +262,20 @@ def h1(gl: GLattice) -> CohResult:
 
 
 def fixed_sublattice(gl: GLattice) -> Embedding:
-    """The saturated sublattice of vectors fixed by sigma."""
-    kernel = integer_kernel(gl.diff)
-    gram = kernel.transpose() @ gl.lattice.gram @ kernel
-    return Embedding(Lattice(gram), gl.lattice, kernel)
+    """The saturated sublattice of vectors fixed by sigma, kept as `gl.fixed`."""
+    return gl.fixed
 
 
 def half_gram_quotient(gl: GLattice) -> Lattice:
     """The fixed sublattice with its pairing halved.
 
     Models the lattice downstairs of a double quotient, where pullback
-    doubles every intersection number.  Requires order 2 and a uniformly
-    even fixed Gram matrix.
+    doubles every intersection number.  Requires order 2, checked before the
+    fixed sublattice is read, and a uniformly even fixed Gram matrix.
     """
-    return _half_gram(gl, fixed_sublattice(gl))
-
-
-def _half_gram(gl: GLattice, fixed: Embedding) -> Lattice:
-    """half_gram_quotient on the fixed sublattice of gl, already computed."""
     if gl.order != 2:
         raise UnsupportedParameter(f"quotient halving needs order 2, got {gl.order}")
-    gram = fixed.source.gram
+    gram = gl.fixed.source.gram
     if any(e % 2 for e in gram.entries):
         raise OddEntry("fixed sublattice pairing is not uniformly even")
     return Lattice(IntMatrix(gram.rows, gram.cols, tuple([e // 2 for e in gram.entries])))

@@ -164,7 +164,7 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    @property
+    @cached_property
     def is_symmetric(self) -> bool:
         return self.is_square and all(self.row(i) == self.col(i) for i in range(self.rows))
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
 from . import jsonio
-from .cohomology import GLattice, _half_gram, fixed_sublattice, h1, norm_and_diff
+from .cohomology import GLattice, fixed_sublattice, h1, half_gram_quotient, norm_and_diff
 from .divisors import nakai_certificate
 from .embeddings import Embedding, check_isometric, is_primitive
 from .errors import K3OrdError, MissingCorpus, ParseError, SchemaError
@@ -170,8 +170,8 @@ def _run_h1(payload: dict):
 
 def _run_quotient_pic(payload: dict):
     gl = _glattice_from(payload)
+    half = half_gram_quotient(gl)
     fixed = fixed_sublattice(gl)
-    half = _half_gram(gl, fixed)
     basis = [list(fixed.matrix.col(j)) for j in range(fixed.matrix.cols)]
     computed = {
         "fixed_basis": basis,

@@ -827,6 +827,33 @@ def test_quotient_pic_finds_the_fixed_sublattice_once(monkeypatch):
                          ("2", "OddEntry: fixed sublattice pairing is not uniformly even")):
         outcome = run_check("q", "quotient-pic", {**odd, "order": order})
         assert outcome.error == error
+    # the library pair shares one kernel in either order, kept with the
+    # G-lattice and built only when read
+    quadric = catalog.quadric_model()
+    for first, second in ((fixed_sublattice, half_gram_quotient),
+                          (half_gram_quotient, fixed_sublattice)):
+        calls.clear()
+        gl = model_glattice(quadric)
+        h1(gl)
+        gl.norm
+        assert "fixed" not in vars(gl) and calls == []
+        first(gl)
+        second(gl)
+        assert calls == [1]
+        assert fixed_sublattice(gl) is fixed_sublattice(gl) is gl.fixed
+        assert half_gram_quotient(gl).gram == IntMatrix.from_rows([[0, 1], [1, 0]])
+        assert calls == [1]
+    # nothing is shared between two G-lattices of one sigma
+    calls.clear()
+    a, b = model_glattice(quadric), model_glattice(quadric)
+    assert a == b and fixed_sublattice(a) is not fixed_sublattice(b)
+    assert fixed_sublattice(a) == fixed_sublattice(b) and calls == [1, 1]
+    # the order is checked before any kernel is built
+    calls.clear()
+    at_three = GLattice(Lattice(IntMatrix.zeros(2, 2)), IntMatrix.identity(2), 3)
+    with pytest.raises(UnsupportedParameter, match="needs order 2, got 3"):
+        half_gram_quotient(at_three)
+    assert calls == [] and "fixed" not in vars(at_three)
 
 
 def test_transforms_are_replayed_only_where_they_are_read(monkeypatch):

@@ -597,6 +597,29 @@ def test_twist_check_names_both_orders_of_unrelated_points():
     )
 
 
+def test_twist_check_reads_free_action_as_written():
+    """`free_action` rows are sigma's rows: sigma(x) = A.x, not A^T.x.
+
+    A = [[0, -1], [1, -1]] is the companion matrix of Phi_3, so
+    1 + sigma + sigma^2 = 0 and every free element is a cocycle.
+    D = 1 - A = [[1, 1], [-1, 2]] has det 3 and columns (1, -1) = (1, 2)
+    mod 3, so im D is the index-3 sublattice over the line through (1, 2)
+    mod 3: (1, 2) = D.(0, 1) is a coboundary and (1, 1) is not.  Read
+    transposed, im D would lie over the line through (1, 1) instead.
+    """
+    action = (((0, -1), (1, -1)), (), ())
+    # the oracle's action on plain tuples agrees with the derivation
+    assert minus_image(action, (), ((0, 1), (), ())) == ((1, 2), (), ())
+    payload = {
+        "model": {"free_rank": "2"},
+        "endo": {"order": "3", "free_action": [["0", "-1"], ["1", "-1"]]},
+    }
+    for free, coboundary in ((["1", "2"], True), (["1", "1"], False)):
+        assert is_zero_element(orbit_sum(action, (), (tuple(map(int, free)), (), ()), 3))
+        outcome = run_check("phi3", "twist-check", dict(payload, element={"free": free}))
+        assert outcome.computed == {"cocycle": True, "coboundary": coboundary}, free
+
+
 # --- the group law on numerical sections --------------------------------------------
 
 

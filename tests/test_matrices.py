@@ -328,6 +328,9 @@ def test_is_symmetric_matches_the_pairwise_rule():
                 entries[i * n + j] == entries[j * n + i] for i in range(n) for j in range(n)
             )
             assert m.is_symmetric == pairwise
+            # kept once read, so a Gram matrix checked by the runner, the
+            # lattice and the signature is scanned once
+            assert vars(m)["is_symmetric"] == pairwise
     assert not IntMatrix(2, 3, (1, 0, 0, 0, 1, 0)).is_symmetric
     assert not IntMatrix(0, 2, ()).is_symmetric
 
