@@ -40,13 +40,21 @@ they are not canonical vectors: another U can give other generators of the
 same group.  The result keeps the Smith form and undoes its log only when
 the generators are first read, and results compare as groups.
 
+The same Smith form decides a class v, with c = U.v read by walking the
+row log forwards.  As V is unimodular, im D = U^-1 im diag(d), so v lies
+in im D exactly when c_i = 0 past the rank of D and d_i divides c_i below
+it; its saturation, ker N, is U^-1 of the c vanishing past the rank.  So v
+is a cocycle when c vanishes past the rank, and a coboundary when also
+every d_i divides c_i: no check kind builds N or eliminates D again.
+
 Since ker N / im D is the torsion of Z^r / im D, H^1 has no free part (as
 for any finite group, n times a cocycle lies in im D); free_rank is always
 0 and is kept in the result for completeness.
 
-The fixed sublattice ker(1 - sigma) is a saturated embedding, built on first
-read and kept, as N is.  For an involution whose fixed pairing is uniformly
-even, halving its Gram matrix gives the pairing of the quotient downstairs.
+The Smith form of D and the fixed sublattice ker(1 - sigma), a saturated
+embedding, are each built on first read and kept, as N is.  For an
+involution whose fixed pairing is uniformly even, halving its Gram matrix
+gives the pairing of the quotient downstairs.
 """
 
 from __future__ import annotations
@@ -54,7 +62,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
-from operator import add, mul
+from operator import add, mod, mul
+from typing import Sequence
 
 from .embeddings import Embedding
 from .errors import (
@@ -68,6 +77,7 @@ from .matrices import (
     IntMatrix,
     IntVector,
     SNFResult,
+    _apply,
     _echelon,
     _replay,
     _undo,
@@ -129,8 +139,11 @@ class GLattice:
     raised otherwise.  mu is the lcm of the minimal polynomials of the basis
     vectors, and the search stops once the lcm kills sigma (see the module
     docstring).  `mu` is kept, coefficients constant term first.  `diff` is
-    D = 1 - sigma, built here; `norm`, N = sum_{i<order} sigma^i from mu, and
-    `fixed`, the saturated ker D, are built on first read, or never.
+    D = 1 - sigma, built here; `norm`, N = sum_{i<order} sigma^i from mu,
+    `smith`, the Smith form U.D.V = diag(d) that `h1` and every class verdict
+    read (v is a cocycle when U.v vanishes past the rank of D, a coboundary
+    when also each d_i divides (U.v)_i), and `fixed`, the saturated ker D,
+    are built on first read, or never.
 
     >>> phi6 = IntMatrix.from_rows([[0, -1], [1, 1]])
     >>> GLattice(Lattice(IntMatrix.zeros(2, 2)), phi6, 6).norm == IntMatrix.zeros(2, 2)
@@ -206,6 +219,11 @@ class GLattice:
         return IntMatrix(n, n, tuple(norm))
 
     @cached_property
+    def smith(self) -> SNFResult:
+        """The Smith form of D, built on first read."""
+        return snf(self.diff)
+
+    @cached_property
     def fixed(self) -> Embedding:
         """The saturated sublattice ker D of vectors fixed by sigma, built on first read."""
         kernel = integer_kernel(self.diff)
@@ -218,9 +236,18 @@ class CohResult:
     """Torsion invariant factors, free rank, and generator representatives.
 
     `generators` holds one representative per torsion factor, undone from
-    the row log of `smith`, the Smith form of D, on first read.  They are
-    not canonical (see the module docstring), so two results compare equal
-    when they are the same group: same invariant factors and free rank.
+    the row log of `smith`, the Smith form U.D.V = diag(d) of D, on first
+    read.  They are not canonical (see the module docstring), so two
+    results compare equal when they are the same group: same invariant
+    factors and free rank.  `verdict(v)` decides a class from c = U.v:
+    im D = U^-1 im diag(d), as V is unimodular, and ker N is its saturation,
+    so v is a cocycle when c vanishes past the rank of D and a coboundary
+    when also each d_i divides c_i.
+
+    >>> phi3 = IntMatrix.from_rows([[0, -1], [1, -1]])
+    >>> res = h1(GLattice(Lattice(IntMatrix.zeros(2, 2)), phi3, 3))
+    >>> res.verdict((1, 2)), res.verdict((1, 1))
+    ((True, True), (True, False))
     """
 
     invariant_factors: tuple[int, ...]
@@ -236,6 +263,17 @@ class CohResult:
             if d > 1
         ])
 
+    def verdict(self, v: Sequence[int]) -> tuple[bool, bool]:
+        """(cocycle, coboundary) for the class of v, read off c = U.v."""
+        n = self.smith.D.rows
+        if len(v) != n:
+            raise DimensionMismatch(f"vector length {len(v)} != rank {n}")
+        c = _apply(self.smith.ulog, list(v))
+        ds = self.smith.invariant_factors
+        if any(c[len(ds):]):
+            return False, False
+        return True, not any(map(mod, c, ds))
+
 
 def norm_and_diff(gl: GLattice) -> tuple[IntMatrix, IntMatrix]:
     """The norm N = sum of sigma^i and difference D = 1 - sigma."""
@@ -247,9 +285,10 @@ def h1(gl: GLattice) -> CohResult:
 
     The torsion of Z^r / im D is ker N / im D because ker N is the
     saturation of im D (see the module docstring), so N itself is never
-    eliminated and free_rank is 0.  The Smith form is of `gl.diff`, and the
-    generator of each Z/d_i, d_i > 1, is U^-1.e_i, undone from its row log
-    when the result's `generators` are first read, and not before.
+    eliminated and free_rank is 0.  The Smith form is `gl.smith`, of
+    `gl.diff`, built once per G-lattice; the generator of each Z/d_i,
+    d_i > 1, is U^-1.e_i, undone from its row log when the result's
+    `generators` are first read, and not before.
 
     >>> from .lattices import Lattice
     >>> minus = IntMatrix.from_rows([[-1, 0], [0, -1]])
@@ -257,7 +296,7 @@ def h1(gl: GLattice) -> CohResult:
     >>> res.invariant_factors
     (2, 2)
     """
-    res = snf(gl.diff)
+    res = gl.smith
     return CohResult(tuple([d for d in res.diagonal if d > 1]), 0, res)
 
 

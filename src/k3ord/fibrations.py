@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedParameter,
 )
 from .lattices import Lattice, pair
-from .matrices import IntMatrix, solve_integer
+from .matrices import IntMatrix
 from .orders import surface_rational_elliptic
 
 
@@ -258,10 +258,11 @@ def _cycle_sums(
 def cocycle_check(endo: BlockEndo, s: GroupElement) -> bool:
     """True iff the norm annihilates s, so s can twist the cyclic action.
 
-    Decided blockwise: the free norm matrix, c * geometric_sum(u, n, m) on
-    a finite summand, and (n/k) * (cycle sum) on an elliptic cycle of
-    length k and net sign +1.  A net -1 cycle always passes: its n/k
-    terms alternate in sign, and n/k is even.
+    Decided blockwise: the free part from the Smith form of its D, kept on
+    `endo.free` (`CohResult.verdict`; no norm matrix is built),
+    c * geometric_sum(u, n, m) on a finite summand, and (n/k) * (cycle sum)
+    on an elliptic cycle of length k and net sign +1.  A net -1 cycle always
+    passes: its n/k terms alternate in sign, and n/k is even.
 
     >>> model = AbGroupModel(elliptic_count=1)
     >>> s = GroupElement(model, elliptic=(TorsionPoint("eps", 3),))
@@ -270,7 +271,8 @@ def cocycle_check(endo: BlockEndo, s: GroupElement) -> bool:
     """
     _check_compat(s.model, endo)
     n = endo.order
-    if any(endo.free.norm.mul_vec(s.free)):
+    cocycle, _ = h1(endo.free).verdict(s.free)
+    if not cocycle:
         return False
     for u, c, m in zip(endo.finite_action, s.finite, s.model.finite_cyclic):
         if c * geometric_sum(u, n, m) % m:
@@ -282,15 +284,17 @@ def cocycle_check(endo: BlockEndo, s: GroupElement) -> bool:
 def coboundary_check(endo: BlockEndo, s: GroupElement) -> bool:
     """True iff s = t - sigma(t) for some t, i.e. the twist class is trivial.
 
-    Decided blockwise: an integer solve on the free part, a gcd
-    condition on each finite summand, and a walk around each elliptic
-    cycle.  On a cycle whose net sign is -1 the equation 2t = (cycle
-    sum) is always solvable because the group is 2-divisible; on a
-    net-positive cycle the signed sum of the coordinates must vanish.
+    Decided blockwise: the free part from the Smith form of its D, the one
+    `cocycle_check` reads (`CohResult.verdict`), a gcd condition on each
+    finite summand, and a walk around each elliptic cycle.  On a cycle
+    whose net sign is -1 the equation 2t = (cycle sum) is always solvable
+    because the group is 2-divisible; on a net-positive cycle the signed
+    sum of the coordinates must vanish.
     """
     model = s.model
     _check_compat(model, endo)
-    if solve_integer(endo.free.diff, list(s.free)) is None:
+    _, coboundary = h1(endo.free).verdict(s.free)
+    if not coboundary:
         return False
     for u, c, m in zip(endo.finite_action, s.finite, model.finite_cyclic):
         g = math.gcd((1 - u) % m, m)

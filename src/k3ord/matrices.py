@@ -9,8 +9,9 @@ numerator over one positive common denominator in lowest terms.
 Provided operations:
 
 * `snf`: Smith normal form with unimodular transforms, U * A * V = D; U
-  and V are built from the elimination's log only when read, and a column
-  U^-1 * e_i is read by `_undo` without building U.
+  and V are built from the elimination's log only when read, a column
+  U^-1 * e_i is read by `_undo` and a product U * v by `_apply`, neither
+  building U.
 * `hermite_row_basis`: canonical (row Hermite) basis of a row lattice.
 * `integer_kernel`: saturated kernel basis (a direct summand of Z^cols),
   the rows of the unimodular W of a row echelon form W * A^T = E whose E
@@ -51,8 +52,9 @@ Conventions, pinned so outputs are reproducible:
   `integer_kernel` and `solve_columns` pivots on the nonzero entry of minimal
   absolute value in the column, ties broken by row index.  It applies its
   row operations to the matrix alone and logs them; the transform W is
-  never carried along: W^T * y is read by walking the log backwards with
-  `_replay`, and W^-1 * y by walking it backwards with `_undo`.
+  never carried along: W * y is read by walking the log forwards with
+  `_apply`, W^T * y by walking it backwards with `_replay`, and W^-1 * y
+  by walking it backwards with `_undo`.
 * `integer_kernel` returns the unique column Hermite basis of the kernel.
 * When the signature diagonalization meets a zero diagonal entry it first
   looks for a nonzero diagonal entry to swap in; failing that it adds row j
@@ -393,30 +395,47 @@ def snf(a: IntMatrix) -> SNFResult:
     trailing block follows by induction.  A repair at d_i lowers d_i
     strictly to gcd(d_i, d_j) and leaves d_0, ..., d_(i-1) alone.
 
+    After a repair only rows and columns i and j leave the diagonal, and
+    every other row and column keeps its pivot alone, so a pass over the
+    whole matrix makes exactly the operations of the same pass over the
+    2 x 2 block of rows and columns i, j: the alternation runs on that
+    block, its logs read at i and j.  Each d_k, k < i, divides every
+    entry of the block, and so every entry after it, so the search for
+    the next pair resumes at i; a repair costs the block, not the matrix.
+
     >>> r = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
     >>> r.diagonal
     (2, 4)
     """
-    nrows, ncols = a.rows, a.cols
-    d = [list(a.row(i)) for i in range(nrows)]
     ulog, vlog = [], []
+    d, rank = _alternate([list(a.row(i)) for i in range(a.rows)], a.rows, a.cols, ulog, vlog)
+    i = 0
+    while pair := next((
+        (k, j) for k in range(i, rank) for j in range(k + 1, rank) if d[j][j] % d[k][k]
+    ), None):
+        i, j = pair
+        # the block once row j is added to row i, logged as (i, j, -1)
+        block_u, block_v = [(0, 1, -1)], []
+        block, _ = _alternate([[d[i][i], d[j][j]], [0, d[j][j]]], 2, 2, block_u, block_v)
+        d[i][i], d[j][j] = block[0][0], block[1][1]
+        ulog += [(pair[k], pair[t], q) for k, t, q in block_u]
+        vlog += [(pair[k], pair[t], q) for k, t, q in block_v]
+    dm = IntMatrix(a.rows, a.cols, tuple([x for r in d for x in r]))
+    return SNFResult(dm, tuple(ulog), tuple(vlog))
+
+
+def _alternate(
+    d: list[list[int]], nrows: int, ncols: int, ulog: list[RowOp], vlog: list[RowOp]
+) -> tuple[list[list[int]], int]:
+    """(D, rank): `_echelon` passes on the rows of d, logged in ulog, and on
+    its columns, logged in vlog, in turn until D is diagonal."""
     while True:
         list(_echelon(d, ncols, ulog))
         dt = [list(c) for c in zip(*d)]
         rank = len(list(_echelon(dt, nrows, vlog)))
         d = [list(r) for r in zip(*dt)]
-        if any(any(r[:i]) or any(r[i + 1:]) for i, r in enumerate(d)):
-            continue
-        bad = next((
-            (i, j) for i in range(rank) for j in range(i + 1, rank) if d[j][j] % d[i][i]
-        ), None)
-        if bad is None:
-            break
-        i, j = bad
-        d[i] = [x + y for x, y in zip(d[i], d[j])]
-        ulog.append((i, j, -1))
-    dm = IntMatrix(nrows, ncols, tuple([x for r in d for x in r]))
-    return SNFResult(dm, tuple(ulog), tuple(vlog))
+        if not any(any(r[:i]) or any(r[i + 1:]) for i, r in enumerate(d)):
+            return d, rank
 
 
 def _echelon(rows: list[list[int]], ncols: int, log: list[RowOp]) -> Iterator[int]:
@@ -491,6 +510,21 @@ def _undo(log: Sequence[RowOp], y: list[int]) -> list[int]:
     for i, t, q in reversed(log):
         if q:
             y[i] += q * y[t]
+        elif i == t:
+            y[t] = -y[t]
+        else:
+            y[i], y[t] = y[t], y[i]
+    return y
+
+
+def _apply(log: Sequence[RowOp], y: list[int]) -> list[int]:
+    """W * y in place, W the product of the row operations in `log` (see
+    `_echelon`): each operation as it was logged, first operation first.
+    Column k of W is `_apply(log, e_k)`; the sibling of `_replay` and
+    `_undo`."""
+    for i, t, q in log:
+        if q:
+            y[i] -= q * y[t]
         elif i == t:
             y[t] = -y[t]
         else:

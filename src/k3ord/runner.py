@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
 from . import jsonio
-from .cohomology import GLattice, fixed_sublattice, h1, half_gram_quotient, norm_and_diff
+from .cohomology import GLattice, fixed_sublattice, h1, half_gram_quotient
 from .divisors import nakai_certificate
 from .embeddings import Embedding, check_isometric, is_primitive
 from .errors import K3OrdError, MissingCorpus, ParseError, SchemaError
@@ -48,7 +48,7 @@ from .jsonio import (
     optional_field,
 )
 from .lattices import Lattice, build_K3
-from .matrices import IntMatrix, signature, solve_columns
+from .matrices import IntMatrix, signature
 from .orders import (
     OrderDescriptor,
     RamifiedDivisor,
@@ -156,14 +156,9 @@ def _run_h1(payload: dict):
         "free_rank": result.free_rank,
     }
     if classes is not None:
-        norm, diff = norm_and_diff(gl)
-        solutions = solve_columns(diff, list(classes.values()))
         computed["classes"] = {
-            name: {
-                "cocycle": not any(norm.mul_vec(vector)),
-                "coboundary": solution is not None,
-            }
-            for (name, vector), solution in zip(classes.items(), solutions)
+            name: dict(zip(("cocycle", "coboundary"), result.verdict(vector)))
+            for name, vector in classes.items()
         }
     return computed, ()
 

@@ -225,35 +225,52 @@ def test_run_check_h1_pass_and_fail():
     )
 
 
-def test_run_check_h1_decides_every_class_in_one_solve(monkeypatch):
+def test_run_check_h1_decides_every_class_from_the_one_smith_form(monkeypatch):
+    import k3ord.cohomology as cohomology
+    import k3ord.matrices as matrices
     import k3ord.runner as runner
 
-    calls = []
-    solve = runner.solve_columns
-    monkeypatch.setattr(runner, "solve_columns", lambda a, bs: calls.append(len(bs)) or solve(a, bs))
-    payload = _h1_payload()
-    payload["classes"] = [
-        {"name": "d", "vector": ["1"]},
-        {"name": "twice", "vector": ["2"]},
-        {"name": "zero", "vector": ["0"]},
-    ]
+    def refuse(*args):
+        raise AssertionError("unexpected call")
+
+    assert not hasattr(runner, "solve_columns") and not hasattr(runner, "norm_and_diff")
+    smiths = []
+    snf = cohomology.snf
+    monkeypatch.setattr(cohomology, "snf", lambda a: smiths.append(a) or snf(a))
+    monkeypatch.setattr(matrices, "solve_columns", refuse)
+    monkeypatch.setattr(cohomology.GLattice, "norm", property(refuse))
+    # sigma = -1 + 1: D = diag(2, 0) and N = diag(0, 2), so (1, 1) is no
+    # cocycle, (1, 0) a cocycle and no coboundary, and (2, 0) a coboundary
+    payload = {
+        "gram": [["-2", "0"], ["0", "2"]],
+        "action": [["-1", "0"], ["0", "1"]],
+        "order": "2",
+        "classes": [
+            {"name": "d", "vector": ["1", "0"]},
+            {"name": "twice", "vector": ["2", "0"]},
+            {"name": "zero", "vector": ["0", "0"]},
+            {"name": "fixed", "vector": ["1", "1"]},
+        ],
+    }
     outcome = run_check("h1", "h1", payload, None)
-    assert calls == [3]
+    assert len(smiths) == 1
+    assert outcome.computed["invariant_factors"] == ["2"]
     assert outcome.computed["classes"] == {
         "d": {"cocycle": True, "coboundary": False},
         "twice": {"cocycle": True, "coboundary": True},
         "zero": {"cocycle": True, "coboundary": True},
+        "fixed": {"cocycle": False, "coboundary": False},
     }
     # every entry is read before any is decided, and the first bad one is named
     payload["classes"] = [
-        {"name": "d", "vector": ["1"]},
-        {"name": "long", "vector": ["1", "0"]},
+        {"name": "d", "vector": ["1", "0"]},
+        {"name": "long", "vector": ["1", "0", "0"]},
         {"name": "bad", "vector": ["x"]},
     ]
     outcome = run_check("h1", "h1", payload, None)
     assert outcome.verdict == ERROR
-    assert "payload.classes[1].vector: length 2, expected 1" in outcome.error
-    assert calls == [3]
+    assert "payload.classes[1].vector: length 3, expected 2" in outcome.error
+    assert len(smiths) == 1
 
 
 def test_run_check_unknown_kind_is_error():

@@ -333,6 +333,36 @@ def _seeded_cyclotomic_actions(rng, count):
         yield ms, p_inv @ sigma @ p, math.lcm(*ms) * rng.randint(1, 2)
 
 
+def test_verdict_agrees_with_the_norm_and_a_solve():
+    """CohResult.verdict reads (cocycle, coboundary) off U.v; the reference
+    forms N.v and solves D.x = v.  Per seeded action: three random vectors,
+    a coboundary (1 - sigma).w, a generator (a random vector when there is
+    no torsion) and zero; then identity actions and the rank-0 action."""
+    rng = random.Random(3030)
+
+    def agree(gl, vectors):
+        res = h1(gl)
+        for v in vectors:
+            expected = (not any(gl.norm.mul_vec(v)), solve_integer(gl.diff, v) is not None)
+            assert res.verdict(v) == expected, (gl.sigma, gl.order, v)
+            kinds[expected] += 1
+
+    kinds = {(True, True): 0, (True, False): 0, (False, False): 0}
+    for ms, sigma, order in _seeded_cyclotomic_actions(random.Random(3031), 300):
+        r = sigma.rows
+        gl = GLattice(Lattice(IntMatrix.zeros(r, r)), sigma, order)
+        rand = [tuple([rng.randint(-3, 3) for _ in range(r)]) for _ in range(4)]
+        gens = h1(gl).generators
+        agree(gl, rand[:3] + [gl.diff.mul_vec(rand[3]), gens[0] if gens else rand[3], (0,) * r])
+    for r, order in ((1, 1), (3, 2), (2, 5)):
+        gl = GLattice(Lattice(IntMatrix.zeros(r, r)), IntMatrix.identity(r), order)
+        agree(gl, [(0,) * r, (1,) + (0,) * (r - 1), tuple(range(r))])
+    agree(GLattice(Lattice(IntMatrix.zeros(0, 0)), IntMatrix.identity(0), 2), [()])
+    assert min(kinds.values()) > 100, kinds
+    with pytest.raises(DimensionMismatch):
+        h1(gl).verdict((0,) * (gl.lattice.rank + 1))
+
+
 def test_norm_agrees_with_the_plain_power_sum_on_seeded_actions():
     # each mu_j is replayed from one log shared by the elimination runs of
     # its Krylov loop; a wrong mu gives a wrong N or rejects a valid order
@@ -909,10 +939,11 @@ def _corpus_checks(kind):
 
 
 def test_checks_build_generators_and_norm_only_where_they_read_them(monkeypatch):
-    undone, built = [], []
-    undo, build = cohomology._undo, GLattice.norm.func
+    undone, built, smiths = [], [], []
+    undo, build, smith = cohomology._undo, GLattice.norm.func, cohomology.snf
     monkeypatch.setattr(cohomology, "_undo", lambda log, y: undone.append(log) or undo(log, y))
     monkeypatch.setattr(GLattice, "norm", property(lambda gl: built.append(gl) or build(gl)))
+    monkeypatch.setattr(cohomology, "snf", lambda a: smiths.append(a) or smith(a))
 
     def run(kind):
         checks = list(_corpus_checks(kind))
@@ -921,19 +952,30 @@ def test_checks_build_generators_and_norm_only_where_they_read_them(monkeypatch)
             assert run_check(name, kind, payload, expected).verdict == PASS, name
         return len(checks)
 
-    # an h1 check reports the group only; its class verdicts read N
-    run("h1")
-    assert undone == []
-    assert len(built) == sum(1 for _, p, _ in _corpus_checks("h1") if "classes" in p) > 0
-    built.clear()
+    # no check kind builds N: an h1 check reports the group and decides its
+    # classes from one Smith form of D
+    assert all("classes" in p for _, p, _ in _corpus_checks("h1"))
+    checks = run("h1")
+    assert len(smiths) == checks and undone == [] and built == []
     # quotient-pic reads D alone
+    smiths.clear()
     run("quotient-pic")
+    assert built == [] and undone == [] and smiths == []
+    # a twist check decides both tests on its free block from one Smith
+    # form of that block's D, here of rank 0 and of rank 2
+    phi3 = {
+        "model": {"free_rank": "2"},
+        "endo": {"order": "3", "free_action": [["0", "-1"], ["1", "-1"]]},
+    }
+    twists = list(_corpus_checks("twist-check")) + [
+        (f"phi3-{x}{y}", dict(phi3, element={"free": [x, y]}), {}) for x, y in ("12", "11")
+    ]
+    for name, payload, expected in twists:
+        smiths.clear()
+        assert run_check(name, "twist-check", payload, expected).verdict == PASS, name
+        rank = int(payload["model"].get("free_rank", "0"))
+        assert [(a.rows, a.cols) for a in smiths] == [(rank, rank)], name
     assert built == [] and undone == []
-    # a twist check reads N for its cocycle test and never for its
-    # coboundary test
-    checks = run("twist-check")
-    assert len(built) == checks
-    built.clear()
     endo = BlockEndo(IntMatrix.from_rows([[0, 1], [1, 0]]), (), (), 2)
     assert coboundary_check(endo, GroupElement(AbGroupModel(free_rank=2), (1, -1)))
     assert built == [] and undone == []
@@ -944,6 +986,7 @@ def test_checks_build_generators_and_norm_only_where_they_read_them(monkeypatch)
         assert outcome.verdict == PASS, name
         factors += len(outcome.computed["free_generators"])
     assert len(undone) == factors > 0
+    assert built == []
 
 
 def test_lazy_norm_is_the_power_sum_on_seeded_actions():

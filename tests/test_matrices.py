@@ -242,6 +242,26 @@ def test_snf_divisibility_repair(rows, diagonal):
     assert snf(a).diagonal == diagonal
 
 
+def test_snf_repairs_run_on_their_block(monkeypatch):
+    """D = 1 - sigma for a sum of 20 Phi_3 companion blocks diagonalizes
+    to 1, 3, 1, 3, ..., so the chain needs a repair per pair out of order;
+    each runs its passes on the 2 x 2 block of rows and columns i, j, and
+    the whole matrix is passed over once by rows and once by columns."""
+    n = 40
+    rows = [[0] * n for _ in range(n)]
+    for b in range(0, n, 2):
+        rows[b][b:b + 2] = [1, 1]
+        rows[b + 1][b:b + 2] = [-1, 2]
+    a = IntMatrix.from_rows(rows)
+    sizes = []
+    echelon = matrices._echelon
+    with monkeypatch.context() as patch:
+        patch.setattr(matrices, "_echelon", lambda r, c, log: sizes.append(len(r)) or echelon(r, c, log))
+        assert snf(a).diagonal == (1,) * 20 + (3,) * 20
+    assert sizes.count(n) == 2 and set(sizes) == {2, n}
+    _check_snf(a)
+
+
 @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0)])
 def test_snf_empty_shapes(rows, cols):
     a = IntMatrix(rows, cols, ())
