@@ -11,15 +11,23 @@ write x = P.a + t with t orthogonal to P; then M.x = Q.a, and
 phi(x) = P.action.a - t = -x + P.(action + I).a.  P.Q^(-1).M is the
 orthogonal projection onto the image of P, as in Nikulin's gluing of
 isometries of S + S^perp (1979), so no complement basis is chosen and only
-the n x n matrix Q is inverted.  Q is nonsingular exactly when the image of
+the n x n matrix Q is eliminated.  Q is nonsingular exactly when the image of
 P and a basis T of ker M form a square nonsingular frame [P | T]: applying
 M to P.a + T.b = 0 gives Q.a = 0, and Q.a = 0 puts P.a in ker M.
 
-phi is an integer numerator F over the denominator d of Q^(-1), in lowest
-terms; it preserves the integer lattice exactly when d is 1, never by a
-tolerance test.  The result records that integrality flag with two
-certificates of the computed phi, each an integer identity tested exactly:
-phi is orthogonal when F^T.G.F = d^2.G (`matrices.is_congruence`) and
+phi is computed as an integer numerator F over d = det Q, with no inverse
+formed: one fraction-free elimination of the n x 2n matrix
+[Q | (action + I)^T] (`matrices.solve_scaled`) gives the Z with
+Q.Z = d.(action + I)^T, so, Q being symmetric, Z^T = d.(action + I).Q^(-1)
+and
+
+    F = P.Z^T.M - d.I,    phi = F / d,
+
+reduced to lowest terms by one gcd.  phi preserves the integer lattice
+exactly when the reduced denominator is 1, never by a tolerance test.  The
+result records that integrality flag with two certificates of the computed
+phi, each an integer identity tested exactly on the reduced F over d: phi
+is orthogonal when F^T.G.F = d^2.G (`matrices.is_congruence`) and
 involutive when F.F - d^2.I = 0 (`matrices.annihilates`).
 
 Only the lattice-side conditions are certified.  Whether the extension is
@@ -35,7 +43,7 @@ from typing import Optional
 
 from .embeddings import Embedding
 from .errors import ActionNotIsometric, DimensionMismatch, SingularFrame
-from .matrices import IntMatrix, RatMatrix, annihilates, is_congruence
+from .matrices import IntMatrix, RatMatrix, annihilates, is_congruence, solve_scaled
 
 EXTENSION_ASSUMPTIONS = (
     "acts as -1 on the orthogonal complement of the embedded sublattice",
@@ -58,9 +66,11 @@ class ExtensionResult:
 def extend_by_minus_one(pic: Embedding, action: IntMatrix) -> ExtensionResult:
     """Extend `action` on the image of `pic` by -1 on its complement.
 
-    phi = -I + P.(action + I).Q^(-1).M with M = P^T.G and Q = M.P; raises
-    SingularFrame exactly when det Q = 0, that is when the image of P and
-    its orthogonal complement do not span the ambient space.
+    phi = -I + P.(action + I).Q^(-1).M with M = P^T.G and Q = M.P, taken
+    as (P.Z^T.M - d.I) / d from the one solve Q.Z = d.(action + I)^T with
+    d = det Q; raises SingularFrame exactly when d = 0, that is when the
+    image of P and its orthogonal complement do not span the ambient
+    space.
     """
     target = pic.target
     n = pic.source.rank
@@ -74,11 +84,14 @@ def extend_by_minus_one(pic: Embedding, action: IntMatrix) -> ExtensionResult:
     p = pic.matrix
     m = p.transpose() @ target.gram
     try:
-        q_inv = RatMatrix(m @ p).inverse()
+        d, z = solve_scaled(m @ p, (action + IntMatrix.identity(n)).transpose())
     except ValueError:  # singular
         raise SingularFrame("embedding and complement do not span the ambient space") from None
-    lift = p @ (action + IntMatrix.identity(n)) @ q_inv.num @ m
-    phi = RatMatrix(lift - IntMatrix.identity(target.rank).scale(q_inv.den), q_inv.den)
+    # d.phi = P.Z^T.M - d.I; P is mostly zeros, so it leads the outer product
+    lift = list((p @ (z.transpose() @ m)).entries)
+    diagonal = slice(None, None, target.rank + 1)
+    lift[diagonal] = [x - d for x in lift[diagonal]]
+    phi = RatMatrix(IntMatrix(target.rank, target.rank, tuple(lift)), d)
 
     f, d = phi.num, phi.den
     orthogonal = is_congruence(f, target.gram, target.gram.scale(d * d))

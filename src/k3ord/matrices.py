@@ -16,14 +16,14 @@ Provided operations:
 * `integer_kernel`: saturated kernel basis (a direct summand of Z^cols),
   the rows of the unimodular W of a row echelon form W * A^T = E whose E
   row is zero, each replayed from the log of that elimination.
-* `solve_columns`: certified integer linear solving of a.x = b for several
-  right-hand sides b at once, by forward substitution through the same E,
-  then x = W^T * y replayed from the log; a pivot that does not divide, or
-  a remainder left when the pivots are used up, certifies that no solution
-  exists.  `solve_integer` is its one-column case.
-* `det` and `adjugate`: one forward fraction-free (Bareiss) elimination, of
-  A or of [A | I]; the adjugate is then read off by exact back-substitution,
-  and `RatMatrix.inverse` is the adjugate over the determinant.
+* `solve_integer`: certified integer linear solving of a.x = b, by forward
+  substitution through the same E, then x = W^T * y replayed from the log;
+  a pivot that does not divide, or a remainder left when the pivots are
+  used up, certifies that no solution exists.
+* `det` and `solve_scaled`: one forward fraction-free (Bareiss) elimination,
+  of A or of [A | B]; `solve_scaled` then reads the X with A * X = det(A) * B
+  off by exact back-substitution, and `RatMatrix.inverse` is its B = I case
+  over the determinant.
 * `signature`: exact signature of a symmetric matrix by congruence
   diagonalization over Z, on the same fraction-free step as `det`; the sign
   of each pivot is read by Jacobi's rule.
@@ -49,7 +49,7 @@ Conventions, pinned so outputs are reproducible:
 
 * SNF diagonal entries are normalized nonnegative and each divides the next.
 * The one echelon elimination behind `snf`, `hermite_row_basis`,
-  `integer_kernel` and `solve_columns` pivots on the nonzero entry of minimal
+  `integer_kernel` and `solve_integer` pivots on the nonzero entry of minimal
   absolute value in the column, ties broken by row index.  It applies its
   row operations to the matrix alone and logs them; the transform W is
   never carried along: W * y is read by walking the log forwards with
@@ -282,7 +282,7 @@ class RatMatrix:
 
     def inverse(self) -> "RatMatrix":
         """Exact inverse. Raises NonSquare / ValueError (singular)."""
-        d, adj = adjugate(self.num)
+        d, adj = solve_scaled(self.num, IntMatrix.identity(self.num.rows))
         return RatMatrix(adj.scale(self.den), d)
 
 
@@ -579,53 +579,41 @@ def integer_kernel(a: IntMatrix) -> IntMatrix:
     return hermite_row_basis(IntMatrix.from_rows(_w_rows(log, a.cols, rank))).transpose()
 
 
-def solve_columns(a: IntMatrix, bs: Sequence[Sequence[int]]) -> list[Optional[IntVector]]:
-    """For each b in bs, one integer solution x of a.x = b, or None when
-    none exists; every b is solved through one elimination of a.
+def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[IntVector]:
+    """One integer solution x of a.x = b, or None when none exists.
 
     With W * a^T = E in row echelon form and W unimodular, x = W^T * y turns
     the system into E^T * y = b, which is triangular: y is read off pivot by
     pivot, each as the elimination reaches it.  No later pivot touches a
     pivot's column, so a pivot that does not divide what is left of b there,
     or anything left of b once the pivots are used up, certifies that there
-    is no solution.  A column drops out at its first such pivot, and the
-    elimination stops once every column has dropped out.  W is never built:
-    x = W^T * y is replayed from the log of the elimination, once for each
-    column that has a solution.
+    is no solution.  Rows 0..k of E and W are final once pivot k is
+    yielded, so the elimination stops there when b is used up, and b = 0
+    is solved by x = 0 with no elimination.  W is never built: x = W^T * y
+    is replayed from the log of the elimination, once for a solvable b.
 
-    >>> solve_columns(IntMatrix.from_rows([[2, 0], [0, 3]]), [(4, 3), (1, 0)])
-    [(2, 1), None]
+    >>> solve_integer(IntMatrix.from_rows([[2, 0], [0, 3]]), (4, 3))
+    (2, 1)
+    >>> solve_integer(IntMatrix.from_rows([[2, 0], [0, 3]]), (1, 0)) is None
+    True
     """
-    for b in bs:
-        if len(b) != a.rows:
-            raise DimensionMismatch(f"vector length {len(b)} != rows {a.rows}")
-    rests = [list(b) for b in bs]
-    ys = [[0] * a.cols for _ in rests]
-    live = list(range(len(rests)))
-    if live:
-        e, log, pivots = _transpose_echelon(a)
-        for k, j in enumerate(pivots):
-            er = e[k]
-            for c in live:
-                q, rem = divmod(rests[c][j], er[j])
-                if rem:
-                    ys[c] = None
-                elif q:
-                    rests[c] = [s - q * t for s, t in zip(rests[c], er)]
-                    ys[c][k] = q
-            live = [c for c in live if ys[c] is not None]
-            if not live:
-                break
-    return [
-        None if y is None or any(rest) else tuple(_replay(log, y))
-        for y, rest in zip(ys, rests)
-    ]
-
-
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[IntVector]:
-    """One integer solution x of a.x = b, or None when none exists: the
-    one-column case of `solve_columns`."""
-    return solve_columns(a, [b])[0]
+    if len(b) != a.rows:
+        raise DimensionMismatch(f"vector length {len(b)} != rows {a.rows}")
+    rest, y = list(b), [0] * a.cols
+    if not any(rest):
+        return tuple(y)
+    e, log, pivots = _transpose_echelon(a)
+    for k, j in enumerate(pivots):
+        ek = e[k]
+        q, rem = divmod(rest[j], ek[j])
+        if rem:
+            return None
+        if q:
+            rest = [s - q * t for s, t in zip(rest, ek)]
+            y[k] = q
+            if not any(rest):
+                return tuple(_replay(log, y))
+    return None
 
 
 def _bareiss_step(m: list[list[int]], k: int, prev: int) -> int:
@@ -670,19 +658,22 @@ def det(a: IntMatrix) -> int:
     return _bareiss([list(a.row(i)) for i in range(a.rows)])
 
 
-def adjugate(a: IntMatrix) -> tuple[int, IntMatrix]:
-    """(d, adj a) with d = det a, a @ adj == d * I; ValueError if singular.
-    `_bareiss` on [a | I] leaves [R | L], R = L * a upper triangular; then
-    adj a = d * a^(-1) is the X with R * X = d * L, by back-substitution
-    from the last row, each division by R_ii exact as X is integral.
+def solve_scaled(a: IntMatrix, b: IntMatrix) -> tuple[int, IntMatrix]:
+    """(d, X) with d = det a and a @ X == d * b, for a square a; ValueError
+    if a is singular.  `_bareiss` on [a | b] leaves [R | L * b], R = L * a
+    upper triangular and L invertible; then X is the solution of
+    R * X = d * L * b, by back-substitution from the last row, each division
+    by R_ii exact as X = adj(a) * b is integral.  With b = I, X is adj a.
 
-    >>> adjugate(IntMatrix.from_rows([[1, 2], [3, 4]]))[1].to_rows()
+    >>> solve_scaled(IntMatrix.from_rows([[1, 2], [3, 4]]), IntMatrix.identity(2))[1].to_rows()
     ((4, -2), (-3, 1))
     """
     if not a.is_square:
-        raise NonSquare("only square matrices have inverses")
-    n = a.rows
-    m = [list(a.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
+        raise NonSquare(f"solve against a {a.rows}x{a.cols} matrix")
+    n, w = a.rows, b.cols
+    if b.rows != n:
+        raise DimensionMismatch(f"{n}x{n} matrix against a {b.rows}x{w} right-hand side")
+    m = [[*a.row(i), *b.row(i)] for i in range(n)]
     d = _bareiss(m)
     if not d:
         raise ValueError("matrix is singular")
@@ -693,7 +684,7 @@ def adjugate(a: IntMatrix) -> tuple[int, IntMatrix]:
             if r[j]:
                 acc = [s - r[j] * t for s, t in zip(acc, x[j])]
         x[i] = [s // r[i] for s in acc]
-    return d, IntMatrix.from_rows(x)
+    return d, IntMatrix(n, w, tuple([y for r in x for y in r]))
 
 
 def signature(g: IntMatrix) -> tuple[int, int, int]:

@@ -9,7 +9,8 @@ can pin down exactly the values a worked example prints.
 Verdicts are Pass, Fail (with a structured field diff), or Error (the
 computation or the file itself was rejected).  Reports are plain JSON
 trees through jsonio, deterministic byte for byte; timing is opt-in
-because timestamps would break that.
+because timestamps would break that, and reads in milliseconds to the
+microsecond, as a decimal string such as "0.274".
 """
 
 import time
@@ -401,7 +402,7 @@ class CheckOutcome:
     assumptions: tuple[str, ...] = ()
     diff: Optional[tuple[dict, ...]] = None
     error: Optional[str] = None
-    timing_ms: Optional[int] = None
+    timing_ms: Optional[str] = None  # milliseconds as a decimal with three places
 
     def to_tree(self):
         return {
@@ -456,7 +457,7 @@ def run_check(
             verdict=ERROR,
             error=f"{type(exc).__name__}: {exc}",
         )
-    elapsed = int(round((time.perf_counter() - started) * 1000)) if with_timing else None
+    elapsed = f"{(time.perf_counter() - started) * 1000:.3f}" if with_timing else None
     diff = []
     if expected is not None:
         for key in sorted(expected):

@@ -9,6 +9,7 @@ import json
 import re
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -233,11 +234,11 @@ def test_run_check_h1_decides_every_class_from_the_one_smith_form(monkeypatch):
     def refuse(*args):
         raise AssertionError("unexpected call")
 
-    assert not hasattr(runner, "solve_columns") and not hasattr(runner, "norm_and_diff")
+    assert not hasattr(runner, "solve_integer") and not hasattr(runner, "norm_and_diff")
     smiths = []
     snf = cohomology.snf
     monkeypatch.setattr(cohomology, "snf", lambda a: smiths.append(a) or snf(a))
-    monkeypatch.setattr(matrices, "solve_columns", refuse)
+    monkeypatch.setattr(matrices, "solve_integer", refuse)
     monkeypatch.setattr(cohomology.GLattice, "norm", property(refuse))
     # sigma = -1 + 1: D = diag(2, 0) and N = diag(0, 2), so (1, 1) is no
     # cocycle, (1, 0) a cocycle and no coboundary, and (2, 0) a coboundary
@@ -1023,6 +1024,18 @@ def test_cli_timing_opt_in(tmp_path, capsys):
         assert main([command, str(path), "--format", "json", "--timing"]) == 0
         tree = json.loads(capsys.readouterr().out)
         assert tree["checks"][0]["timing_ms"] is not None
+
+
+def test_timing_reads_a_sub_millisecond_check_above_zero():
+    """Under --timing a check's time is milliseconds as a decimal string
+    with three places, so a check of a few microseconds is not read as 0;
+    without it the field stays null."""
+    doc = {"gram": [["2"]]}
+    assert run_check("signature", "signature", doc, None).timing_ms is None
+    readings = [run_check("signature", "signature", doc, None, True).timing_ms for _ in range(20)]
+    assert all(re.fullmatch(r"\d+\.\d{3}", t) for t in readings), readings
+    assert all(Decimal(t) > 0 for t in readings), readings
+    assert min(map(Decimal, readings)) < 1, readings
 
 
 def test_cli_builds_its_parser_tree_once(monkeypatch, tmp_path, capsys):

@@ -40,7 +40,6 @@ from k3ord.matrices import (
     hermite_row_basis,
     integer_kernel,
     snf,
-    solve_columns,
     solve_integer,
 )
 
@@ -223,11 +222,11 @@ def test_h1_inverts_nothing_and_multiplies_no_matrices(monkeypatch):
         raise AssertionError("unexpected call")
 
     cases = [(model, model_glattice(model)) for model in cover_models()]
-    monkeypatch.setattr(matrices, "adjugate", refuse)
+    monkeypatch.setattr(matrices, "solve_scaled", refuse)
     monkeypatch.setattr(matrices, "integer_kernel", refuse)
-    monkeypatch.setattr(matrices, "solve_columns", refuse)
+    monkeypatch.setattr(matrices, "solve_integer", refuse)
     monkeypatch.setattr(cohomology, "integer_kernel", refuse)
-    monkeypatch.setattr(cohomology, "solve_columns", refuse, raising=False)
+    monkeypatch.setattr(cohomology, "solve_integer", refuse, raising=False)
     snf_calls = []
     monkeypatch.setattr(cohomology, "snf", lambda a: snf_calls.append(a) or snf(a))
     for model, gl in cases:
@@ -920,12 +919,11 @@ def test_transforms_are_replayed_only_where_they_are_read(monkeypatch):
     h = h1(trivial)
     assert h.invariant_factors == () and h.generators == ()
     assert replayed == [] and undone == []
-    # one replay per solvable column, none for a column that dropped out
-    # at a pivot or kept a remainder past the last pivot
+    # one replay per solvable b, none for a b that stops at a pivot, keeps
+    # a remainder past the last pivot, or is zero
     a = IntMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 0]])
-    assert solve_columns(a, [(4, 3, 0), (1, 0, 0), (2, 6, 0), (0, 0, 1)]) == [
-        (2, 1, 0), None, (1, 2, 0), None
-    ]
+    bs = [(4, 3, 0), (1, 0, 0), (2, 6, 0), (0, 0, 1), (0, 0, 0)]
+    assert [solve_integer(a, b) for b in bs] == [(2, 1, 0), None, (1, 2, 0), None, (0, 0, 0)]
     assert len(replayed) == 2
 
 

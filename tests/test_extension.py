@@ -191,32 +191,45 @@ def _rank_one(rng, rank):
 
 
 def test_isometry_extend_inverts_only_the_sublattice_gram(monkeypatch):
-    """The rank-18 corpus check runs without a complement or a kernel, and
-    inverts nothing larger than the 18x18 matrix Q."""
+    """The rank-18 corpus check runs without a complement, a kernel or an
+    inverse: one `solve_scaled` of the 18x18 matrix Q against the 18x18
+    (action + I)^T, with no right-hand side as wide as the ambient space."""
 
     def refuse(*args):
         raise AssertionError("unexpected call")
 
     shapes = []
-    adjugate = matrices.adjugate
+    solve_scaled = matrices.solve_scaled
 
-    def spy(a):
-        shapes.append((a.rows, a.cols))
-        return adjugate(a)
+    def spy(a, b):
+        shapes.append((a.rows, a.cols, b.rows, b.cols))
+        return solve_scaled(a, b)
 
     for module in [m for name, m in sys.modules.items() if name.startswith("k3ord")]:
         for name, replacement in [
-            ("orthogonal_complement", refuse), ("integer_kernel", refuse), ("adjugate", spy),
+            ("orthogonal_complement", refuse), ("integer_kernel", refuse), ("solve_scaled", spy),
         ]:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, replacement)
+    monkeypatch.setattr(RatMatrix, "inverse", refuse)
     case = CORPUS / "sextic-n18"
     (node,) = [c for c in jsonio.load_file(case / "scenario.json")["checks"]
                if c["kind"] == "isometry-extend"]
     expected = load_expected(case / "expected.json")[node["name"]]
     outcome = run_check(node["name"], node["kind"], node["payload"], expected)
     assert outcome.verdict == PASS, outcome
-    assert shapes == [(18, 18)]
+    assert shapes == [(18, 18, 18, 18)]
+
+
+def test_rank_zero_sublattice_extends_to_minus_identity():
+    """An empty sublattice of K3 has nothing to glue: Q is 0x0 with
+    determinant 1, and phi is -I on the whole lattice."""
+    k3 = build_K3()
+    e = Embedding(Lattice(IntMatrix(0, 0, ())), k3, IntMatrix(22, 0, ()))
+    res = extend_by_minus_one(e, IntMatrix(0, 0, ()))
+    assert res.integral and res.orthogonal and res.involutive
+    assert res.phi == RatMatrix(IntMatrix.identity(22).scale(-1))
+    assert res.phi_integer == IntMatrix.identity(22).scale(-1)
 
 
 def test_nonintegral_witness_from_catalog():

@@ -25,8 +25,8 @@ from k3ord.matrices import (
     integer_kernel,
     signature,
     snf,
-    solve_columns,
     solve_integer,
+    solve_scaled,
 )
 
 from oracles import (
@@ -41,6 +41,7 @@ from oracles import (
     random_symmetric,
     random_unimodular,
     rational_kernel_basis,
+    rational_solve,
     snf_with_transforms,
     solve_with_transform,
 )
@@ -482,45 +483,91 @@ def _column_systems(draw):
     return a, bs
 
 
-def _check_columns(a: IntMatrix, bs) -> None:
-    xs = solve_columns(a, bs)
-    assert xs == [solve_integer(a, b) for b in bs]
-    for b in bs:
-        _check_against_snf(a, b)
-
-
 @given(_column_systems())
-@example((IntMatrix.from_rows([[2, 0], [0, 3]]), []))
+@example((IntMatrix.from_rows([[2, 0], [0, 3]]), [(0, 0), (4, 0), (4, 1)]))
 @example((IntMatrix(0, 2, ()), [(), ()]))
 @example((IntMatrix(2, 0, ()), [(0, 0), (0, 1)]))
 @seed(20261019)
 @settings(max_examples=200, deadline=None, database=None)
-def test_solve_columns_agrees_with_single_solves_and_snf(system):
-    _check_columns(*system)
+def test_solve_integer_agrees_with_the_transform_oracle_and_snf(system):
+    """The x of `solve_integer`, which stops once b is used up, is the x of
+    the oracle that runs the whole elimination on an explicit W."""
+    a, bs = system
+    rows = [list(r) for r in a.to_rows()]
+    assert [solve_integer(a, b) for b in bs] == solve_with_transform(rows, a.cols, bs)
+    for b in bs:
+        _check_against_snf(a, b)
 
 
-def test_solve_columns_all_some_or_none_solvable():
+def test_solve_integer_on_vectors_in_and_outside_the_image():
     rng = random.Random(8)
     verdicts = set()
     for _ in range(60):
         a = random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), -4, 4)
         image = [a.mul_vec([rng.randint(-3, 3) for _ in range(a.cols)]) for _ in range(3)]
         outside = [tuple([rng.randint(-5, 5) for _ in range(a.rows)]) for _ in range(3)]
-        for bs in (image, outside, image[:1] + outside + image[1:]):
-            _check_columns(a, bs)
-            verdicts.add(tuple([x is None for x in solve_columns(a, bs)]))
-    assert (False,) * 3 in verdicts and (True,) * 3 in verdicts
+        for b in image:
+            x = solve_integer(a, b)
+            assert x is not None and a.mul_vec(x) == b
+        for b in outside:
+            _check_against_snf(a, b)
+            verdicts.add(solve_integer(a, b) is None)
+    assert verdicts == {True, False}
     two_i = IntMatrix.from_rows([[2, 0], [0, 2]])
-    assert solve_columns(two_i, [(1, 0), (2, 4), (0, 3)]) == [None, (1, 2), None]
-    assert solve_columns(two_i, [(1, 0), (0, 1)]) == [None, None]
-    assert solve_columns(two_i, []) == []
+    assert [solve_integer(two_i, b) for b in [(1, 0), (2, 4), (0, 3)]] == [None, (1, 2), None]
+    # b is used up at the first pivot, before the second is searched for
+    assert solve_integer(IntMatrix.from_rows([[1, 0], [0, 0], [0, 5]]), (3, 0, 0)) == (3, 0)
 
 
-def test_solve_columns_rejects_a_wrong_length_column():
+def test_solve_integer_rejects_a_wrong_length_vector():
     a = IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
-    for bs in ([(1, 2)], [(1, 2, 3), (1, 2, 3, 4)], [(1, 0, 1), ()]):
+    for b in [(1, 2), (1, 2, 3, 4), (), (0, 0)]:
         with pytest.raises(DimensionMismatch):
-            solve_columns(a, bs)
+            solve_integer(a, b)
+
+
+def _scaled_system(rng: random.Random, n: int, w: int, bound: int) -> tuple[IntMatrix, IntMatrix]:
+    """A seeded n x n matrix a and n x w matrix b, entries at most `bound`;
+    a is made singular by a repeated row in every fourth draw."""
+    a = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.randrange(4) == 0:
+        i, j = rng.sample(range(n), 2)
+        a[i] = list(a[j])
+    b = [rng.randint(-bound, bound) for _ in range(n * w)]
+    return IntMatrix(n, n, tuple([x for r in a for x in r])), IntMatrix(n, w, tuple(b))
+
+
+def test_solve_scaled_against_cofactor_and_rational_oracles():
+    """(d, X) = solve_scaled(a, b) has d the cofactor determinant of a and
+    each column of X / d the rational solution of a.x = b, on seeded square
+    systems n = 0..6 with entries up to 10^12 and right-hand sides of width
+    0, 1, n and n + 3; a singular a raises ValueError, a non-square a
+    NonSquare, and n = 0 gives d = 1 and a 0 x w matrix."""
+    rng = random.Random(31)
+    counts = {"solved": 0, "singular": 0}
+    for trial in range(350):
+        n = trial % 7
+        for w in sorted({0, 1, n, n + 3}):
+            a, b = _scaled_system(rng, n, w, rng.choice((9, 10**12)))
+            d = det_cofactor(a) if n else 1
+            if not d:
+                counts["singular"] += 1
+                with pytest.raises(ValueError, match="matrix is singular"):
+                    solve_scaled(a, b)
+                continue
+            counts["solved"] += 1
+            d_x, x = solve_scaled(a, b)
+            assert d_x == d and (x.rows, x.cols) == (n, w)
+            assert a @ x == b.scale(d)
+            for j in range(w):
+                assert [Fraction(y, d) for y in x.col(j)] == rational_solve(a, b.col(j)), (a, b)
+    assert min(counts.values()) > 100, counts
+    assert solve_scaled(IntMatrix(0, 0, ()), IntMatrix(0, 4, ())) == (1, IntMatrix(0, 4, ()))
+    for a in (IntMatrix.zeros(2, 3), IntMatrix(0, 2, ())):
+        with pytest.raises(NonSquare):
+            solve_scaled(a, IntMatrix.zeros(a.rows, 1))
+    with pytest.raises(DimensionMismatch):
+        solve_scaled(IntMatrix.identity(2), IntMatrix.zeros(3, 1))
 
 
 def test_strided_access_matches_entrywise_reading():
@@ -579,13 +626,13 @@ def test_det_against_cofactor_oracle():
         if d == 0:
             singular += 1
             with pytest.raises(ValueError, match="matrix is singular"):
-                matrices.adjugate(a)
+                solve_scaled(a, IntMatrix.identity(3))
             continue
-        d_adj, adj = matrices.adjugate(a)
+        d_adj, adj = solve_scaled(a, IntMatrix.identity(3))
         assert d_adj == d
         assert [list(r) for r in adj.to_rows()] == adjugate_cofactor(a), a
     assert singular == 7875
-    assert matrices.adjugate(IntMatrix(0, 0, ())) == (1, IntMatrix(0, 0, ()))
+    assert solve_scaled(IntMatrix(0, 0, ()), IntMatrix(0, 0, ())) == (1, IntMatrix(0, 0, ()))
 
 
 def test_signature_examples():
@@ -700,7 +747,7 @@ def test_rat_matrix_inverse_and_integrality():
         assert [[den * x for x in r] for r in expected] == [
             [Fraction(x, inv.den) for x in r] for r in inv.num.to_rows()
         ]
-        d, adj = matrices.adjugate(m)
+        d, adj = solve_scaled(m, IntMatrix.identity(n))
         assert d == det(m)
         assert [[d * x for x in r] for r in expected] == [list(r) for r in adj.to_rows()]
     assert singular > 50
@@ -727,7 +774,7 @@ def _oracle_case(rng: random.Random, case: int) -> tuple[int, int, list[list[int
 
 
 def test_logged_transforms_agree_with_the_carried_transform_oracle():
-    """snf's U, D and V, integer_kernel and solve_columns replay their
+    """snf's U, D and V, integer_kernel and solve_integer replay their
     transforms from a log of row operations; the oracle repeats every row
     operation on an explicit W.  Both take the same pivots, so they must
     agree exactly, including on the empty shapes."""
@@ -748,7 +795,7 @@ def test_logged_transforms_agree_with_the_carried_transform_oracle():
         xs = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(2)]
         bs = [[sum(map(operator.mul, r, x)) for r in a] for x in xs]
         bs += [[rng.randint(-9, 9) for _ in range(rows)], [2 * y + 1 for y in bs[0]]]
-        solutions = solve_columns(m, bs)
+        solutions = [solve_integer(m, b) for b in bs]
         assert solutions == solve_with_transform(a, cols, bs), a
         for x in solutions:
             verdicts[x is not None] += 1
