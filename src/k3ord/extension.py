@@ -16,19 +16,24 @@ P and a basis T of ker M form a square nonsingular frame [P | T]: applying
 M to P.a + T.b = 0 gives Q.a = 0, and Q.a = 0 puts P.a in ker M.
 
 phi is computed as an integer numerator F over d = det Q, with no inverse
-formed: one fraction-free elimination of the n x 2n matrix
-[Q | (action + I)^T] (`matrices.solve_scaled`) gives the Z with
-Q.Z = d.(action + I)^T, so, Q being symmetric, Z^T = d.(action + I).Q^(-1)
-and
+formed.  Let B hold the w nonzero rows of action + I and P_B the matching
+columns of P; a zero row of action + I adds nothing to P.(action + I), so
+P.(action + I) = P_B.B.  One fraction-free elimination of the n x (n + w)
+matrix [Q | B^T] (`matrices.solve_scaled`) gives the Y with Q.Y = d.B^T,
+so, Q being symmetric, Y^T = d.B.Q^(-1) and
 
-    F = P.Z^T.M - d.I,    phi = F / d,
+    F = P_B.Y^T.M - d.I,    phi = F / d,
 
-reduced to lowest terms by one gcd.  phi preserves the integer lattice
-exactly when the reduced denominator is 1, never by a tolerance test.  The
-result records that integrality flag with two certificates of the computed
-phi, each an integer identity tested exactly on the reduced F over d: phi
-is orthogonal when F^T.G.F = d^2.G (`matrices.is_congruence`) and
-involutive when F.F - d^2.I = 0 (`matrices.annihilates`).
+reduced to lowest terms by one gcd.  The solve is only as wide as B: on
+every sextic cover action + I has two nonzero rows of n, and for
+action = -I it has none, when the elimination only finds d.
+
+phi preserves the integer lattice exactly when the reduced denominator is
+1, never by a tolerance test.  The result records that integrality flag
+with two certificates of the computed phi, each an integer identity tested
+exactly on the reduced F over d: phi is orthogonal when F^T.G.F = d^2.G
+(`matrices.is_congruence`) and involutive when F.F - d^2.I = 0
+(`matrices.annihilates`).
 
 Only the lattice-side conditions are certified.  Whether the extension is
 induced by a geometric symmetry involves conditions on the transcendental
@@ -67,10 +72,11 @@ def extend_by_minus_one(pic: Embedding, action: IntMatrix) -> ExtensionResult:
     """Extend `action` on the image of `pic` by -1 on its complement.
 
     phi = -I + P.(action + I).Q^(-1).M with M = P^T.G and Q = M.P, taken
-    as (P.Z^T.M - d.I) / d from the one solve Q.Z = d.(action + I)^T with
-    d = det Q; raises SingularFrame exactly when d = 0, that is when the
-    image of P and its orthogonal complement do not span the ambient
-    space.
+    as (P_B.Y^T.M - d.I) / d from the one solve Q.Y = d.B^T with d = det Q,
+    B the nonzero rows of action + I and P_B the matching columns of P;
+    raises SingularFrame exactly when d = 0, that is when the image of P
+    and its orthogonal complement do not span the ambient space, however
+    few rows B has.
     """
     target = pic.target
     n = pic.source.rank
@@ -81,17 +87,22 @@ def extend_by_minus_one(pic: Embedding, action: IntMatrix) -> ExtensionResult:
     if not is_congruence(action, pic.source.gram, pic.source.gram):
         raise ActionNotIsometric("action does not preserve the sublattice pairing")
 
-    p = pic.matrix
+    p, big = pic.matrix, target.rank
     m = p.transpose() @ target.gram
+    # B: the nonzero rows of action + I, the only ones that reach phi
+    plus = (action + IntMatrix.identity(n)).to_rows()
+    live = [i for i, r in enumerate(plus) if any(r)]
+    b = IntMatrix(len(live), n, tuple([x for i in live for x in plus[i]]))
     try:
-        d, z = solve_scaled(m @ p, (action + IntMatrix.identity(n)).transpose())
+        d, y = solve_scaled(m @ p, b.transpose())
     except ValueError:  # singular
         raise SingularFrame("embedding and complement do not span the ambient space") from None
-    # d.phi = P.Z^T.M - d.I; P is mostly zeros, so it leads the outer product
-    lift = list((p @ (z.transpose() @ m)).entries)
-    diagonal = slice(None, None, target.rank + 1)
+    # d.phi = P_B.Y^T.M - d.I; P is mostly zeros, so it leads the outer product
+    p_b = IntMatrix(big, len(live), tuple([r[i] for r in p.to_rows() for i in live]))
+    lift = list((p_b @ (y.transpose() @ m)).entries)
+    diagonal = slice(None, None, big + 1)
     lift[diagonal] = [x - d for x in lift[diagonal]]
-    phi = RatMatrix(IntMatrix(target.rank, target.rank, tuple(lift)), d)
+    phi = RatMatrix(IntMatrix(big, big, tuple(lift)), d)
 
     f, d = phi.num, phi.den
     orthogonal = is_congruence(f, target.gram, target.gram.scale(d * d))

@@ -36,14 +36,18 @@ Provided operations:
 * `is_congruence(p, g, h)` tests p^T * g * p = h and `annihilates(mu, a)`
   tests mu(a) = 0, each on one probe; they are its only callers, so every
   certified matrix identity in the package takes its bound from them.
-* `IntMatrix.__matmul__` (and `RatMatrix.__matmul__`, which delegates to
-  it) picks its loop from the left operand.  When at least half of its
-  entries are zero, each output row is built as the sum of x * (row k of
-  the right operand) over the nonzero x = A[i][k], so the cost follows the
-  nonzero entries: the Gram matrix of the K3 lattice U^3 + E8(-1)^2 and the
-  involutions on it are mostly zeros.  A denser left operand keeps one
-  C-level dot product per output entry, which is faster when few terms
-  can be skipped.
+* One density rule picks the loop of every product with a matrix A:
+  `IntMatrix.__matmul__` (and `RatMatrix.__matmul__`, which delegates to
+  it) with A on the left, `mul_vec` (A * v) and `tmul_vec` (A^T * v).
+  When at least half of the entries of A are zero, the loop runs over its
+  nonzero x = A[i][k] only, kept as a list once read (`_nonzero`): an
+  output row of A * B is the sum of x * (row k of B), entry i of A * v the
+  sum of x * v[k], and x * v[i] is added to entry k of A^T * v.  So the
+  cost follows the nonzero entries: the Gram matrix of the K3 lattice
+  U^3 + E8(-1)^2, the embeddings into it and the involutions on it are
+  mostly zeros, and every probe entry they skip has hundreds of bits.  A
+  denser A keeps one C-level dot product per output entry, which is
+  faster when few terms can be skipped.
 
 Conventions, pinned so outputs are reproducible:
 
@@ -172,32 +176,48 @@ class IntMatrix:
 
     # -- arithmetic -----------------------------------------------------
 
+    @cached_property
+    def _nonzero(self) -> Optional[tuple[tuple[tuple[int, int], ...], ...]]:
+        """The density rule of every product: when at least half of the
+        entries are zero, the (k, x) pairs of the nonzero x = self[i][k], row
+        by row, so that the cost follows the nonzero entries; None for a
+        denser matrix, whose products keep one C-level dot product per
+        entry.  Kept once read, as a Gram matrix or a certified phi is read
+        by several products."""
+        e, c = self.entries, self.cols
+        if e.count(0) * 2 < len(e):
+            return None
+        # one C-level scan finds the nonzero positions; only those cost a step here
+        rows = [[] for _ in range(self.rows)]
+        for t in compress(range(len(e)), e):
+            rows[t // c].append((t % c, e[t]))
+        return tuple([tuple(r) for r in rows])
+
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        ocols, e = other.cols, self.entries
-        if e.count(0) * 2 < len(e):
+        ocols, nonzero = other.cols, self._nonzero
+        if nonzero is None:
             cols = [other.col(j) for j in range(ocols)]
             rows = [self.row(i) for i in range(self.rows)]
             return IntMatrix(self.rows, ocols, tuple([
                 sum(map(mul, r, c)) for r in rows for c in cols
             ]))
-        # sparse left operand: each output row sums x * (row k of other)
-        # over the nonzero x = self[i][k], one C-level pass per term
+        # each output row sums x * (row k of other) over the nonzero
+        # x = self[i][k], one C-level pass per term
         orows = other.to_rows()
         out = []
-        for i in range(self.rows):
+        for terms in nonzero:
             acc = [0] * ocols
-            r = self.row(i)
-            for x, rk in compress(zip(r, orows), r):
+            for k, x in terms:
                 if x == 1:
-                    acc = list(map(add, acc, rk))
+                    acc = list(map(add, acc, orows[k]))
                 elif x == -1:
-                    acc = list(map(sub, acc, rk))
+                    acc = list(map(sub, acc, orows[k]))
                 else:
-                    acc = list(map(add, acc, map(mul, repeat(x), rk)))
+                    acc = list(map(add, acc, map(mul, repeat(x), orows[k])))
             out += acc
         return IntMatrix(self.rows, ocols, tuple(out))
 
@@ -205,14 +225,25 @@ class IntMatrix:
         e, c = self.entries, self.cols
         if len(v) != c:
             raise DimensionMismatch(f"vector length {len(v)} != cols {c}")
-        return tuple([sum(map(mul, e[i * c:i * c + c], v)) for i in range(self.rows)])
+        nonzero = self._nonzero
+        if nonzero is None:
+            return tuple([sum(map(mul, e[i * c:i * c + c], v)) for i in range(self.rows)])
+        return tuple([sum([x * v[k] for k, x in terms]) for terms in nonzero])
 
     def tmul_vec(self, v: Sequence[int]) -> IntVector:
-        """self^T * v, one column of self against v per entry."""
+        """self^T * v, one column of self against v per entry, or for a
+        sparse self each nonzero x = self[i][k] adding x * v[i] to entry k."""
         if len(v) != self.rows:
             raise DimensionMismatch(f"vector length {len(v)} != rows {self.rows}")
-        e, c = self.entries, self.cols
-        return tuple([sum(map(mul, e[j::c], v)) for j in range(c)])
+        e, c, nonzero = self.entries, self.cols, self._nonzero
+        if nonzero is None:
+            return tuple([sum(map(mul, e[j::c], v)) for j in range(c)])
+        acc = [0] * c
+        for terms, y in zip(nonzero, v):
+            if y:
+                for k, x in terms:
+                    acc[k] += x * y
+        return tuple(acc)
 
     @cached_property
     def height(self) -> int:
@@ -410,10 +441,11 @@ def snf(a: IntMatrix) -> SNFResult:
     ulog, vlog = [], []
     d, rank = _alternate([list(a.row(i)) for i in range(a.rows)], a.rows, a.cols, ulog, vlog)
     i = 0
-    while pair := next((
-        (k, j) for k in range(i, rank) for j in range(k + 1, rank) if d[j][j] % d[k][k]
-    ), None):
-        i, j = pair
+    # a bad pair exists exactly when the chain of consecutive d_k breaks
+    while any(d[k + 1][k + 1] % d[k][k] for k in range(i, rank - 1)):
+        pair = i, j = next(
+            (k, j) for k in range(i, rank) for j in range(k + 1, rank) if d[j][j] % d[k][k]
+        )
         # the block once row j is added to row i, logged as (i, j, -1)
         block_u, block_v = [(0, 1, -1)], []
         block, _ = _alternate([[d[i][i], d[j][j]], [0, d[j][j]]], 2, 2, block_u, block_v)
@@ -428,14 +460,22 @@ def _alternate(
     d: list[list[int]], nrows: int, ncols: int, ulog: list[RowOp], vlog: list[RowOp]
 ) -> tuple[list[list[int]], int]:
     """(D, rank): `_echelon` passes on the rows of d, logged in ulog, and on
-    its columns, logged in vlog, in turn until D is diagonal."""
+    its columns, logged in vlog, in turn until D is diagonal.  A row pass
+    that leaves D diagonal ends it: its pivots are the diagonal, positive,
+    so the column pass would log nothing."""
     while True:
-        list(_echelon(d, ncols, ulog))
+        rank = len(list(_echelon(d, ncols, ulog)))
+        if _is_diagonal(d):
+            return d, rank
         dt = [list(c) for c in zip(*d)]
         rank = len(list(_echelon(dt, nrows, vlog)))
         d = [list(r) for r in zip(*dt)]
-        if not any(any(r[:i]) or any(r[i + 1:]) for i, r in enumerate(d)):
+        if _is_diagonal(d):
             return d, rank
+
+
+def _is_diagonal(d: list[list[int]]) -> bool:
+    return not any(any(r[:i]) or any(r[i + 1:]) for i, r in enumerate(d))
 
 
 def _echelon(rows: list[list[int]], ncols: int, log: list[RowOp]) -> Iterator[int]:

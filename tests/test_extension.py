@@ -192,8 +192,9 @@ def _rank_one(rng, rank):
 
 def test_isometry_extend_inverts_only_the_sublattice_gram(monkeypatch):
     """The rank-18 corpus check runs without a complement, a kernel or an
-    inverse: one `solve_scaled` of the 18x18 matrix Q against the 18x18
-    (action + I)^T, with no right-hand side as wide as the ambient space."""
+    inverse: one `solve_scaled` of the 18x18 matrix Q against the 18x2
+    transpose of the two nonzero rows of action + I, with no right-hand
+    side as wide as the sublattice, let alone the ambient space."""
 
     def refuse(*args):
         raise AssertionError("unexpected call")
@@ -218,7 +219,7 @@ def test_isometry_extend_inverts_only_the_sublattice_gram(monkeypatch):
     expected = load_expected(case / "expected.json")[node["name"]]
     outcome = run_check(node["name"], node["kind"], node["payload"], expected)
     assert outcome.verdict == PASS, outcome
-    assert shapes == [(18, 18, 18, 18)]
+    assert shapes == [(18, 18, 18, 2)]
 
 
 def test_rank_zero_sublattice_extends_to_minus_identity():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import k3ord.fibrations as fibrations
 import k3ord.matrices as matrices
-from k3ord import catalog
+from k3ord import catalog, lattices
 from k3ord.errors import DimensionMismatch, NonSquare, NotSymmetric
 from k3ord.matrices import (
     IntMatrix,
@@ -155,6 +155,51 @@ def test_matrix_vector_products_on_empty_shapes():
     assert fibrations.cocycle_check(endo, s)
 
 
+def _with_zeros(rng, rows, cols, zeros):
+    """A seeded rows x cols matrix with exactly `zeros` zero entries and the
+    others of up to 60 digits, either sign."""
+    n = rows * cols
+    at = set(rng.sample(range(n), zeros))
+    return IntMatrix(rows, cols, tuple([
+        0 if p in at else rng.choice((1, -1)) * rng.randint(1, 10**60) for p in range(n)
+    ]))
+
+
+def test_both_product_loops_match_the_oracle():
+    """mul_vec and tmul_vec against plain-list products on each side of the
+    density rule: all zero, one nonzero, the fewest zeros that take the
+    sparse loop (exactly half of an even count), one zero short of that,
+    and no zero, on every shape from 0 x n and n x 0 up; then the K3 Gram
+    matrix and a dense conjugate of it.  The sparse loop is taken exactly
+    when at least half of the entries are zero, a matrix read twice answers
+    the same, and a vector of the wrong length is refused by either loop."""
+    rng = random.Random(3232)
+    k3 = lattices.build_K3().gram
+    w, _ = random_unimodular(rng, 22, 200)
+    matrices_read = [(k3, True), (w.transpose() @ k3 @ w, False)]
+    for rows, cols in [(0, 4), (4, 0), (0, 0), (1, 1), (1, 5), (4, 1), (3, 4), (4, 4), (5, 3)]:
+        n = rows * cols
+        half = (n + 1) // 2
+        for zeros in sorted({n, max(n - 1, 0), half, max(half - 1, 0), 0}):
+            matrices_read.append((_with_zeros(rng, rows, cols, zeros), 2 * zeros >= n))
+    for a, sparse in matrices_read:
+        assert (a._nonzero is not None) == sparse
+        rows, cols, e = a.rows, a.cols, list(a.entries)
+        for share in (0.0, 0.5, 1.0):
+            u, v = ([0 if rng.random() < share else rng.randint(-10**80, 10**80)
+                     for _ in range(k)] for k in (cols, rows))
+            for _ in range(2):
+                assert list(a.mul_vec(u)) == mat_mul(e, u, rows, cols, 1)
+                assert list(a.mul_vec(tuple(u))) == mat_mul(e, u, rows, cols, 1)
+                assert list(a.tmul_vec(v)) == mat_mul(v, e, 1, rows, cols)
+        x = matrices._probe(cols, 10**60)
+        assert list(a.mul_vec(x)) == mat_mul(e, list(x), rows, cols, 1)
+        with pytest.raises(DimensionMismatch):
+            a.mul_vec([0] * (cols + 1))
+        with pytest.raises(DimensionMismatch):
+            a.tmul_vec([0] * (rows + 1))
+
+
 def _on_probe(row, bound):
     return sum(map(operator.mul, row, matrices._probe(len(row), bound)))
 
@@ -261,6 +306,21 @@ def test_snf_repairs_run_on_their_block(monkeypatch):
         assert snf(a).diagonal == (1,) * 20 + (3,) * 20
     assert sizes.count(n) == 2 and set(sizes) == {2, n}
     _check_snf(a)
+
+
+def test_snf_of_a_diagonal_chain_makes_one_row_pass(monkeypatch):
+    """D = 2I, the Smith form of the 300 x 300 -I free block of a twist
+    check, is diagonal after its row pass and its chain 2 | 2 | ... holds,
+    so snf makes that one pass, no column pass, and logs nothing in vlog."""
+    n = 300
+    sizes = []
+    echelon = matrices._echelon
+    with monkeypatch.context() as patch:
+        patch.setattr(matrices, "_echelon", lambda r, c, log: sizes.append(len(r)) or echelon(r, c, log))
+        r = snf(IntMatrix.diagonal([2] * n))
+    assert sizes == [n]
+    assert r.D == IntMatrix.diagonal([2] * n)
+    assert r.ulog == r.vlog == ()
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0)])
