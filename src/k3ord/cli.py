@@ -98,8 +98,8 @@ def _print_report(report: Report, fmt: str) -> None:
 def _run_single(kind: str, args) -> int:
     doc = jsonio.load_file(args.file)
     jsonio.check_schema(doc)
-    declared = doc.get("kind")
-    if declared is not None and declared != kind:
+    declared = jsonio.field(doc, "", "kind", jsonio.as_str, default=kind)
+    if declared != kind:
         raise SchemaError(f"kind: declares {declared!r}, the subcommand runs {kind!r}")
     if kind in _FLAT_DOCUMENTS:
         payload = doc

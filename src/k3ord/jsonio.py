@@ -26,6 +26,11 @@ file's name before its errors).  Readers of vectors, lists and
 matrices take the expected sizes too.  Vectors and matrices are read
 whole, and encode writes a matrix with one str map; each formats a path,
 or falls back to one entry at a time, only on the way to an error.
+
+Every field of an object is read by field(), whose default, if given,
+stands for a missing key as it is.  Null is never read as absent: a key
+that is present goes through its reader, so "free_action": null is
+refused by path like any other wrong value.
 """
 
 import json
@@ -227,26 +232,22 @@ def as_int_rows(node, path: str, rows=None, cols=None) -> tuple[tuple[int, ...],
     return as_int_matrix(node, path, rows, cols).to_rows()
 
 
-def require(mapping, key: str, path: str):
-    """The key field of the object at path."""
+_REQUIRED = object()
+
+
+def field(mapping, path: str, key: str, read: Callable, *shape, default=_REQUIRED):
+    """The key field of the object at path, put through read with its shape.
+    A missing key is refused unless a default is given, which is returned
+    as it is; a key that is present always goes through read, null too."""
     mapping = as_dict(mapping, path)
-    if key not in mapping:
+    if key in mapping:
+        return read(mapping[key], f"{path}.{key}" if path else key, *shape)
+    if default is _REQUIRED:
         raise _at(path, f"missing the {key!r} field")
-    return mapping[key]
-
-
-def field(mapping, path: str, key: str, read: Callable, *shape):
-    """The key field of the object at path, put through read with its shape."""
-    return read(require(mapping, key, path), f"{path}.{key}" if path else key, *shape)
-
-
-def optional_field(mapping: dict, path: str, key: str, read: Callable, *shape):
-    """As field, but None when the object at path has no such key."""
-    node = mapping.get(key)
-    return None if node is None else read(node, f"{path}.{key}", *shape)
+    return default
 
 
 def check_schema(document) -> None:
-    declared = require(document, "schema", "")
+    declared = field(document, "", "schema", lambda node, _: node)
     if declared != SCHEMA:
         raise _at("schema", f"declares {declared!r}, this tool reads {SCHEMA!r}")

@@ -46,7 +46,6 @@ from .jsonio import (
     as_str,
     encode,
     field,
-    optional_field,
 )
 from .lattices import Lattice, build_K3
 from .matrices import IntMatrix, signature
@@ -115,6 +114,8 @@ def _run_embedding_check(payload: dict):
 
 def _run_isometry_extend(payload: dict):
     emb = _embedding_from(payload)
+    if not check_isometric(emb):
+        raise SchemaError("payload.source_gram: must equal P^T G P for the columns P")
     rank = emb.source.rank
     action = field(payload, "payload", "action", as_int_matrix, rank, rank)
     result = extend_by_minus_one(emb, action)
@@ -150,7 +151,7 @@ def _classes_from(node, path: str, rank: int) -> dict:
 def _run_h1(payload: dict):
     gl = _glattice_from(payload)
     rank = gl.lattice.rank
-    classes = optional_field(payload, "payload", "classes", _classes_from, rank)
+    classes = field(payload, "payload", "classes", _classes_from, rank, default=None)
     result = h1(gl)
     computed = {
         "invariant_factors": list(result.invariant_factors),
@@ -181,9 +182,8 @@ def _run_ample_cert(payload: dict):
     lattice = Lattice(field(payload, "payload", "gram", _gram))
     rank = lattice.rank
     candidate = field(payload, "payload", "candidate", as_int_vector, rank)
-    gens = optional_field(payload, "payload", "generators", as_int_rows, None, rank)
-    if gens is None:
-        gens = IntMatrix.identity(rank).to_rows()
+    gens = field(payload, "payload", "generators", as_int_rows, None, rank,
+                 default=IntMatrix.identity(rank).to_rows())
     cert = nakai_certificate(lattice, candidate, gens)
     computed = {
         "passed": cert.verdict.passed,
@@ -214,11 +214,12 @@ def _surface_by_name(name: str):
     raise SchemaError(f"payload.surface: unknown surface model {name!r}")
 
 
-_IRREDUCIBLE = {
-    "yes": YesNoUnknown.YES,
-    "no": YesNoUnknown.NO,
-    "unknown": YesNoUnknown.UNKNOWN,
-}
+def _yes_no_unknown(node, path: str) -> YesNoUnknown:
+    word = as_str(node, path)
+    try:
+        return YesNoUnknown(word)
+    except ValueError:
+        raise SchemaError(f"{path}: must be yes/no/unknown, got {word!r}") from None
 
 
 def _run_order_classify(payload: dict):
@@ -227,14 +228,12 @@ def _run_order_classify(payload: dict):
     def read(node, path):
         coords = field(node, path, "class", as_fraction_vector, surface.rank)
         e = field(node, path, "e", _int_at_least, 2, "at least 2")
-        path += ".cover_irreducible"
-        word = as_str(node.get("cover_irreducible", "unknown"), path)
-        if word not in _IRREDUCIBLE:
-            raise SchemaError(f"{path}: must be yes/no/unknown, got {word!r}")
-        return RamifiedDivisor(coords, e, _IRREDUCIBLE[word])
+        irreducible = field(node, path, "cover_irreducible", _yes_no_unknown,
+                            default=YesNoUnknown.UNKNOWN)
+        return RamifiedDivisor(coords, e, irreducible)
 
-    ramified = optional_field(payload, "payload", "ramification", as_items, read) or []
-    degree = as_int(payload.get("cover_degree", "1"), "payload.cover_degree")
+    ramified = field(payload, "payload", "ramification", as_items, read, default=())
+    degree = field(payload, "payload", "cover_degree", as_int, default=1)
     order = OrderDescriptor(surface, tuple(ramified), degree)
     result = classify_order(order)
     indices = ramification_transfer(
@@ -263,27 +262,25 @@ def _int_at_least(node, path: str, low: int, words: str) -> int:
 
 
 def _model_from(node, path: str) -> AbGroupModel:
-    node = as_dict(node, path)
-    rank = _int_at_least(node.get("free_rank", "0"), f"{path}.free_rank", 0, "nonnegative")
-    moduli = as_int_vector(node.get("finite_cyclic", []), f"{path}.finite_cyclic")
+    rank = field(node, path, "free_rank", _int_at_least, 0, "nonnegative", default=0)
+    moduli = field(node, path, "finite_cyclic", as_int_vector, default=())
     for i, m in enumerate(moduli):
         if m < 2:
             raise SchemaError(f"{path}.finite_cyclic[{i}]: must be at least 2, got {m}")
-    count = _int_at_least(
-        node.get("elliptic_count", "0"), f"{path}.elliptic_count", 0, "nonnegative"
-    )
+    count = field(node, path, "elliptic_count", _int_at_least, 0, "nonnegative", default=0)
     return AbGroupModel(rank, moduli, count)
 
 
 def _endo_from(node, path: str, model: AbGroupModel) -> BlockEndo:
     order = field(node, path, "order", _int_at_least, 1, "positive")
     rank, n, count = model.free_rank, len(model.finite_cyclic), model.elliptic_count
-    free = optional_field(node, path, "free_action", as_int_matrix, rank, rank)
-    scalars = optional_field(node, path, "finite_action", as_int_vector, n)
-    pairs = optional_field(node, path, "elliptic_action", as_int_rows, count, 2)
+    # the defaults sized by a declared count are built only when absent
+    free = field(node, path, "free_action", as_int_matrix, rank, rank, default=None)
+    scalars = field(node, path, "finite_action", as_int_vector, n, default=(1,) * n)
+    pairs = field(node, path, "elliptic_action", as_int_rows, count, 2, default=None)
     return BlockEndo(
         IntMatrix.identity(rank) if free is None else free,
-        (1,) * n if scalars is None else scalars,
+        scalars,
         tuple([(1, i) for i in range(count)] if pairs is None else pairs),
         order,
     )
@@ -309,23 +306,21 @@ def _point_from(node, path: str) -> Optional[TorsionPoint]:
     return TorsionPoint(
         field(node, path, "symbol", as_str),
         field(node, path, "order", _int_at_least, 1, "positive"),
-        as_int(node.get("mult", "1"), f"{path}.mult"),
+        field(node, path, "mult", as_int, default=1),
     )
 
 
 def _element_from(node, path: str, model: AbGroupModel) -> GroupElement:
-    node = as_dict(node, path)
-    free = node.get("free")
-    finite = node.get("finite")
-    points = node.get("elliptic")
     rank, n, count = model.free_rank, len(model.finite_cyclic), model.elliptic_count
+    # as in _endo_from, the defaults sized by a declared count are built only when absent
+    free = field(node, path, "free", as_int_vector, rank, default=None)
+    finite = field(node, path, "finite", as_int_vector, n, default=(0,) * n)
+    points = field(node, path, "elliptic", as_items, _point_from, count, default=None)
     return GroupElement(
         model,
-        (0,) * rank if free is None else as_int_vector(free, f"{path}.free", rank),
-        (0,) * n if finite is None else as_int_vector(finite, f"{path}.finite", n),
-        (None,) * count
-        if points is None
-        else tuple(as_items(points, f"{path}.elliptic", _point_from, count)),
+        (0,) * rank if free is None else free,
+        finite,
+        (None,) * count if points is None else tuple(points),
     )
 
 
@@ -464,7 +459,7 @@ def run_check(
             if key in ANNOTATION_KEYS:
                 continue
             want = expected[key]
-            got = computed.get(key) if key in computed else None
+            got = computed.get(key)
             if got != want:
                 diff.append({"field": key, "expected": want, "computed": got})
     verdict = PASS if not diff else FAIL
@@ -541,7 +536,8 @@ def run_scenario(path: Union[str, Path], with_timing: bool = False) -> Report:
             error=f"{type(exc).__name__}: {exc}",
         )
     outcomes = tuple([
-        run_check(name, kind, payload, expected_map.get(name), with_timing)
+        run_check(name, kind, payload,
+                  field(expected_map, "expected", name, as_dict, default=None), with_timing)
         for name, kind, payload in parsed
     ])
     return Report(

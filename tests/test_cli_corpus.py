@@ -359,6 +359,38 @@ def test_twist_check_payload():
 _ASYMMETRIC = [["2", "1"], ["0", "2"]]
 _TWIST = {"model": {"free_rank": "1", "finite_cyclic": ["2"], "elliptic_count": "1"},
           "endo": {"order": "2"}}
+_P2 = {"surface": "p2", "ramification": [{"class": ["6"], "e": "2"}]}
+
+# Each optional payload field set to null.  Null is never read as absent:
+# it goes through the field's reader and is refused by path.
+_NULL_FIELDS = [
+    ("h1", dict(_h1_payload(), classes=None), "payload.classes"),
+    ("ample-cert", {"gram": [["2"]], "candidate": ["1"], "generators": None},
+     "payload.generators"),
+    ("order-classify", dict(_P2, ramification=None), "payload.ramification"),
+    ("order-classify", dict(_P2, ramification=[dict(_P2["ramification"][0],
+                                                    cover_irreducible=None)]),
+     "payload.ramification[0].cover_irreducible"),
+    ("order-classify", dict(_P2, cover_degree=None), "payload.cover_degree"),
+    ("fibration-h1", {"model": {"free_rank": None}, "endo": {"order": "2"}},
+     "payload.model.free_rank"),
+    ("fibration-h1", {"model": {"finite_cyclic": None}, "endo": {"order": "2"}},
+     "payload.model.finite_cyclic"),
+    ("fibration-h1", {"model": {"elliptic_count": None}, "endo": {"order": "2"}},
+     "payload.model.elliptic_count"),
+    ("fibration-h1", {"model": {"free_rank": "2"}, "endo": {"order": "2", "free_action": None}},
+     "payload.endo.free_action"),
+    ("fibration-h1", dict(_TWIST, endo={"order": "2", "finite_action": None}),
+     "payload.endo.finite_action"),
+    ("fibration-h1", dict(_TWIST, endo={"order": "2", "elliptic_action": None}),
+     "payload.endo.elliptic_action"),
+    ("twist-check", dict(_TWIST, element={"free": None}), "payload.element.free"),
+    ("twist-check", dict(_TWIST, element={"finite": None}), "payload.element.finite"),
+    ("twist-check", dict(_TWIST, element={"elliptic": None}), "payload.element.elliptic"),
+    ("twist-check", dict(_TWIST, element={"elliptic": [{"symbol": "e", "order": "2",
+                                                        "mult": None}]}),
+     "payload.element.elliptic[0].mult"),
+]
 
 
 @pytest.mark.parametrize("kind, payload, path", [
@@ -393,12 +425,19 @@ _TWIST = {"model": {"free_rank": "1", "finite_cyclic": ["2"], "elliptic_count": 
                          "columns": [["1"], ["0"]]}, "payload.target[1][0]"),
     ("embedding-check", {"target": [["2", "0"], ["0", "2"]], "source_gram": _ASYMMETRIC,
                          "columns": [["1", "0"], ["0", "1"]]}, "payload.source_gram[1][0]"),
+    *_NULL_FIELDS,
+    # an isotropic frame of U declared with Gram (0): P^T G P is (2)
+    ("isometry-extend", {"target": [["0", "1"], ["1", "0"]], "source_gram": [["0"]],
+                         "columns": [["1"], ["1"]], "action": [["3"]]},
+     "payload.source_gram"),
 ], ids=["gram-entry", "gram-entry-off-diagonal", "long-class", "missing-vector",
         "short-columns", "long-free", "short-finite", "long-elliptic", "missing-order",
         "negative-free-rank", "modulus-one", "negative-elliptic-count", "point-order-zero",
         "ramification-index-one", "h1-asymmetric", "quotient-pic-asymmetric",
         "ample-cert-asymmetric", "embedding-target-asymmetric",
-        "embedding-source-asymmetric"])
+        "embedding-source-asymmetric",
+        *[f"null-{path.removeprefix('payload.')}" for _, _, path in _NULL_FIELDS],
+        "isometry-source-gram-mismatch"])
 def test_error_names_the_field_at_fault(tmp_path, capsys, kind, payload, path):
     outcome = run_check(kind, kind, payload, None)
     assert outcome.verdict == ERROR
@@ -408,6 +447,17 @@ def test_error_names_the_field_at_fault(tmp_path, capsys, kind, payload, path):
     assert main([*KINDS[kind].words, str(document), "--format", "json"]) == 2
     (check,) = json.loads(capsys.readouterr().out)["checks"]
     assert check["error"] == outcome.error
+
+
+def test_readme_lists_every_optional_field():
+    """README's "File formats" names every optional payload field that the
+    null cases set, by its path from the payload with [i] for an index."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## File formats\n", 1)[1].split("\n## ", 1)[0]
+    listed = section.split("An optional field that is left out takes its default:", 1)[1]
+    for _, _, path in _NULL_FIELDS:
+        name = path.removeprefix("payload.").replace("[0]", "[i]")
+        assert f"* `{name}`" in listed or f"`{name}`:" in listed, name
 
 
 @pytest.mark.parametrize("kind", ["fibration-h1", "twist-check"])
@@ -981,6 +1031,16 @@ def test_cli_single_check_with_expectation(tmp_path, capsys):
     assert main(["h1", str(payload_path), "--expect", str(expect_bad)]) == 1
     out = capsys.readouterr().out
     assert "mismatch invariant_factors" in out
+
+
+@pytest.mark.parametrize("declared", [None, ["h1"]], ids=["null", "array"])
+def test_cli_kind_must_be_a_string(tmp_path, capsys, declared):
+    path = tmp_path / "h1.json"
+    _write(path, {"schema": "k3ord/1", "kind": declared, "payload": _h1_payload()})
+    assert main(["h1", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: SchemaError: kind: expected a string, got {declared!r}\n"
 
 
 def test_cli_kind_mismatch_rejected(tmp_path, capsys):
