@@ -21,7 +21,7 @@ def main():
     }
     for name, model in models.items():
         res = extend_by_minus_one(model.embedding, model.action)
-        phi = res.phi_integer
+        phi = res.num
         stored = catalog.reference_involution(name)
         g = target.gram
         print(f"{name}:")
@@ -34,7 +34,7 @@ def main():
     res = extend_by_minus_one(emb, action)
     print("non-integral witness:")
     print(f"  integral      {res.integral}")
-    print(f"  common denominator of phi: {res.phi.den}")
+    print(f"  common denominator of phi: {res.den}")
 
 
 if __name__ == "__main__":

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import repeat
 from operator import add, mod, mul
 from typing import Sequence
 
@@ -176,20 +176,15 @@ class GLattice:
         # one reduced.  The first dependent sigma^k e_j lies in the integer
         # span of the vectors below (mu_j is monic and integral, dividing the
         # characteristic polynomial), so its row is reduced without a swap
-        # and row k of W, replayed from the log, is mu_j; sigma v is the sum
-        # of x * (column k of sigma) over the nonzero x = v[k], so a sparse
-        # sigma keeps the e_j and their images cheap
-        ms, mu, cols = set(), [1], [self.sigma.col(k) for k in range(n)]
+        # and row k of W, replayed from the log, is mu_j
+        ms, mu = set(), [1]
         for j in range(n):
             v, krylov, log = [int(i == j) for i in range(n)], [], []
             while True:
                 krylov.append(list(v))
                 if len(list(_echelon(krylov, n, log))) < len(krylov):
                     break
-                w = [0] * n
-                for x, col in compress(zip(v, cols), v):
-                    w = list(map(add, w, map(mul, repeat(x), col)))
-                v = w
+                v = self.sigma.mul_vec(v)
             mu_j = _replay(log, [0] * (len(krylov) - 1) + [1])
             if (factors := _cyclotomic_orders(mu_j)) is None or any(self.order % m for m in factors):
                 raise UnsupportedParameter(f"sigma^{self.order} is not the identity")

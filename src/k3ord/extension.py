@@ -24,13 +24,14 @@ so, Q being symmetric, Y^T = d.B.Q^(-1) and
 
     F = P_B.Y^T.M - d.I,    phi = F / d,
 
-reduced to lowest terms by one gcd.  The solve is only as wide as B: on
+returned as that numerator and denominator (`num`, `den`), reduced to lowest
+terms by one gcd with den > 0.  The solve is only as wide as B: on
 every sextic cover action + I has two nonzero rows of n, and for
 action = -I it has none, when the elimination only finds d.
 
-phi preserves the integer lattice exactly when the reduced denominator is
-1, never by a tolerance test.  The result records that integrality flag
-with two certificates of the computed phi, each an integer identity tested
+phi preserves the integer lattice exactly when den is 1
+(`ExtensionResult.integral`), never by a tolerance test.  The result records
+two certificates of the computed phi, each an integer identity tested
 exactly on the reduced F over d: phi is orthogonal when F^T.G.F = d^2.G
 (`matrices.is_congruence`) and involutive when F.F - d^2.I = 0
 (`matrices.annihilates`).
@@ -43,12 +44,12 @@ part and the ample cone that this module does not see; they are listed in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .embeddings import Embedding
 from .errors import ActionNotIsometric, DimensionMismatch, SingularFrame
-from .matrices import IntMatrix, RatMatrix, annihilates, is_congruence, solve_scaled
+from .matrices import IntMatrix, annihilates, is_congruence, solve_scaled
 
 EXTENSION_ASSUMPTIONS = (
     "acts as -1 on the orthogonal complement of the embedded sublattice",
@@ -58,14 +59,17 @@ EXTENSION_ASSUMPTIONS = (
 
 @dataclass(frozen=True)
 class ExtensionResult:
-    """The rational extension together with its exact certificates."""
+    """phi = num / den in lowest terms, den > 0, with its exact certificates."""
 
-    phi: RatMatrix
-    integral: bool
+    num: IntMatrix
+    den: int
     orthogonal: bool
     involutive: bool
-    phi_integer: Optional[IntMatrix]
     assumptions: tuple[str, ...] = EXTENSION_ASSUMPTIONS
+
+    @property
+    def integral(self) -> bool:
+        return self.den == 1
 
 
 def extend_by_minus_one(pic: Embedding, action: IntMatrix) -> ExtensionResult:
@@ -102,17 +106,12 @@ def extend_by_minus_one(pic: Embedding, action: IntMatrix) -> ExtensionResult:
     lift = list((p_b @ (y.transpose() @ m)).entries)
     diagonal = slice(None, None, big + 1)
     lift[diagonal] = [x - d for x in lift[diagonal]]
-    phi = RatMatrix(IntMatrix(big, big, tuple(lift)), d)
+    # lowest terms, den > 0
+    g = math.gcd(d, *lift) * (1 if d > 0 else -1)
+    if g != 1:
+        lift, d = [x // g for x in lift], d // g
+    f = IntMatrix(big, big, tuple(lift))
 
-    f, d = phi.num, phi.den
     orthogonal = is_congruence(f, target.gram, target.gram.scale(d * d))
     involutive = annihilates((-d * d, 0, 1), f)
-    integral = phi.is_integral
-    phi_integer = phi.to_int() if integral else None
-    return ExtensionResult(
-        phi=phi,
-        integral=integral,
-        orthogonal=orthogonal,
-        involutive=involutive,
-        phi_integer=phi_integer,
-    )
+    return ExtensionResult(f, d, orthogonal, involutive)

@@ -215,13 +215,16 @@ def as_fraction_vector(node, path: str, length=None) -> tuple[Fraction, ...]:
 
 
 def as_int_matrix(node, path: str, rows=None, cols=None) -> IntMatrix:
-    """An integer matrix; without cols, each row as long as the first."""
+    """An integer matrix; without cols, each row as long as the first, and
+    no rows 0 x cols (0x0 without cols)."""
     items = as_list(node, path, rows)
-    if cols is None and items and isinstance(items[0], list):
+    if not items:
+        return IntMatrix(0, cols or 0, ())
+    if cols is None and isinstance(items[0], list):
         cols = len(items[0])
     # fast path: read whole, as _ints reads a vector; any offender, a
     # ragged or non-list row included, takes the per-row loop
-    if items and set(map(type, items)) == {list} and {*map(len, items)} == {cols}:
+    if set(map(type, items)) == {list} and {*map(len, items)} == {cols}:
         ints = _ints([*chain.from_iterable(items)])
         if ints is not None:
             return IntMatrix(len(items), cols, tuple(ints))

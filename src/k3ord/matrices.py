@@ -3,8 +3,10 @@
 Everything downstream (lattices, embeddings, cohomology, the involution
 extension) reduces to a handful of operations implemented here with
 arbitrary-precision integers. No floating point is used anywhere, and no
-`fractions.Fraction` either: a rational matrix is a `RatMatrix`, an integer
-numerator over one positive common denominator in lowest terms.
+`fractions.Fraction` either: a rational matrix is an integer numerator over
+one positive common denominator in lowest terms, as the involution extension
+returns phi.  No package path builds a `RatMatrix`, that pair as a class; it
+is kept for its product and inverse, which the benchmark's tracer names.
 
 Provided operations:
 
@@ -295,21 +297,8 @@ class RatMatrix:
             ))
             object.__setattr__(self, "den", self.den // g)
 
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls(IntMatrix.identity(n))
-
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         return RatMatrix(self.num @ other.num, self.den * other.den)
-
-    @property
-    def is_integral(self) -> bool:
-        return self.den == 1
-
-    def to_int(self) -> IntMatrix:
-        if not self.is_integral:
-            raise ValueError("matrix has non-integer entries")
-        return self.num
 
     def inverse(self) -> "RatMatrix":
         """Exact inverse. Raises NonSquare / ValueError (singular)."""

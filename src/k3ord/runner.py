@@ -123,7 +123,7 @@ def _run_isometry_extend(payload: dict):
         "integral": result.integral,
         "orthogonal": result.orthogonal,
         "involutive": result.involutive,
-        "matrix": result.phi_integer,
+        "matrix": result.num if result.integral else None,
     }
     return computed, result.assumptions
 

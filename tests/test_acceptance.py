@@ -82,7 +82,7 @@ def test_reference_involutions_reproduced_exactly():
     for name, model in REFERENCE_MODELS.items():
         res = extend_by_minus_one(model.embedding, model.action)
         assert res.integral and res.orthogonal and res.involutive
-        phi = res.phi_integer
+        phi = res.num
         assert phi == catalog.reference_involution(name)
         g = target.gram
         assert phi.transpose() @ g @ phi == g
@@ -299,8 +299,8 @@ def test_property_suites_agree_between_routes():
     # and on 50 re-bases of it.
     frames = []
     for model in REFERENCE_MODELS.values():
-        phi = extend_by_minus_one(model.embedding, model.action).phi
-        expected = [[Fraction(x, phi.den) for x in r] for r in phi.num.to_rows()]
+        res = extend_by_minus_one(model.embedding, model.action)
+        expected = [[Fraction(x, res.den) for x in r] for r in res.num.to_rows()]
         t = orthogonal_complement(model.embedding).complement.matrix
         assert frame_extension(model.embedding.matrix, t, model.action) == expected
         frames.append((model, t, expected))
@@ -351,8 +351,7 @@ def test_non_integral_witness_is_detected():
     emb, action = catalog.nonintegral_witness()
     res = extend_by_minus_one(emb, action)
     assert not res.integral
-    assert res.phi_integer is None
-    assert res.phi.den == 2
+    assert res.den == 2
 
     report = run_scenario(CORPUS / "witness-nonintegral")
     assert report.verdict == PASS

@@ -169,9 +169,22 @@ def test_int_matrix_fast_path_keeps_the_per_row_messages():
         read_rows = jsonio.as_int_rows(node, "m", rows, cols)
         assert list(read_rows) == reference
         matrix = jsonio.as_int_matrix(node, "m", rows, cols)
-        assert matrix == IntMatrix.from_rows(read_rows)
-    assert jsonio.as_int_matrix([], "m", cols=3) == IntMatrix(0, 0, ())
+        assert matrix.to_rows() == read_rows
+        assert cols is None or matrix.cols == cols
+    assert jsonio.as_int_matrix([], "m") == IntMatrix(0, 0, ())
     assert jsonio.as_int_matrix([[]], "m") == IntMatrix(1, 0, ())
+
+
+def test_an_empty_matrix_keeps_its_declared_column_count():
+    """No rows with cols given is 0 x cols, so the columns of an embedding
+    into a rank-0 target fit the source rank and the check gets a verdict."""
+    m = jsonio.as_int_matrix([], "m", 0, 3)
+    assert (m.rows, m.cols) == (0, 3)
+    assert jsonio.as_int_matrix([], "m", cols=3) == IntMatrix(0, 3, ())
+    payload = {"target": [], "source_gram": [["1"]], "columns": []}
+    outcome = run_check("e", "embedding-check", payload, None)
+    assert outcome.error is None, outcome
+    assert outcome.computed["isometric"] is False
 
 
 def test_encode_reads_a_matrix_by_rows():

@@ -1,6 +1,5 @@
 """Tests for cyclic group cohomology on lattices."""
 
-import doctest
 import json
 import math
 import random
@@ -78,11 +77,6 @@ def class_in_subgroup(v, generators, diff):
         return solve_integer(diff, v) is not None
     gens = IntMatrix.from_cols([list(g) for g in generators])
     return solve_integer(gens.hstack(diff), v) is not None
-
-
-def test_doctests_pass():
-    failures, _ = doctest.testmod(cohomology)
-    assert failures == 0
 
 
 def test_glattice_validation():

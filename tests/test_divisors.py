@@ -1,13 +1,11 @@
 """Tests for divisor-class arithmetic and ampleness certificates."""
 
-import doctest
 import itertools
 
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-import k3ord.divisors as divisors
 from k3ord import catalog
 from k3ord.divisors import nakai_certificate
 from k3ord.errors import DimensionMismatch, GensDoNotSpan
@@ -24,11 +22,6 @@ def basis_classes(rank):
         v[i] = 1
         out.append(tuple(v))
     return out
-
-
-def test_doctests_pass():
-    failures, _ = doctest.testmod(divisors)
-    assert failures == 0
 
 
 def test_nakai_rank_family():

@@ -1,12 +1,10 @@
 """Tests for embedding verification and orthogonal complements."""
 
-import doctest
 import random
 from pathlib import Path
 
 import pytest
 
-import k3ord.embeddings as embeddings
 from k3ord import catalog, jsonio
 from k3ord.embeddings import (
     Embedding,
@@ -34,11 +32,6 @@ def all_models():
     models = [catalog.sextic_model(n) for n in catalog.RANK_RANGE]
     models += [catalog.quadric_model(), catalog.hirzebruch2_model()]
     return models
-
-
-def test_doctests_pass():
-    failures, _ = doctest.testmod(embeddings)
-    assert failures == 0
 
 
 def test_shape_validation():

@@ -1,6 +1,7 @@
 """Tests for extending sublattice involutions across the ambient lattice."""
 
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -31,21 +32,21 @@ def test_rank18_extension_matches_reference():
     m = catalog.sextic_model(18)
     res = extend_by_minus_one(m.embedding, m.action)
     assert res.integral and res.orthogonal and res.involutive
-    assert res.phi_integer == catalog.reference_involution("p2-sextic")
+    assert res.num == catalog.reference_involution("p2-sextic")
 
 
 def test_quadric_extension_matches_reference():
     m = catalog.quadric_model()
     res = extend_by_minus_one(m.embedding, m.action)
     assert res.integral and res.orthogonal and res.involutive
-    assert res.phi_integer == catalog.reference_involution("quadric")
+    assert res.num == catalog.reference_involution("quadric")
 
 
 def test_hirzebruch2_extension_matches_reference():
     m = catalog.hirzebruch2_model()
     res = extend_by_minus_one(m.embedding, m.action)
     assert res.integral and res.orthogonal and res.involutive
-    assert res.phi_integer == catalog.reference_involution("hirzebruch2")
+    assert res.num == catalog.reference_involution("hirzebruch2")
 
 
 def test_every_rank_extends_integrally():
@@ -70,7 +71,7 @@ def test_identity_action_on_hyperbolic_block():
     expected = [[0] * 22 for _ in range(22)]
     for i in range(22):
         expected[i][i] = 1 if i in (16, 17) else -1
-    assert res.phi_integer == IntMatrix.from_rows(expected)
+    assert res.num == IntMatrix.from_rows(expected)
 
 
 def test_fixed_and_antifixed_vectors():
@@ -82,25 +83,25 @@ def test_fixed_and_antifixed_vectors():
     t = orthogonal_complement(m.embedding).complement.matrix
     for j in range(3):
         col = t.col(j)
-        image = res.phi.num.mul_vec(col)
-        assert list(image) == [-res.phi.den * x for x in col]
+        image = res.num.mul_vec(col)
+        assert list(image) == [-res.den * x for x in col]
 
 
 def _fixes(res, v, pic):
     """True iff phi fixes the image of the sublattice vector v."""
     w = pic.matrix.mul_vec(v)
-    return res.phi.num.mul_vec(w) == tuple(res.phi.den * x for x in w)
+    return res.num.mul_vec(w) == tuple(res.den * x for x in w)
 
 
-def _fractions(phi):
-    """The rational matrix phi as rows of Fractions, the oracle's form."""
-    return [[Fraction(x, phi.den) for x in r] for r in phi.num.to_rows()]
+def _fractions(res):
+    """The extension num / den as rows of Fractions, the oracle's form."""
+    return [[Fraction(x, res.den) for x in r] for r in res.num.to_rows()]
 
 
 def _agrees_on_rebases(e, action, rng, count):
     """phi equals the frame oracle on the computed complement and on count
     random unimodular re-bases of it."""
-    phi = _fractions(extend_by_minus_one(e, action).phi)
+    phi = _fractions(extend_by_minus_one(e, action))
     t = orthogonal_complement(e).complement.matrix
     bases = [t] + [t @ random_unimodular(rng, t.cols)[0] for _ in range(count)]
     return all(frame_extension(e.matrix, b, action) == phi for b in bases)
@@ -178,7 +179,8 @@ def test_extension_matches_frame_oracle_on_small_cases():
                 extend_by_minus_one(e, action)
             continue
         res = extend_by_minus_one(e, action)
-        assert _fractions(res.phi) == expected, (g, p, action)
+        assert _fractions(res) == expected, (g, p, action)
+        assert res.den > 0 and math.gcd(res.den, *res.num.entries) == 1, (g, p, action)
         assert res.integral == all(x.denominator == 1 for r in expected for x in r)
         outcomes["integral" if res.integral else "nonintegral"] += 1
     assert min(outcomes.values()) > 50, outcomes
@@ -229,15 +231,14 @@ def test_rank_zero_sublattice_extends_to_minus_identity():
     e = Embedding(Lattice(IntMatrix(0, 0, ())), k3, IntMatrix(22, 0, ()))
     res = extend_by_minus_one(e, IntMatrix(0, 0, ()))
     assert res.integral and res.orthogonal and res.involutive
-    assert res.phi == RatMatrix(IntMatrix.identity(22).scale(-1))
-    assert res.phi_integer == IntMatrix.identity(22).scale(-1)
+    assert (res.num, res.den) == (IntMatrix.identity(22).scale(-1), 1)
 
 
 def test_nonintegral_witness_from_catalog():
     pic, action = catalog.nonintegral_witness()
     res = extend_by_minus_one(pic, action)
     assert not res.integral
-    assert res.phi_integer is None
+    assert res.den == 2
     assert res.orthogonal and res.involutive
 
 
@@ -293,7 +294,7 @@ def test_witness_search_finds_nonintegral_case():
 def test_involutive_even_when_not_integral():
     pic, action = catalog.nonintegral_witness()
     res = extend_by_minus_one(pic, action)
-    assert res.phi @ res.phi == RatMatrix.identity(pic.target.rank)
+    assert res.num @ res.num == IntMatrix.identity(pic.target.rank).scale(res.den ** 2)
 
 
 def test_assumptions_are_reported():
@@ -305,7 +306,7 @@ def test_assumptions_are_reported():
 def _oracle_certificates(res, gram):
     """(orthogonal, involutive) of phi = F / d by the oracle's schoolbook
     products: F^T.G.F == d^2.G and F.F == d^2.I."""
-    f, d, r = list(res.phi.num.entries), res.phi.den, gram.rows
+    f, d, r = list(res.num.entries), res.den, gram.rows
     ft = [f[j * r + i] for i in range(r) for j in range(r)]
     g = list(gram.entries)
     triple = mat_mul(mat_mul(ft, g, r, r, r), f, r, r, r)

@@ -1,6 +1,5 @@
 """Tests for section-group models, their twists, and the group law."""
 
-import doctest
 import json
 import math
 import random
@@ -10,7 +9,6 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-import k3ord.fibrations as fibrations
 from k3ord.cli import main
 from k3ord.cohomology import GLattice, h1
 from k3ord.errors import (
@@ -39,10 +37,6 @@ from k3ord.orders import surface_rational_elliptic
 from k3ord.runner import ERROR, PASS, run_check
 
 from oracles import is_zero_element, minus_image, orbit_sum
-
-
-def test_doctests():
-    assert doctest.testmod(fibrations).failed == 0
 
 
 # --- model and endomorphism validation ---------------------------------------------

@@ -1,6 +1,5 @@
 """Tests for the lattice builders and the bilinear pairing."""
 
-import doctest
 import random
 from fractions import Fraction
 
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import k3ord.lattices as lattices
 from k3ord import catalog
 from k3ord.errors import DimensionMismatch, NotSymmetric
 from k3ord.lattices import Lattice, build_H, build_K3, direct_sum, pair
@@ -17,11 +15,6 @@ from k3ord.matrices import IntMatrix, det, signature
 from oracles import E8_ROWS, has_even_diagonal
 
 E8 = Lattice(IntMatrix.from_rows(E8_ROWS))
-
-
-def test_doctests_pass():
-    failures, _ = doctest.testmod(lattices)
-    assert failures == 0
 
 
 def test_build_H():
