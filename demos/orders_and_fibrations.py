@@ -79,14 +79,14 @@ def main():
     print()
     model = AbGroupModel(elliptic_count=1)
     for n in range(2, 7):
-        res = h1_structured(model, trivial_endo(model, n))
+        res = h1_structured(trivial_endo(model, n))
         print(f"trivial action, order {n}: h1 invariant factors {res.invariant_factors}")
-    res = h1_structured(model, negation_endo(model))
+    res = h1_structured(negation_endo(model))
     print(f"negation action:          h1 invariant factors {res.invariant_factors}")
 
     graph_model = AbGroupModel(free_rank=1, elliptic_count=1)
-    graph_endo = BlockEndo(IntMatrix.from_rows([[-1]]), (), ((-1, 0),), 2)
-    res = h1_structured(graph_model, graph_endo)
+    graph_endo = BlockEndo(graph_model, IntMatrix.from_rows([[-1]]), (), ((-1, 0),), 2)
+    res = h1_structured(graph_endo)
     print(f"graph of negation:        h1 invariant factors {res.invariant_factors}")
     twist = GroupElement(graph_model, free=(1,), elliptic=(None,))
     print(

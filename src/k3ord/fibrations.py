@@ -12,7 +12,10 @@ arithmetic over a field happens here.
 Supported endomorphisms are block diagonal: an integer matrix on the
 free part (kept as a GLattice on the zero form), a multiplier on each
 finite cyclic summand, and a signed permutation of the elliptic
-summands.  For a cyclic group acting through such an endomorphism the
+summands (kept as its signed cycles).  An endomorphism is built for its
+model and checks its blocks against it once, when it is built; the
+functions that take it do not check them again.  For a cyclic group
+acting through such an endomorphism the
 module computes H^1 and decides the cocycle and coboundary conditions
 for twisting the action block by block: Shapiro's lemma reduces a
 permutation cycle to the single summand it wraps around, so no walk
@@ -59,26 +62,37 @@ class AbGroupModel:
 
 @dataclass(frozen=True)
 class BlockEndo:
-    """A block-diagonal endomorphism generating a cyclic action of the given order.
+    """A block-diagonal endomorphism of model, generating a cyclic action
+    of the given order.
 
-    elliptic_action lists one (sign, image) pair per elliptic summand:
-    summand i is sent to summand image with the given sign.  Anything
-    that is not a signed permutation, or whose order-th power is not
-    the identity, is refused outright.
+    The blocks are checked against the model here, once: free_action is
+    free_rank square and periodic, finite_action holds one multiplier u
+    per modulus m with u^order = 1 mod m, and elliptic_action lists one
+    (sign, image) pair per elliptic summand: summand i is sent to summand
+    image with the given sign.  Anything that is not a signed permutation,
+    or whose order-th power is not the identity, is refused outright.
+    cycles keeps the permutation's cycles, each with its net sign.
     """
 
+    model: AbGroupModel
     free_action: IntMatrix
     finite_action: tuple[int, ...]
     elliptic_action: tuple[tuple[int, int], ...]
     order: int
     free: GLattice = field(init=False, compare=False, repr=False)
+    cycles: tuple[tuple[tuple[int, ...], int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.order < 1:
             raise UnsupportedParameter(f"order must be positive, got {self.order}")
-        if not self.free_action.is_square:
-            raise DimensionMismatch("free action must be square")
-        rank = self.free_action.rows
+        model = self.model
+        rank = model.free_rank
+        if (
+            (self.free_action.rows, self.free_action.cols) != (rank, rank)
+            or len(self.finite_action) != len(model.finite_cyclic)
+            or len(self.elliptic_action) != model.elliptic_count
+        ):
+            raise DimensionMismatch("endomorphism blocks do not match the model")
         try:
             free = GLattice(Lattice(IntMatrix.zeros(rank, rank)), self.free_action, self.order)
         except UnsupportedParameter:
@@ -86,14 +100,14 @@ class BlockEndo:
                 f"free action is not periodic of order {self.order}"
             ) from None
         object.__setattr__(self, "free", free)
-        e = len(self.elliptic_action)
         images = [image for _, image in self.elliptic_action]
-        if sorted(images) != list(range(e)):
+        if sorted(images) != list(range(model.elliptic_count)):
             raise UnsupportedAction("elliptic images must form a permutation")
         for sign, _ in self.elliptic_action:
             if sign not in (1, -1):
                 raise UnsupportedAction(f"elliptic sign must be +-1, got {sign}")
-        for cycle, net in _signed_cycles(self.elliptic_action):
+        cycles = tuple(_signed_cycles(self.elliptic_action))
+        for cycle, net in cycles:
             length = len(cycle)
             if self.order % length != 0:
                 raise UnsupportedAction(
@@ -103,11 +117,17 @@ class BlockEndo:
                 raise UnsupportedAction(
                     "a sign-reversing cycle needs even order on its summand"
                 )
+        object.__setattr__(self, "cycles", cycles)
+        for u, m in zip(self.finite_action, model.finite_cyclic):
+            if pow(u, self.order, m) != 1:
+                raise UnsupportedAction(
+                    f"multiplier {u} is not periodic of order {self.order} mod {m}"
+                )
 
 
 def _signed_cycles(
     elliptic_action: tuple[tuple[int, int], ...],
-) -> Iterator[tuple[list[int], int]]:
+) -> Iterator[tuple[tuple[int, ...], int]]:
     """Cycles of a signed permutation, each with the product of its signs."""
     seen: set[int] = set()
     for start in range(len(elliptic_action)):
@@ -116,12 +136,13 @@ def _signed_cycles(
             while (image := elliptic_action[cycle[-1]][1]) != start:
                 cycle.append(image)
             seen.update(cycle)
-            yield cycle, math.prod(elliptic_action[i][0] for i in cycle)
+            yield tuple(cycle), math.prod(elliptic_action[i][0] for i in cycle)
 
 
 def trivial_endo(model: AbGroupModel, order: int) -> BlockEndo:
     """The identity on every block, declared with the given order."""
     return BlockEndo(
+        model=model,
         free_action=IntMatrix.identity(model.free_rank),
         finite_action=(1,) * len(model.finite_cyclic),
         elliptic_action=tuple([(1, i) for i in range(model.elliptic_count)]),
@@ -132,6 +153,7 @@ def trivial_endo(model: AbGroupModel, order: int) -> BlockEndo:
 def negation_endo(model: AbGroupModel, order: int = 2) -> BlockEndo:
     """Negation on every block: the fibrewise inverse action."""
     return BlockEndo(
+        model=model,
         free_action=IntMatrix.identity(model.free_rank).scale(-1),
         finite_action=tuple([m - 1 for m in model.finite_cyclic]),
         elliptic_action=tuple([(-1, i) for i in range(model.elliptic_count)]),
@@ -217,20 +239,6 @@ class GroupElement:
         object.__setattr__(self, "elliptic", tuple([_reduce_point(p) for p in self.elliptic]))
 
 
-def _check_compat(model: AbGroupModel, endo: BlockEndo) -> None:
-    if (
-        endo.free_action.rows != model.free_rank
-        or len(endo.finite_action) != len(model.finite_cyclic)
-        or len(endo.elliptic_action) != model.elliptic_count
-    ):
-        raise DimensionMismatch("endomorphism blocks do not match the model")
-    for u, m in zip(endo.finite_action, model.finite_cyclic):
-        if pow(u, endo.order, m) != 1 % m:
-            raise UnsupportedAction(
-                f"multiplier {u} is not periodic of order {endo.order} mod {m}"
-            )
-
-
 def geometric_sum(u: int, n: int, m: int) -> int:
     """1 + u + ... + u^(n-1) mod m in O(log n) steps, by doubling:
     S(2k) = S(k)(1 + u^k) and S(k+1) = S(k) + u^k."""
@@ -247,7 +255,7 @@ def _cycle_sums(
 ) -> Iterator[tuple[int, int, Optional[TorsionPoint]]]:
     """Length k, net sign and the points of s carried once around each
     elliptic cycle: the first k terms of the norm at the cycle's start."""
-    for cycle, net in _signed_cycles(endo.elliptic_action):
+    for cycle, net in endo.cycles:
         total: Optional[TorsionPoint] = None
         for i in cycle:
             sign, image = endo.elliptic_action[i]
@@ -269,12 +277,13 @@ def cocycle_check(endo: BlockEndo, s: GroupElement) -> bool:
     >>> cocycle_check(trivial_endo(model, 3), s)
     True
     """
-    _check_compat(s.model, endo)
+    if s.model != endo.model:
+        raise DimensionMismatch("the element is not of the endomorphism's model")
     n = endo.order
     cocycle, _ = h1(endo.free).verdict(s.free)
     if not cocycle:
         return False
-    for u, c, m in zip(endo.finite_action, s.finite, s.model.finite_cyclic):
+    for u, c, m in zip(endo.finite_action, s.finite, endo.model.finite_cyclic):
         if c * geometric_sum(u, n, m) % m:
             return False
     sums = _cycle_sums(endo, s)
@@ -291,12 +300,12 @@ def coboundary_check(endo: BlockEndo, s: GroupElement) -> bool:
     because the group is 2-divisible; on a net-positive cycle the signed
     sum of the coordinates must vanish.
     """
-    model = s.model
-    _check_compat(model, endo)
+    if s.model != endo.model:
+        raise DimensionMismatch("the element is not of the endomorphism's model")
     _, coboundary = h1(endo.free).verdict(s.free)
     if not coboundary:
         return False
-    for u, c, m in zip(endo.finite_action, s.finite, model.finite_cyclic):
+    for u, c, m in zip(endo.finite_action, s.finite, endo.model.finite_cyclic):
         g = math.gcd((1 - u) % m, m)
         if c % g != 0:
             return False
@@ -360,24 +369,24 @@ def invariant_chain(orders: Iterable[int]) -> tuple[int, ...]:
     return tuple([c for c, n in reversed(runs) for _ in range(n)])
 
 
-def h1_structured(model: AbGroupModel, endo: BlockEndo) -> StructuredH1:
-    """H^1 of the cyclic group generated by endo, acting on the model.
+def h1_structured(endo: BlockEndo) -> StructuredH1:
+    """H^1 of the cyclic group generated by endo, acting on the model it
+    was built for.
 
     >>> model = AbGroupModel(elliptic_count=1)
-    >>> h1_structured(model, trivial_endo(model, 4)).invariant_factors
+    >>> h1_structured(trivial_endo(model, 4)).invariant_factors
     (4, 4)
     """
-    _check_compat(model, endo)
     free_part = h1(endo.free)
     finite_factors = []
-    for u, m in zip(endo.finite_action, model.finite_cyclic):
+    for u, m in zip(endo.finite_action, endo.model.finite_cyclic):
         kernel_size = math.gcd(geometric_sum(u, endo.order, m), m)
         image_size = m // math.gcd((1 - u) % m, m)
         size = kernel_size // image_size
         if size > 1:
             finite_factors.append(size)
     elliptic_factors = []
-    for cycle, net in _signed_cycles(endo.elliptic_action):
+    for cycle, net in endo.cycles:
         m = endo.order // len(cycle)
         if net == 1 and m > 1:
             elliptic_factors.extend((m, m))

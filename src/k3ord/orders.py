@@ -247,41 +247,30 @@ def classify_order(order: OrderDescriptor) -> Classification:
 # --- ramification bookkeeping ---------------------------------------------------
 
 
-def ramification_transfer(
-    cover_profile: Sequence[tuple[object, int]],
-) -> tuple[int, ...]:
+def ramification_transfer(order: OrderDescriptor) -> tuple[int, ...]:
     """Ramification vector of an order read off a cover's branch profile.
 
     The ramification index of the order along each branch divisor is
     the ramification index of the cover there, so the vector is just
-    the sorted multiset of indices.  The divisor entries are carried
-    for the caller's bookkeeping and are not inspected.
+    the sorted multiset of indices.
 
-    >>> ramification_transfer([("sextic", 2)])
+    >>> sextic = RamifiedDivisor((6,), 2)
+    >>> ramification_transfer(OrderDescriptor(surface_p2(), (sextic,), 2))
     (2,)
-    >>> ramification_transfer([])
+    >>> ramification_transfer(OrderDescriptor(surface_p2()))
     ()
     """
-    indices = []
-    for _, index in cover_profile:
-        if index < 2:
-            raise UnsupportedParameter(
-                f"a branch divisor must have index at least 2, got {index}"
-            )
-        indices.append(index)
-    return tuple(sorted(indices))
+    return tuple(sorted([div.e for div in order.ramification]))
 
 
-def overlap_applicable(indices: Sequence[int], n: int) -> bool:
+def overlap_applicable(order: OrderDescriptor) -> bool:
     """True iff the lcm of the ramification indices equals the cover degree.
 
     This is the hypothesis under which every relation class gives a
-    well-defined cyclic algebra.  An empty index list has lcm 1, so the
+    well-defined cyclic algebra.  An unramified order has lcm 1, so the
     test fails for any étale cover of degree at least 2.
     """
-    if n < 1:
-        raise UnsupportedParameter(f"cover degree must be positive, got {n}")
-    return lcm(*indices) == n if indices else n == 1
+    return lcm(*[div.e for div in order.ramification]) == order.cover_degree
 
 
 def untot_restriction(

@@ -131,7 +131,7 @@ def _run_isometry_extend(payload: dict):
 def _glattice_from(payload: dict) -> GLattice:
     gram = field(payload, "payload", "gram", _gram)
     action = field(payload, "payload", "action", as_int_matrix, gram.rows, gram.rows)
-    order = field(payload, "payload", "order", as_int)
+    order = field(payload, "payload", "order", _int_at_least, 1, "positive")
     return GLattice(Lattice(gram), action, order)
 
 
@@ -210,7 +210,7 @@ def _surface_by_name(name: str):
         ("ruled-elliptic-", surface_ruled_elliptic),
     ):
         if name.startswith(prefix):
-            return builder(as_int(name[len(prefix):], "payload.surface"))
+            return builder(_int_at_least(name[len(prefix):], "payload.surface", 0, "nonnegative"))
     raise SchemaError(f"payload.surface: unknown surface model {name!r}")
 
 
@@ -233,19 +233,16 @@ def _run_order_classify(payload: dict):
         return RamifiedDivisor(coords, e, irreducible)
 
     ramified = field(payload, "payload", "ramification", as_items, read, default=())
-    degree = field(payload, "payload", "cover_degree", as_int, default=1)
+    degree = field(payload, "payload", "cover_degree", _int_at_least, 1, "positive", default=1)
     order = OrderDescriptor(surface, tuple(ramified), degree)
     result = classify_order(order)
-    indices = ramification_transfer(
-        [(f"D{i}", r.e) for i, r in enumerate(ramified, start=1)]
-    )
     computed = {
         "kind": result.kind,
         "canonical_class": list(result.k_order),
         "anti_square": result.anti_square,
         "pairings": list(result.pairings),
-        "ramification_transfer": list(indices),
-        "overlap_matches_degree": overlap_applicable(indices, degree),
+        "ramification_transfer": list(ramification_transfer(order)),
+        "overlap_matches_degree": overlap_applicable(order),
         "maximality": maximality_check(order),
     }
     return computed, result.assumptions
@@ -263,12 +260,10 @@ def _int_at_least(node, path: str, low: int, words: str) -> int:
 
 def _model_from(node, path: str) -> AbGroupModel:
     rank = field(node, path, "free_rank", _int_at_least, 0, "nonnegative", default=0)
-    moduli = field(node, path, "finite_cyclic", as_int_vector, default=())
-    for i, m in enumerate(moduli):
-        if m < 2:
-            raise SchemaError(f"{path}.finite_cyclic[{i}]: must be at least 2, got {m}")
+    moduli = field(node, path, "finite_cyclic", as_items,
+                   lambda m, at: _int_at_least(m, at, 2, "at least 2"), default=())
     count = field(node, path, "elliptic_count", _int_at_least, 0, "nonnegative", default=0)
-    return AbGroupModel(rank, moduli, count)
+    return AbGroupModel(rank, tuple(moduli), count)
 
 
 def _endo_from(node, path: str, model: AbGroupModel) -> BlockEndo:
@@ -279,6 +274,7 @@ def _endo_from(node, path: str, model: AbGroupModel) -> BlockEndo:
     scalars = field(node, path, "finite_action", as_int_vector, n, default=(1,) * n)
     pairs = field(node, path, "elliptic_action", as_int_rows, count, 2, default=None)
     return BlockEndo(
+        model,
         IntMatrix.identity(rank) if free is None else free,
         scalars,
         tuple([(1, i) for i in range(count)] if pairs is None else pairs),
@@ -289,7 +285,7 @@ def _endo_from(node, path: str, model: AbGroupModel) -> BlockEndo:
 def _run_fibration_h1(payload: dict):
     model = field(payload, "payload", "model", _model_from)
     endo = field(payload, "payload", "endo", _endo_from, model)
-    result = h1_structured(model, endo)
+    result = h1_structured(endo)
     computed = {
         "invariant_factors": list(result.invariant_factors),
         "free_rank": result.free_rank,

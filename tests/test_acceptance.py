@@ -195,15 +195,15 @@ def test_fibration_cohomology_and_restriction_classes():
     """Section-group twist counts and the branch restriction torsion classes."""
     for n in range(2, 7):
         model = AbGroupModel(elliptic_count=1)
-        res = h1_structured(model, trivial_endo(model, n))
+        res = h1_structured(trivial_endo(model, n))
         assert res.invariant_factors == (n, n)
 
     model = AbGroupModel(elliptic_count=1)
-    assert h1_structured(model, negation_endo(model)).invariant_factors == ()
+    assert h1_structured(negation_endo(model)).invariant_factors == ()
 
     graph_model = AbGroupModel(free_rank=1, elliptic_count=1)
-    graph_endo = BlockEndo(IntMatrix.from_rows([[-1]]), (), ((-1, 0),), 2)
-    res = h1_structured(graph_model, graph_endo)
+    graph_endo = BlockEndo(graph_model, IntMatrix.from_rows([[-1]]), (), ((-1, 0),), 2)
+    res = h1_structured(graph_endo)
     assert res.invariant_factors == (2,)
     assert res.free_part.generators == ((1,),)
 

@@ -438,6 +438,9 @@ _NULL_FIELDS = [
                          "columns": [["1"], ["0"]]}, "payload.target[1][0]"),
     ("embedding-check", {"target": [["2", "0"], ["0", "2"]], "source_gram": _ASYMMETRIC,
                          "columns": [["1", "0"], ["0", "1"]]}, "payload.source_gram[1][0]"),
+    ("order-classify", dict(_P2, cover_degree="0"), "payload.cover_degree"),
+    ("h1", dict(_h1_payload(), order="0"), "payload.order"),
+    ("order-classify", {"surface": "hirzebruch--1"}, "payload.surface"),
     *_NULL_FIELDS,
     # an isotropic frame of U declared with Gram (0): P^T G P is (2)
     ("isometry-extend", {"target": [["0", "1"], ["1", "0"]], "source_gram": [["0"]],
@@ -448,7 +451,8 @@ _NULL_FIELDS = [
         "negative-free-rank", "modulus-one", "negative-elliptic-count", "point-order-zero",
         "ramification-index-one", "h1-asymmetric", "quotient-pic-asymmetric",
         "ample-cert-asymmetric", "embedding-target-asymmetric",
-        "embedding-source-asymmetric",
+        "embedding-source-asymmetric", "cover-degree-zero", "h1-order-zero",
+        "negative-section-parameter",
         *[f"null-{path.removeprefix('payload.')}" for _, _, path in _NULL_FIELDS],
         "isometry-source-gram-mismatch"])
 def test_error_names_the_field_at_fault(tmp_path, capsys, kind, payload, path):

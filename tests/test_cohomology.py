@@ -585,14 +585,14 @@ def test_glattice_decides_the_order_of_companion_block_sums(case):
                 GLattice(zero, sigma, order)
             message = f"^free action is not periodic of order {order}$"
             with pytest.raises(UnsupportedAction, match=message):
-                BlockEndo(sigma, (), (), order)
+                BlockEndo(AbGroupModel(free_rank=r), sigma, (), (), order)
             continue
         walk, power = IntMatrix.zeros(r, r), IntMatrix.identity(r)
         for _ in range(order):
             walk, power = walk + power, power @ sigma
         assert power == IntMatrix.identity(r)
         assert GLattice(zero, sigma, order).norm == walk, (ms, order)
-        assert BlockEndo(sigma, (), (), order).free.norm == walk
+        assert BlockEndo(AbGroupModel(free_rank=r), sigma, (), (), order).free.norm == walk
 
 
 @pytest.mark.parametrize("sigma, order, code", [
@@ -968,8 +968,9 @@ def test_checks_build_generators_and_norm_only_where_they_read_them(monkeypatch)
         rank = int(payload["model"].get("free_rank", "0"))
         assert [(a.rows, a.cols) for a in smiths] == [(rank, rank)], name
     assert built == [] and undone == []
-    endo = BlockEndo(IntMatrix.from_rows([[0, 1], [1, 0]]), (), (), 2)
-    assert coboundary_check(endo, GroupElement(AbGroupModel(free_rank=2), (1, -1)))
+    plane = AbGroupModel(free_rank=2)
+    endo = BlockEndo(plane, IntMatrix.from_rows([[0, 1], [1, 0]]), (), (), 2)
+    assert coboundary_check(endo, GroupElement(plane, (1, -1)))
     assert built == [] and undone == []
     # fibration-h1 reports the free generators: one undo per free factor
     factors = 0

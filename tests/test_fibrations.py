@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from k3ord import fibrations
 from k3ord.cli import main
 from k3ord.cohomology import GLattice, h1
 from k3ord.errors import (
@@ -51,45 +52,81 @@ def test_model_validation():
 
 
 def test_endo_rejects_bad_shapes():
+    one, two = AbGroupModel(free_rank=1), AbGroupModel(free_rank=2)
     with pytest.raises(DimensionMismatch):
-        BlockEndo(IntMatrix.zeros(1, 2), (), (), 1)
+        BlockEndo(one, IntMatrix.zeros(1, 2), (), (), 1)
     with pytest.raises(UnsupportedParameter):
-        BlockEndo(IntMatrix.identity(1), (), (), 0)
+        BlockEndo(one, IntMatrix.identity(1), (), (), 0)
     with pytest.raises(UnsupportedAction):
-        BlockEndo(IntMatrix.identity(0), (), ((2, 0),), 2)
+        BlockEndo(AbGroupModel(elliptic_count=1), IntMatrix.identity(0), (), ((2, 0),), 2)
     with pytest.raises(UnsupportedAction):
-        BlockEndo(IntMatrix.identity(0), (), ((1, 0), (1, 0)), 2)
+        BlockEndo(AbGroupModel(elliptic_count=2), IntMatrix.identity(0), (), ((1, 0), (1, 0)), 2)
     # free action must have the declared period
     with pytest.raises(UnsupportedAction):
-        BlockEndo(IntMatrix.from_rows([[2]]), (), (), 2)
+        BlockEndo(one, IntMatrix.from_rows([[2]]), (), (), 2)
     # a 3-cycle cannot sit inside an order-2 action
     three_cycle = ((1, 1), (1, 2), (1, 0))
     with pytest.raises(UnsupportedAction):
-        BlockEndo(IntMatrix.identity(0), (), three_cycle, 2)
+        BlockEndo(AbGroupModel(elliptic_count=3), IntMatrix.identity(0), (), three_cycle, 2)
     # a sign-reversing fixed summand needs even order
     with pytest.raises(UnsupportedAction):
-        BlockEndo(IntMatrix.identity(0), (), ((-1, 0),), 3)
+        BlockEndo(AbGroupModel(elliptic_count=1), IntMatrix.identity(0), (), ((-1, 0),), 3)
     # a free action of period 3 inside an order-4 action
     with pytest.raises(UnsupportedAction):
-        BlockEndo(IntMatrix.from_rows([[0, -1], [1, -1]]), (), (), 4)
+        BlockEndo(two, IntMatrix.from_rows([[0, -1], [1, -1]]), (), (), 4)
 
 
 def test_endo_model_compatibility():
+    """An endomorphism is refused when it is built, not when it is used."""
     model = AbGroupModel(free_rank=1, finite_cyclic=(5,), elliptic_count=1)
     zero = GroupElement(model, (0,), (0,), (None,))
-    good = BlockEndo(IntMatrix.identity(1), (4,), ((1, 0),), 2)
-    wrong_shape = BlockEndo(IntMatrix.identity(2), (4,), ((1, 0),), 2)
-    # 2 has order 4 mod 5, not 2
-    bad_multiplier = BlockEndo(IntMatrix.identity(1), (2,), ((1, 0),), 2)
+    good = BlockEndo(model, IntMatrix.identity(1), (4,), ((1, 0),), 2)
     for check in (cocycle_check, coboundary_check):
         check(good, zero)
-        with pytest.raises(DimensionMismatch):
-            check(wrong_shape, zero)
-        with pytest.raises(UnsupportedAction):
-            check(bad_multiplier, zero)
-    # the norm checks the multiplier even where order 1 leaves nothing to sum
-    with pytest.raises(UnsupportedAction):
-        cocycle_check(BlockEndo(IntMatrix.identity(1), (2,), ((1, 0),), 1), zero)
+    for free, finite, elliptic in [
+        (IntMatrix.identity(2), (4,), ((1, 0),)),
+        (IntMatrix.identity(1), (), ((1, 0),)),
+        (IntMatrix.identity(1), (4,), ()),
+        (IntMatrix.identity(1), (4,), ((1, 0), (1, 1))),
+    ]:
+        with pytest.raises(DimensionMismatch, match="^endomorphism blocks do not match"):
+            BlockEndo(model, free, finite, elliptic, 2)
+    # 2 has order 4 mod 5, not 2
+    with pytest.raises(UnsupportedAction, match="^multiplier 2 is not periodic of order 2 mod 5$"):
+        BlockEndo(model, IntMatrix.identity(1), (2,), ((1, 0),), 2)
+    # the multiplier is checked even where order 1 leaves nothing to sum
+    with pytest.raises(UnsupportedAction, match="^multiplier 2 is not periodic of order 1 mod 5$"):
+        BlockEndo(model, IntMatrix.identity(1), (2,), ((1, 0),), 1)
+
+
+@pytest.mark.parametrize("check", [cocycle_check, coboundary_check])
+def test_twist_checks_refuse_an_element_of_another_model(check):
+    model = AbGroupModel(free_rank=1, finite_cyclic=(5,), elliptic_count=1)
+    endo = trivial_endo(model, 2)
+    # the same shape with another modulus, and another shape
+    for other in (AbGroupModel(1, (7,), 1), AbGroupModel(free_rank=1)):
+        zero = GroupElement(other, (0,), (0,) * len(other.finite_cyclic),
+                            (None,) * other.elliptic_count)
+        with pytest.raises(DimensionMismatch, match="^the element is not of the endomorphism"):
+            check(endo, zero)
+    # an equal model built apart is the same model
+    assert check(endo, GroupElement(AbGroupModel(1, (5,), 1), (0,), (0,), (None,)))
+
+
+def test_signed_cycles_are_walked_once_per_endomorphism(monkeypatch):
+    walks = []
+    walk = fibrations._signed_cycles
+    monkeypatch.setattr(fibrations, "_signed_cycles", lambda a: walks.append(a) or walk(a))
+    model = AbGroupModel(elliptic_count=3)
+    endo = BlockEndo(model, IntMatrix.identity(0), (), ((1, 1), (1, 0), (-1, 2)), 4)
+    assert len(walks) == 1
+    p = TorsionPoint("p", 4)
+    s = GroupElement(model, elliptic=(p, p, None))
+    assert h1_structured(endo).elliptic_factors == (2, 2)
+    assert cocycle_check(endo, s)
+    assert not coboundary_check(endo, s)
+    assert endo.cycles == (((0, 1), 1), ((2,), -1))
+    assert len(walks) == 1
 
 
 def test_element_validation_and_reduction():
@@ -109,7 +146,7 @@ def test_element_validation_and_reduction():
 def test_unrelated_symbols_do_not_add():
     # the cocycle check adds the points carried around the 2-cycle
     model = AbGroupModel(elliptic_count=2)
-    swap = BlockEndo(IntMatrix.identity(0), (), ((1, 1), (1, 0)), 2)
+    swap = BlockEndo(model, IntMatrix.identity(0), (), ((1, 1), (1, 0)), 2)
     p, q = TorsionPoint("p", 2), TorsionPoint("q", 2)
     with pytest.raises(UnsupportedAction):
         cocycle_check(swap, GroupElement(model, elliptic=(p, q)))
@@ -123,7 +160,7 @@ def test_unrelated_symbols_do_not_add():
 def test_h1_trivial_elliptic_action():
     for n in range(2, 7):
         model = AbGroupModel(elliptic_count=1)
-        res = h1_structured(model, trivial_endo(model, n))
+        res = h1_structured(trivial_endo(model, n))
         assert res.invariant_factors == (n, n)
         assert res.elliptic_factors == (n, n)
         assert res.free_rank == 0
@@ -132,7 +169,7 @@ def test_h1_trivial_elliptic_action():
 
 def test_h1_negation_elliptic_action():
     model = AbGroupModel(elliptic_count=1)
-    res = h1_structured(model, negation_endo(model))
+    res = h1_structured(negation_endo(model))
     assert res.invariant_factors == ()
     assert math.prod(res.invariant_factors) == 1
 
@@ -140,8 +177,8 @@ def test_h1_negation_elliptic_action():
 def test_h1_graph_of_negation():
     """Free summand and elliptic summand both negated by an involution."""
     model = AbGroupModel(free_rank=1, elliptic_count=1)
-    endo = BlockEndo(IntMatrix.from_rows([[-1]]), (), ((-1, 0),), 2)
-    res = h1_structured(model, endo)
+    endo = BlockEndo(model, IntMatrix.from_rows([[-1]]), (), ((-1, 0),), 2)
+    res = h1_structured(endo)
     assert res.invariant_factors == (2,)
     assert res.free_part.invariant_factors == (2,)
     assert res.free_part.generators == ((1,),)
@@ -150,22 +187,22 @@ def test_h1_graph_of_negation():
 
 def test_h1_swapped_elliptic_pair():
     model = AbGroupModel(elliptic_count=2)
-    swap = BlockEndo(IntMatrix.identity(0), (), ((1, 1), (1, 0)), 2)
-    assert h1_structured(model, swap).invariant_factors == ()
-    swap_in_4 = BlockEndo(IntMatrix.identity(0), (), ((1, 1), (1, 0)), 4)
-    assert h1_structured(model, swap_in_4).invariant_factors == (2, 2)
-    signed_swap = BlockEndo(IntMatrix.identity(0), (), ((-1, 1), (-1, 0)), 2)
-    assert h1_structured(model, signed_swap).invariant_factors == ()
+    swap = BlockEndo(model, IntMatrix.identity(0), (), ((1, 1), (1, 0)), 2)
+    assert h1_structured(swap).invariant_factors == ()
+    swap_in_4 = BlockEndo(model, IntMatrix.identity(0), (), ((1, 1), (1, 0)), 4)
+    assert h1_structured(swap_in_4).invariant_factors == (2, 2)
+    signed_swap = BlockEndo(model, IntMatrix.identity(0), (), ((-1, 1), (-1, 0)), 2)
+    assert h1_structured(signed_swap).invariant_factors == ()
 
 
 def test_h1_finite_blocks():
     model = AbGroupModel(finite_cyclic=(4,))
-    endo = BlockEndo(IntMatrix.identity(0), (3,), (), 2)
-    assert h1_structured(model, endo).invariant_factors == (2,)
+    endo = BlockEndo(model, IntMatrix.identity(0), (3,), (), 2)
+    assert h1_structured(endo).invariant_factors == (2,)
     for m in (2, 3, 4, 6, 9):
         for n in (1, 2, 3, 4, 6):
             mm = AbGroupModel(finite_cyclic=(m,))
-            res = h1_structured(mm, trivial_endo(mm, n))
+            res = h1_structured(trivial_endo(mm, n))
             g = math.gcd(n, m)
             assert res.invariant_factors == ((g,) if g > 1 else ())
 
@@ -181,8 +218,8 @@ def test_h1_free_block_matches_lattice_cohomology():
     for action, n in cases:
         rank = action.rows
         model = AbGroupModel(free_rank=rank)
-        endo = BlockEndo(action, (), (), n)
-        res = h1_structured(model, endo)
+        endo = BlockEndo(model, action, (), (), n)
+        res = h1_structured(endo)
         plain = h1(GLattice(Lattice(IntMatrix.zeros(rank, rank)), action, n))
         assert res.invariant_factors == plain.invariant_factors
         assert res.free_part.generators == plain.generators
@@ -191,8 +228,8 @@ def test_h1_free_block_matches_lattice_cohomology():
 def test_h1_mixed_blocks_get_merged_factors():
     """Z/2 from the free part and (Z/2)^2 from torsion merge to (2, 2, 2)."""
     model = AbGroupModel(free_rank=1, elliptic_count=1)
-    endo = BlockEndo(IntMatrix.from_rows([[-1]]), (), ((1, 0),), 2)
-    res = h1_structured(model, endo)
+    endo = BlockEndo(model, IntMatrix.from_rows([[-1]]), (), ((1, 0),), 2)
+    res = h1_structured(endo)
     assert res.invariant_factors == (2, 2, 2)
     assert res.free_part.invariant_factors == (2,)
     assert res.elliptic_factors == (2, 2)
@@ -225,8 +262,8 @@ def test_many_elliptic_pairs_cost_no_dense_diagonal():
 def test_invariant_factor_normalization():
     """Factors of coprime order combine, matching invariant factor form."""
     model = AbGroupModel(finite_cyclic=(4,), elliptic_count=1)
-    endo = BlockEndo(IntMatrix.identity(0), (3,), ((1, 0),), 6)
-    res = h1_structured(model, endo)
+    endo = BlockEndo(model, IntMatrix.identity(0), (3,), ((1, 0),), 6)
+    res = h1_structured(endo)
     # elliptic part gives (6, 6); finite part Z/4 with u=3, n=6:
     # norm = 3(1+3)=12=0 mod 4, kernel Z/4, image 2Z/4, quotient Z/2
     assert res.finite_factors == (2,)
@@ -234,11 +271,11 @@ def test_invariant_factor_normalization():
     assert res.invariant_factors == (2, 6, 6)
     # a trivial action at order n leaves Z/m with H^1 = Z/gcd(m, n)
     coprime = AbGroupModel(finite_cyclic=(8, 9))
-    res = h1_structured(coprime, trivial_endo(coprime, 12))
+    res = h1_structured(trivial_endo(coprime, 12))
     assert res.finite_factors == (4, 3)
     assert res.invariant_factors == (12,)
     shared = AbGroupModel(finite_cyclic=(8, 12))
-    res = h1_structured(shared, trivial_endo(shared, 24))
+    res = h1_structured(trivial_endo(shared, 24))
     assert res.finite_factors == (8, 12)
     assert res.invariant_factors == (4, 24)
     assert math.prod(res.invariant_factors) == 96
@@ -288,10 +325,10 @@ def _twisted_elements(draw):
             net = math.prod(signs[i] for i in cycle)
             periods.append(len(cycle) * (1 if net == 1 else 2))
     order = math.lcm(*periods) * draw(st.integers(1, 3))
-    endo = BlockEndo(free_action, tuple(units), tuple(zip(signs, images)), order)
+    model = AbGroupModel(free_action.rows, tuple(moduli), count)
+    endo = BlockEndo(model, free_action, tuple(units), tuple(zip(signs, images)), order)
     point_order = draw(st.integers(1, 8))
     points = st.none() | st.integers(-8, 8).map(lambda k: TorsionPoint("p", point_order, k))
-    model = AbGroupModel(free_action.rows, tuple(moduli), count)
     x = GroupElement(
         model,
         tuple(draw(st.integers(-3, 3)) for _ in range(model.free_rank)),
@@ -304,11 +341,14 @@ def _twisted_elements(draw):
 @given(_twisted_elements())
 @example((
     # a net +1 cycle of two sign changes: the cycle sum is p - p = 0
-    BlockEndo(IntMatrix.identity(0), (), ((-1, 1), (-1, 0)), 2),
+    BlockEndo(AbGroupModel(elliptic_count=2), IntMatrix.identity(0), (), ((-1, 1), (-1, 0)), 2),
     GroupElement(AbGroupModel(elliptic_count=2), elliptic=(TorsionPoint("p", 4),) * 2),
 ))
 @example((
-    BlockEndo(IntMatrix.from_rows([[0, -1], [1, 0]]), (5,), ((1, 1), (-1, 0)), 8),
+    BlockEndo(
+        AbGroupModel(2, (6,), 2),
+        IntMatrix.from_rows([[0, -1], [1, 0]]), (5,), ((1, 1), (-1, 0)), 8,
+    ),
     GroupElement(
         AbGroupModel(2, (6,), 2),
         (2, -3), (4,), (TorsionPoint("p", 8, 3), TorsionPoint("p", 8, 5)),
@@ -333,11 +373,11 @@ def test_work_follows_the_period_not_the_declared_order(monkeypatch):
         IntMatrix, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b)
     )
     model = AbGroupModel(free_rank=1, finite_cyclic=(6,), elliptic_count=2)
-    endo = BlockEndo(IntMatrix.from_rows([[-1]]), (5,), ((1, 1), (-1, 0)), 200_000)
+    endo = BlockEndo(model, IntMatrix.from_rows([[-1]]), (5,), ((1, 1), (-1, 0)), 200_000)
     s = GroupElement(model, (1,), (3,), (TorsionPoint("p", 4), None))
     assert cocycle_check(endo, s)
     assert not coboundary_check(endo, s)
-    res = h1_structured(model, endo)
+    res = h1_structured(endo)
     assert res.invariant_factors == (2, 2)
     assert res.finite_factors == (2,)
     assert len(calls) <= 10
@@ -346,7 +386,7 @@ def test_work_follows_the_period_not_the_declared_order(monkeypatch):
 def test_non_periodic_free_action_is_rejected_by_its_minimal_polynomial():
     start = time.perf_counter()
     with pytest.raises(UnsupportedAction, match="not periodic of order 1000000$"):
-        BlockEndo(IntMatrix.from_rows([[2, 1], [1, 1]]), (), (), 10**6)
+        BlockEndo(AbGroupModel(free_rank=2), IntMatrix.from_rows([[2, 1], [1, 1]]), (), (), 10**6)
     assert time.perf_counter() - start < 1
 
 
@@ -360,7 +400,7 @@ def test_non_periodic_rank22_action_is_rejected_by_its_minimal_polynomial():
     action = IntMatrix.from_rows(rows)
     start = time.perf_counter()
     with pytest.raises(UnsupportedAction, match="^free action is not periodic of order 1000000$"):
-        BlockEndo(action, (), (), 10**6)
+        BlockEndo(AbGroupModel(free_rank=22), action, (), (), 10**6)
     with pytest.raises(UnsupportedParameter, match=r"^sigma\^1000000 is not the identity$"):
         GLattice(Lattice(IntMatrix.zeros(22, 22)), action, 10**6)
     assert time.perf_counter() - start < 0.1
@@ -390,7 +430,7 @@ def test_non_semisimple_action_is_rejected_at_once(monkeypatch, tmp_path, capsys
     assert len(calls) <= 10
     calls.clear()
     with pytest.raises(UnsupportedAction, match="^free action is not periodic of order 1000000$"):
-        BlockEndo(action, (), (), 10**6)
+        BlockEndo(AbGroupModel(free_rank=22), action, (), (), 10**6)
     assert len(calls) <= 10
     calls.clear()
     doc = {"schema": "k3ord/1", "payload": {
@@ -505,7 +545,7 @@ def test_twist_classes_on_trivial_actions():
 def test_graph_of_negation_twist():
     """The graph section is a nontrivial class; twice it is a coboundary."""
     model = AbGroupModel(free_rank=1, elliptic_count=1)
-    endo = BlockEndo(IntMatrix.from_rows([[-1]]), (), ((-1, 0),), 2)
+    endo = BlockEndo(model, IntMatrix.from_rows([[-1]]), (), ((-1, 0),), 2)
     graph = GroupElement(model, free=(1,), elliptic=(None,))
     assert cocycle_check(endo, graph)
     assert not coboundary_check(endo, graph)
@@ -525,7 +565,7 @@ def test_coboundary_on_swapped_pair():
     model = AbGroupModel(elliptic_count=2)
     p = TorsionPoint("p", 2)
     # order 2: the swapped pair is an induced module, every cocycle bounds
-    swap = BlockEndo(IntMatrix.identity(0), (), ((1, 1), (1, 0)), 2)
+    swap = BlockEndo(model, IntMatrix.identity(0), (), ((1, 1), (1, 0)), 2)
     both = GroupElement(model, elliptic=(p, p))
     assert cocycle_check(swap, both)
     assert coboundary_check(swap, both)
@@ -533,7 +573,7 @@ def test_coboundary_on_swapped_pair():
     assert not cocycle_check(swap, single)
     # the same swap inside an order-4 action has H^1 = (Z/2)^2, and a
     # single 2-torsion coordinate is a nontrivial class
-    swap_in_4 = BlockEndo(IntMatrix.identity(0), (), ((1, 1), (1, 0)), 4)
+    swap_in_4 = BlockEndo(model, IntMatrix.identity(0), (), ((1, 1), (1, 0)), 4)
     assert cocycle_check(swap_in_4, single)
     assert not coboundary_check(swap_in_4, single)
     assert coboundary_check(swap_in_4, both)
@@ -568,7 +608,7 @@ def test_differences_are_always_trivial_twists():
     rng = random.Random(20260814)
     model = AbGroupModel(free_rank=2, finite_cyclic=(6,), elliptic_count=2)
     endo = BlockEndo(
-        IntMatrix.from_rows([[0, -1], [1, 0]]), (5,), ((1, 1), (-1, 0)), 4
+        model, IntMatrix.from_rows([[0, -1], [1, 0]]), (5,), ((1, 1), (-1, 0)), 4
     )
     for _ in range(50):
         s = _element(model, minus_image(*_plain(endo, _random_element(model, rng))))

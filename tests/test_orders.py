@@ -270,29 +270,32 @@ def test_ncy_and_del_pezzo_exclusive(rows):
 # --- ramification transfer and overlap ------------------------------------------
 
 
+def _on_p2(indices, degree):
+    """An order on P^2 ramified on one line per index."""
+    return OrderDescriptor(surface_p2(), tuple(RamifiedDivisor((1,), e) for e in indices), degree)
+
+
 def test_ramification_transfer():
-    assert ramification_transfer([("sextic", 2)]) == (2,)
-    assert ramification_transfer(
-        [("s1", 2), ("s2", 2), ("s3", 2), ("s4", 2)]
-    ) == (2, 2, 2, 2)
-    assert ramification_transfer([]) == ()
-    assert ramification_transfer([("a", 4), ("b", 2), ("c", 4)]) == (2, 4, 4)
+    assert ramification_transfer(_on_p2([2], 2)) == (2,)
+    assert ramification_transfer(_on_p2([2, 2, 2, 2], 2)) == (2, 2, 2, 2)
+    assert ramification_transfer(_on_p2([], 1)) == ()
+    assert ramification_transfer(_on_p2([4, 2, 4], 4)) == (2, 4, 4)
+    # an unramified branch divisor is refused when the descriptor is built
     with pytest.raises(UnsupportedParameter):
-        ramification_transfer([("unramified", 1)])
+        _on_p2([1], 1)
 
 
 def test_overlap_applicable():
-    assert overlap_applicable([2], 2)
-    assert overlap_applicable([2, 3, 6], 6)
-    assert not overlap_applicable([], 2)
-    assert overlap_applicable([], 1)
-    assert overlap_applicable([2, 4], 4)
-    assert not overlap_applicable([2, 2], 4)
+    assert overlap_applicable(_on_p2([2], 2))
+    assert overlap_applicable(_on_p2([2, 3, 6], 6))
+    assert not overlap_applicable(_on_p2([], 2))
+    assert overlap_applicable(_on_p2([], 1))
+    assert overlap_applicable(_on_p2([2, 4], 4))
+    assert not overlap_applicable(_on_p2([2, 2], 4))
     for indices in RULED_VECTORS:
-        order = ruled_order(indices)
-        assert overlap_applicable(indices, order.cover_degree)
+        assert overlap_applicable(ruled_order(indices))
     with pytest.raises(UnsupportedParameter):
-        overlap_applicable([2], 0)
+        _on_p2([2], 0)
 
 
 # --- restriction classes for non-total ramification ------------------------------
