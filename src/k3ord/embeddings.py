@@ -19,6 +19,7 @@ primitive by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DimensionMismatch
 from .lattices import Lattice
@@ -30,7 +31,9 @@ class Embedding:
     """A linear map of lattices, columns = images of source basis vectors.
 
     The constructor checks shapes only; isometry is a separate question so
-    that candidate maps can be represented and then tested.
+    that candidate maps can be represented and then tested.  For the matrix
+    P and the target form G it carries M = P^T G and the pulled-back form
+    Q = M P, each formed once, when first read.
     """
 
     source: Lattice
@@ -43,6 +46,14 @@ class Embedding:
                 f"matrix is {self.matrix.rows}x{self.matrix.cols}, expected "
                 f"{self.target.rank}x{self.source.rank}"
             )
+
+    @cached_property
+    def m(self) -> IntMatrix:
+        return self.matrix.transpose() @ self.target.gram
+
+    @cached_property
+    def q(self) -> IntMatrix:
+        return self.m @ self.matrix
 
 
 @dataclass(frozen=True)
@@ -92,7 +103,7 @@ def is_primitive(e: Embedding) -> bool:
 
 def orthogonal_complement(e: Embedding) -> ComplementResult:
     """The saturated sublattice pairing to zero with the image of e."""
-    t = integer_kernel(e.matrix.transpose() @ e.target.gram)
+    t = integer_kernel(e.m)
     gram_t = t.transpose() @ e.target.gram @ t
     complement = Embedding(Lattice(gram_t), e.target, t)
     frame = e.matrix.hstack(t)

@@ -11,7 +11,10 @@ write x = P.a + t with t orthogonal to P; then M.x = Q.a, and
 phi(x) = P.action.a - t = -x + P.(action + I).a.  P.Q^(-1).M is the
 orthogonal projection onto the image of P, as in Nikulin's gluing of
 isometries of S + S^perp (1979), so no complement basis is chosen and only
-the n x n matrix Q is eliminated.  Q is nonsingular exactly when the image of
+the n x n matrix Q is eliminated.  M and Q are the embedding's own
+(`Embedding.m`, `Embedding.q`), formed once: the runner's `isometry-extend`
+compares that Q exactly with the declared source Gram, and the extension
+reads the same two.  Q is nonsingular exactly when the image of
 P and a basis T of ker M form a square nonsingular frame [P | T]: applying
 M to P.a + T.b = 0 gives Q.a = 0, and Q.a = 0 puts P.a in ker M.
 
@@ -75,7 +78,7 @@ class ExtensionResult:
 def extend_by_minus_one(pic: Embedding, action: IntMatrix) -> ExtensionResult:
     """Extend `action` on the image of `pic` by -1 on its complement.
 
-    phi = -I + P.(action + I).Q^(-1).M with M = P^T.G and Q = M.P, taken
+    phi = -I + P.(action + I).Q^(-1).M with M = P^T.G and Q = M.P of pic, taken
     as (P_B.Y^T.M - d.I) / d from the one solve Q.Y = d.B^T with d = det Q,
     B the nonzero rows of action + I and P_B the matching columns of P;
     raises SingularFrame exactly when d = 0, that is when the image of P
@@ -91,14 +94,13 @@ def extend_by_minus_one(pic: Embedding, action: IntMatrix) -> ExtensionResult:
     if not is_congruence(action, pic.source.gram, pic.source.gram):
         raise ActionNotIsometric("action does not preserve the sublattice pairing")
 
-    p, big = pic.matrix, target.rank
-    m = p.transpose() @ target.gram
+    p, m, big = pic.matrix, pic.m, target.rank
     # B: the nonzero rows of action + I, the only ones that reach phi
     plus = (action + IntMatrix.identity(n)).to_rows()
     live = [i for i, r in enumerate(plus) if any(r)]
     b = IntMatrix(len(live), n, tuple([x for i in live for x in plus[i]]))
     try:
-        d, y = solve_scaled(m @ p, b.transpose())
+        d, y = solve_scaled(pic.q, b.transpose())
     except ValueError:  # singular
         raise SingularFrame("embedding and complement do not span the ambient space") from None
     # d.phi = P_B.Y^T.M - d.I; P is mostly zeros, so it leads the outer product

@@ -25,9 +25,13 @@ Provided operations:
 * `det` and `solve_scaled`: one forward fraction-free (Bareiss) elimination,
   of A or of [A | B]; `solve_scaled` then reads the X with A * X = det(A) * B
   off by exact back-substitution, and `RatMatrix.inverse` is its B = I case
-  over the determinant.
+  over the determinant.  A row that a step would only scale is left as it
+  is until it is read, so a row costs work only where it meets the pivot
+  column; `solve_scaled` eliminates last index first, which keeps the
+  catalog's Gram matrices, dense in their first row, from filling in.
 * `signature`: exact signature of a symmetric matrix by congruence
-  diagonalization over Z, on the same fraction-free step as `det`; the sign
+  diagonalization over Z, by the eager fraction-free step, `_bareiss_step`,
+  as its row and column additions need every row at one scale; the sign
   of each pivot is read by Jacobi's rule.
 * `_probe(n, bound)` is the vector x = (1, T, ..., T^(n-1)), T = 2^t with
   t = bound.bit_length() + 1.  An n-column integer matrix whose entries are
@@ -648,7 +652,8 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[IntVector]:
 def _bareiss_step(m: list[list[int]], k: int, prev: int) -> int:
     """One fraction-free step on the pivot p = m[k][k]: each row i below k
     becomes (p * row_i - m_ik * row_k) // prev, exact by Sylvester's
-    identity (Bareiss 1968) when prev is the previous pivot.  Returns p."""
+    identity (Bareiss 1968) when prev is the previous pivot.  Returns p.
+    `signature` takes it; `_bareiss` scales lazily instead."""
     rk, p = m[k], m[k][k]
     for i in range(k + 1, len(m)):
         r = m[i]
@@ -661,18 +666,37 @@ def _bareiss_step(m: list[list[int]], k: int, prev: int) -> int:
 def _bareiss(m: list[list[int]]) -> int:
     """Forward fraction-free (Bareiss) elimination of the n rows of `m` in
     place (rows may be longer): the first nonzero entry of column k at or
-    below row k is swapped up, and `_bareiss_step` clears below it.
-    Returns det of the leading n x n block, the last pivot signed by the
-    swaps, or 0 at the first column with no pivot."""
+    below row k is swapped up as the pivot p, and each row below becomes
+    (p * row_i - m_ik * row_k) / p', p' the pivot before, as in
+    `_bareiss_step`.  Returns det of the leading n x n block, the last pivot
+    signed by the swaps, or 0 at the first column with no pivot.
+
+    A row with m_ik = 0 is only scaled by p / p', and those factors
+    telescope, so it is left as it is: row i holds its true entries times
+    stamp[i] / p', stamp[i] the pivot that last updated it, and the stamp
+    moves with the row in a swap.  The pivot row is brought current as
+    row * p' / stamp; a row with m_ik != 0 takes the step with that factor
+    folded in, (p * row_i - m_ik * row_k) / stamp[i].  Each division is
+    exact, as the true entries are integer minors."""
     n = len(m)
-    sign = prev = 1
+    sign, prev, stamp = 1, 1, [1] * n
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
             return 0
         if piv != k:
             m[k], m[piv], sign = m[piv], m[k], -sign
-        prev = _bareiss_step(m, k, prev)
+            stamp[k], stamp[piv] = stamp[piv], stamp[k]
+        if stamp[k] != prev:
+            m[k] = [x * prev // stamp[k] for x in m[k]]
+        rk, p = m[k], m[k][k]
+        for i in range(k + 1, n):
+            r = m[i]
+            if c := r[k]:
+                s, r[k], stamp[i] = stamp[i], 0, p
+                for j in range(k + 1, len(r)):
+                    r[j] = (p * r[j] - c * rk[j]) // s
+        prev = p
     return sign * prev
 
 
@@ -694,6 +718,10 @@ def solve_scaled(a: IntMatrix, b: IntMatrix) -> tuple[int, IntMatrix]:
     R * X = d * L * b, by back-substitution from the last row, each division
     by R_ii exact as X = adj(a) * b is integral.  With b = I, X is adj a.
 
+    The unknowns are eliminated last index first, on J * a * J and J * b
+    for the reversal J: this keeps det a and (d, X) is unique, and the
+    dense hyperplane class that the catalog puts first fills in nothing.
+
     >>> solve_scaled(IntMatrix.from_rows([[1, 2], [3, 4]]), IntMatrix.identity(2))[1].to_rows()
     ((4, -2), (-3, 1))
     """
@@ -702,7 +730,7 @@ def solve_scaled(a: IntMatrix, b: IntMatrix) -> tuple[int, IntMatrix]:
     n, w = a.rows, b.cols
     if b.rows != n:
         raise DimensionMismatch(f"{n}x{n} matrix against a {b.rows}x{w} right-hand side")
-    m = [[*a.row(i), *b.row(i)] for i in range(n)]
+    m = [[*a.row(i)[::-1], *b.row(i)] for i in reversed(range(n))]
     d = _bareiss(m)
     if not d:
         raise ValueError("matrix is singular")
@@ -713,7 +741,7 @@ def solve_scaled(a: IntMatrix, b: IntMatrix) -> tuple[int, IntMatrix]:
             if r[j]:
                 acc = [s - r[j] * t for s, t in zip(acc, x[j])]
         x[i] = [s // r[i] for s in acc]
-    return d, IntMatrix(n, w, tuple([y for r in x for y in r]))
+    return d, IntMatrix(n, w, tuple([y for r in reversed(x) for y in r]))
 
 
 def signature(g: IntMatrix) -> tuple[int, int, int]:

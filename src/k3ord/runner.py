@@ -114,7 +114,7 @@ def _run_embedding_check(payload: dict):
 
 def _run_isometry_extend(payload: dict):
     emb = _embedding_from(payload)
-    if not check_isometric(emb):
+    if emb.q != emb.source.gram:
         raise SchemaError("payload.source_gram: must equal P^T G P for the columns P")
     rank = emb.source.rank
     action = field(payload, "payload", "action", as_int_matrix, rank, rank)
@@ -210,7 +210,10 @@ def _surface_by_name(name: str):
         ("ruled-elliptic-", surface_ruled_elliptic),
     ):
         if name.startswith(prefix):
-            return builder(_int_at_least(name[len(prefix):], "payload.surface", 0, "nonnegative"))
+            n = _int_at_least(name[len(prefix):], "payload.surface", 0, "nonnegative")
+            if builder is surface_ruled_elliptic and n > 1:
+                raise SchemaError(f"payload.surface: ruled-elliptic degree must be 0 or 1, got {n}")
+            return builder(n)
     raise SchemaError(f"payload.surface: unknown surface model {name!r}")
 
 

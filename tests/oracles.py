@@ -309,6 +309,28 @@ def maximal_minor_gcd(p: IntMatrix) -> int:
     return g
 
 
+def fraction_det(m: IntMatrix) -> int:
+    """Determinant by Gaussian elimination over Fraction: the product of the
+    pivots, each the first nonzero entry of its column at or below the
+    diagonal, signed by the swaps; 0 at the first column with none."""
+    n = m.rows
+    a = [[Fraction(x) for x in m.row(i)] for i in range(n)]
+    d = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv], d = a[piv], a[k], -d
+        d *= a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                c = a[i][k] / a[k][k]
+                a[i] = [x - c * y for x, y in zip(a[i], a[k])]
+    assert d.denominator == 1
+    return d.numerator
+
+
 def fraction_inverse(m: IntMatrix) -> list[list[Fraction]] | None:
     """Gauss-Jordan inverse over Fraction, or None when m is singular."""
     n = m.rows

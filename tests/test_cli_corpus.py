@@ -441,6 +441,7 @@ _NULL_FIELDS = [
     ("order-classify", dict(_P2, cover_degree="0"), "payload.cover_degree"),
     ("h1", dict(_h1_payload(), order="0"), "payload.order"),
     ("order-classify", {"surface": "hirzebruch--1"}, "payload.surface"),
+    ("order-classify", {"surface": "ruled-elliptic-5"}, "payload.surface"),
     *_NULL_FIELDS,
     # an isotropic frame of U declared with Gram (0): P^T G P is (2)
     ("isometry-extend", {"target": [["0", "1"], ["1", "0"]], "source_gram": [["0"]],
@@ -453,6 +454,7 @@ _NULL_FIELDS = [
         "ample-cert-asymmetric", "embedding-target-asymmetric",
         "embedding-source-asymmetric", "cover-degree-zero", "h1-order-zero",
         "negative-section-parameter",
+        "ruled-elliptic-degree-five",
         *[f"null-{path.removeprefix('payload.')}" for _, _, path in _NULL_FIELDS],
         "isometry-source-gram-mismatch"])
 def test_error_names_the_field_at_fault(tmp_path, capsys, kind, payload, path):

@@ -244,12 +244,17 @@ def test_complement_rank_matches_rational_kernel():
     assert t.cols == len(rational_kernel_basis(a))
 
 
-def _oracle_isometric(e):
-    """P^T G P == S by the oracle's schoolbook products."""
+def _oracle_frame(e):
+    """(P^T G, P^T G P) as flat lists, by the oracle's schoolbook products."""
     p, n, m = list(e.matrix.entries), e.target.rank, e.source.rank
     pt = [p[j * m + i] for i in range(m) for j in range(n)]
-    got = mat_mul(mat_mul(pt, list(e.target.gram.entries), m, n, n), p, m, n, m)
-    return got == list(e.source.gram.entries)
+    pt_g = mat_mul(pt, list(e.target.gram.entries), m, n, n)
+    return pt_g, mat_mul(pt_g, p, m, n, m)
+
+
+def _oracle_isometric(e):
+    """P^T G P == S by the oracle's schoolbook products."""
+    return _oracle_frame(e)[1] == list(e.source.gram.entries)
 
 
 def test_check_isometric_agrees_with_the_oracle_on_corpus_embeddings():
@@ -301,3 +306,25 @@ def test_check_isometric_agrees_with_the_oracle_on_seeded_embeddings():
         assert verdict == _oracle_isometric(e), e
         seen[verdict] += 1
     assert min(seen.values()) > 200, seen
+
+
+def test_embedding_carries_its_frame_products():
+    """Embedding.m is P^T G and Embedding.q is P^T G P, against the oracle's
+    schoolbook products on seeded frames of 0 to 22 rows with entries up to
+    10^15, and each is formed once: a second read returns the same object."""
+    rng = random.Random(3636)
+    frames = [m.embedding for m in all_models()]
+    for case in range(300):
+        n = rng.randint(0, 22)
+        k = rng.randint(0, n)
+        big = 10**15 if case % 3 == 0 else 3
+        g = random_symmetric(rng, n, -big, big) if n else IntMatrix(0, 0, ())
+        p = IntMatrix(n, k, tuple([rng.choice((0, 0, rng.randint(-big, big))) for _ in range(n * k)]))
+        source = Lattice(random_symmetric(rng, k, -3, 3) if k else IntMatrix(0, 0, ()))
+        frames.append(Embedding(source, Lattice(g), p))
+    for e in frames:
+        pt_g, q = _oracle_frame(e)
+        k, n = e.source.rank, e.target.rank
+        assert (e.m.rows, e.m.cols, e.q.rows, e.q.cols) == (k, n, k, k)
+        assert (list(e.m.entries), list(e.q.entries)) == (pt_g, q), e
+        assert e.m is e.m and e.q is e.q

@@ -196,32 +196,51 @@ def test_isometry_extend_inverts_only_the_sublattice_gram(monkeypatch):
     """The rank-18 corpus check runs without a complement, a kernel or an
     inverse: one `solve_scaled` of the 18x18 matrix Q against the 18x2
     transpose of the two nonzero rows of action + I, with no right-hand
-    side as wide as the sublattice, let alone the ambient space."""
+    side as wide as the sublattice, let alone the ambient space.  It reads
+    its 22x18 frame P once: the runner compares the embedding's Q with
+    source_gram, so neither `check_isometric` nor any `is_congruence` call
+    takes P, while the case's embedding-check still probes P."""
 
     def refuse(*args):
         raise AssertionError("unexpected call")
 
-    shapes = []
-    solve_scaled = matrices.solve_scaled
+    shapes, probed = [], []
+    solve_scaled, is_congruence = matrices.solve_scaled, matrices.is_congruence
 
     def spy(a, b):
         shapes.append((a.rows, a.cols, b.rows, b.cols))
         return solve_scaled(a, b)
 
-    for module in [m for name, m in sys.modules.items() if name.startswith("k3ord")]:
-        for name, replacement in [
-            ("orthogonal_complement", refuse), ("integer_kernel", refuse), ("solve_scaled", spy),
-        ]:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, replacement)
-    monkeypatch.setattr(RatMatrix, "inverse", refuse)
+    def probe_spy(p, g, h):
+        probed.append((p.rows, p.cols))
+        return is_congruence(p, g, h)
+
+    def patch(replacements):
+        for module in [m for name, m in sys.modules.items() if name.startswith("k3ord")]:
+            for name, replacement in replacements:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, replacement)
+
     case = CORPUS / "sextic-n18"
-    (node,) = [c for c in jsonio.load_file(case / "scenario.json")["checks"]
-               if c["kind"] == "isometry-extend"]
-    expected = load_expected(case / "expected.json")[node["name"]]
-    outcome = run_check(node["name"], node["kind"], node["payload"], expected)
-    assert outcome.verdict == PASS, outcome
+    nodes = {c["kind"]: c for c in jsonio.load_file(case / "scenario.json")["checks"]}
+    expected = load_expected(case / "expected.json")
+
+    def run(kind):
+        node = nodes[kind]
+        outcome = run_check(node["name"], kind, node["payload"], expected[node["name"]])
+        assert outcome.verdict == PASS, outcome
+
+    patch([("is_congruence", probe_spy)])
+    run("embedding-check")
+    assert probed == [(22, 18)]
+    probed.clear()
+    patch([("orthogonal_complement", refuse), ("integer_kernel", refuse),
+           ("check_isometric", refuse), ("solve_scaled", spy)])
+    monkeypatch.setattr(RatMatrix, "inverse", refuse)
+    run("isometry-extend")
     assert shapes == [(18, 18, 18, 2)]
+    # the action's probe is 18x18 and phi's is 22x22; none takes P
+    assert (22, 18) not in probed and probed, probed
 
 
 def test_rank_zero_sublattice_extends_to_minus_identity():

@@ -31,6 +31,7 @@ from k3ord.matrices import (
 from oracles import (
     adjugate_cofactor,
     det_cofactor,
+    fraction_det,
     fraction_inverse,
     fraction_signature,
     kernel_with_transform,
@@ -622,6 +623,104 @@ def test_solve_scaled_against_cofactor_and_rational_oracles():
             solve_scaled(a, IntMatrix.zeros(a.rows, 1))
     with pytest.raises(DimensionMismatch):
         solve_scaled(IntMatrix.identity(2), IntMatrix.zeros(3, 1))
+
+
+def _symmetric(n: int, entries: dict) -> IntMatrix:
+    """The n x n symmetric matrix with entries[i, j] at (i, j) and (j, i)."""
+    a = [[0] * n for _ in range(n)]
+    for (i, j), x in entries.items():
+        a[i][j] = a[j][i] = x
+    return IntMatrix.from_rows(a)
+
+
+def _unit_free(rng, big: int) -> int:
+    """A nonzero entry that is not +-1, so that a pivot on it changes the
+    scale of every row that the step leaves alone."""
+    return rng.choice((-1, 1)) * rng.randint(2, big)
+
+
+def _arrowhead(rng, n: int, big: int, hub: int) -> IntMatrix:
+    """A diagonal with its hub row and column mostly filled: eliminated hub
+    first it fills in completely, hub last it fills in nothing."""
+    entries = {(i, i): _unit_free(rng, big) for i in range(n)}
+    entries.update({(i, hub): rng.randint(-big, big) for i in range(n) if i != hub and rng.randrange(4)})
+    return _symmetric(n, entries)
+
+
+def _tridiagonal(rng, n: int, big: int) -> IntMatrix:
+    entries = {(i, i): rng.randint(-big, big) for i in range(n)}
+    entries.update({(i, i + 1): rng.choice((-1, 1)) * rng.randint(1, big) for i in range(n - 1)})
+    return _symmetric(n, entries)
+
+
+def _hyperbolic(rng, n: int, big: int) -> IntMatrix:
+    """u, then planes [[0, c], [c, 0]] with sparse links between neighbours,
+    then (for odd n) w, then v, each of |u|, |w|, |v| >= 2 and linked to
+    nothing.  From either end the steps before the first plane leave its
+    rows alone, stale at scale 1 against the pivot u (or v, or w), and its
+    zero diagonal entry then swaps a stale row up as the pivot row."""
+    entries = {(0, 0): _unit_free(rng, big), (n - 1, n - 1): _unit_free(rng, big)}
+    for i in range(1, n - 2, 2):
+        entries[i, i + 1] = _unit_free(rng, big)
+        if i + 2 < n - 2 and rng.randrange(2):
+            entries[i + rng.randrange(2), i + 2 + rng.randrange(2)] = rng.randint(-big, big)
+    if n % 2:
+        entries[n - 2, n - 2] = _unit_free(rng, big)
+    return _symmetric(n, entries)
+
+
+def _made_singular(rng, a: IntMatrix) -> IntMatrix:
+    """a with index j a copy of index i, rows and columns: still symmetric
+    and sparse, with two equal rows."""
+    i, j = rng.sample(range(a.rows), 2)
+    rows = [list(r) for r in a.to_rows()]
+    for r in rows:
+        r[j] = r[i]
+    rows[j] = list(rows[i])
+    return IntMatrix.from_rows(rows)
+
+
+def test_solve_scaled_on_sparse_systems_against_the_fraction_oracle():
+    """solve_scaled and det on seeded sparse systems, which their lazily
+    scaled elimination leaves mostly stale: each catalog Picard Gram against
+    the transposed nonzero rows of its action + I, and for n = 7..22
+    arrowheads with the hub first and last, tridiagonals and hyperbolic
+    planes with zero diagonals, entries up to 9 or 10^12.  d = det a is the
+    Fraction elimination's determinant, a @ X == d * b, and the first column
+    of X / d is the rational solution of a.x = b; a copy of each seeded system
+    with two equal rows is singular, and solve_scaled raises ValueError."""
+    rng = random.Random(3636)
+    systems = []
+    for m in [*map(catalog.sextic_model, catalog.RANK_RANGE),
+              catalog.quadric_model(), catalog.hirzebruch2_model()]:
+        plus = (m.action + IntMatrix.identity(m.pic.rank)).to_rows()
+        systems.append((m.pic.gram, IntMatrix.from_cols([r for r in plus if any(r)])))
+    for trial in range(128):
+        # each family at each n, with small and with large entries
+        n, big = 7 + trial // 4 % 16, (9, 10**12)[trial // 64]
+        a = (
+            lambda: _arrowhead(rng, n, big, 0),
+            lambda: _arrowhead(rng, n, big, n - 1),
+            lambda: _tridiagonal(rng, n, big),
+            lambda: _hyperbolic(rng, n, big),
+        )[trial % 4]()
+        w = rng.randint(1, 3)
+        b = IntMatrix(n, w, tuple([rng.choice((0, rng.randint(-big, big))) for _ in range(n * w)]))
+        systems += [(a, b), (_made_singular(rng, a), b)]
+    counts = {"solved": 0, "singular": 0}
+    for a, b in systems:
+        d = fraction_det(a)
+        assert det(a) == d, a
+        if not d:
+            counts["singular"] += 1
+            with pytest.raises(ValueError, match="matrix is singular"):
+                solve_scaled(a, b)
+            continue
+        counts["solved"] += 1
+        d_x, x = solve_scaled(a, b)
+        assert d_x == d and a @ x == b.scale(d), a
+        assert [Fraction(y, d) for y in x.col(0)] == rational_solve(a, b.col(0)), (a, b)
+    assert counts["singular"] >= 128 and counts["solved"] >= 128 + 18, counts
 
 
 def test_strided_access_matches_entrywise_reading():
