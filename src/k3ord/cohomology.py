@@ -195,7 +195,9 @@ class GLattice:
             if new and j < n - 1 and annihilates(mu, self.sigma):
                 break
         object.__setattr__(self, "mu", tuple(mu))
-        object.__setattr__(self, "diff", IntMatrix.identity(n) - self.sigma)
+        diff = [-x for x in self.sigma.entries]
+        diff[::n + 1] = [1 + x for x in diff[::n + 1]]
+        object.__setattr__(self, "diff", IntMatrix(n, n, tuple(diff)))
 
     @cached_property
     def norm(self) -> IntMatrix:

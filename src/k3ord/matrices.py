@@ -53,7 +53,8 @@ Provided operations:
   U^3 + E8(-1)^2, the embeddings into it and the involutions on it are
   mostly zeros, and every probe entry they skip has hundreds of bits.  A
   denser A keeps one C-level dot product per output entry, which is
-  faster when few terms can be skipped.
+  faster when few terms can be skipped.  The echelon elimination below
+  needs no such rule: its row operations always skip the zero entries.
 
 Conventions, pinned so outputs are reproducible:
 
@@ -61,10 +62,11 @@ Conventions, pinned so outputs are reproducible:
 * The one echelon elimination behind `snf`, `hermite_row_basis`,
   `integer_kernel` and `solve_integer` pivots on the nonzero entry of minimal
   absolute value in the column, ties broken by row index.  It applies its
-  row operations to the matrix alone and logs them; the transform W is
-  never carried along: W * y is read by walking the log forwards with
-  `_apply`, W^T * y by walking it backwards with `_replay`, and W^-1 * y
-  by walking it backwards with `_undo`.
+  row operations to the matrix alone, each in place and only where the
+  pivot row is nonzero, so the pivots, E and the log are those of whole-row
+  updates.  It logs them; the transform W is never carried along: W * y is
+  read by walking the log forwards with `_apply`, W^T * y by walking it
+  backwards with `_replay`, and W^-1 * y by walking it backwards with `_undo`.
 * `integer_kernel` returns the unique column Hermite basis of the kernel.
 * When the signature diagonalization meets a zero diagonal entry it first
   looks for a nonzero diagonal entry to swap in; failing that it adds row j
@@ -483,6 +485,8 @@ def _echelon(rows: list[list[int]], ncols: int, log: list[RowOp]) -> Iterator[in
     caller may stop early.  The pivot is the nonzero entry of minimal
     absolute value in its column, ties by row index, and ends positive; the
     entries below a pivot and the rows past the last pivot end zero.
+    `rows` must be distinct lists that the caller owns: row_i -= q * row_t
+    changes row i in place, at the nonzero entries of row t only.
     """
     nrows = len(rows)
     top = 0
@@ -501,12 +505,16 @@ def _echelon(rows: list[list[int]], ncols: int, log: list[RowOp]) -> Iterator[in
                 rows[top], rows[best] = rows[best], rows[top]
                 log.append((top, best, 0))
             rt, p = rows[top], rows[top][j]
-            done = True
+            done, nz = True, None
             for i in range(top + 1, nrows):
-                x = rows[i][j]
+                r = rows[i]
+                x = r[j]
                 q = x and x // p  # a zero entry is not divided
                 if q:
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rt)]
+                    # rt is zero before column j; list its nonzero entries once a round
+                    nz = nz or list(compress(range(j, len(rt)), rt[j:]))
+                    for k in nz:
+                        r[k] -= q * rt[k]
                     log.append((i, top, q))
                 if x - q * p:
                     done = False

@@ -11,6 +11,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from typing import Iterator
 
 from k3ord.matrices import IntMatrix
 
@@ -518,6 +519,50 @@ def echelon_with_transform(rows: list[list[int]], ncols: int, w: list[list[int]]
         pivots.append(j)
         top += 1
     return pivots
+
+
+def dense_echelon(rows: list[list[int]], ncols: int, log: list) -> Iterator[int]:
+    """The elimination of the package's `_echelon`, with each row operation
+    rebuilding its whole row where `_echelon` updates the pivot row's
+    nonzero positions in place.  It must give the same pivots, the same log
+    ((i, t, q) for row_i -= q * row_t, (t, b, 0) for a swap, (t, t, 0) for
+    a negation) and the same E, each pivot column yielded once its row is
+    final."""
+    nrows = len(rows)
+    top = 0
+    for j in range(ncols):
+        if top == nrows:
+            break
+        while True:
+            best = best_abs = 0
+            for i in range(top, nrows):
+                x = rows[i][j]
+                if x and (not best_abs or abs(x) < best_abs):
+                    best, best_abs = i, abs(x)
+            if not best_abs:
+                break
+            if best != top:
+                rows[top], rows[best] = rows[best], rows[top]
+                log.append((top, best, 0))
+            rt, p = rows[top], rows[top][j]
+            done = True
+            for i in range(top + 1, nrows):
+                x = rows[i][j]
+                q = x and x // p
+                if q:
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rt)]
+                    log.append((i, top, q))
+                if x - q * p:
+                    done = False
+            if done:
+                break
+        if not best_abs:
+            continue
+        if rows[top][j] < 0:
+            rows[top] = [-x for x in rows[top]]
+            log.append((top, top, 0))
+        yield j
+        top += 1
 
 
 def snf_with_transforms(a: list[list[int]], ncols: int):

@@ -30,6 +30,7 @@ from k3ord.matrices import (
 
 from oracles import (
     adjugate_cofactor,
+    dense_echelon,
     det_cofactor,
     fraction_det,
     fraction_inverse,
@@ -316,6 +317,70 @@ def test_snf_of_a_diagonal_chain_makes_one_row_pass(monkeypatch):
     assert sizes == [n]
     assert r.D == IntMatrix.diagonal([2] * n)
     assert r.ulog == r.vlog == ()
+
+
+def _echelon_against_the_oracle(rows, ncols):
+    """Run `_echelon` and `dense_echelon` on copies of `rows`; both must give
+    the same E, log and pivot columns.  Returns the pivot columns."""
+    runs = []
+    for echelon in (matrices._echelon, dense_echelon):
+        e, log = [list(r) for r in rows], []
+        runs.append((list(echelon(e, ncols, log)), e, log))
+    assert runs[0] == runs[1], (rows, ncols)
+    return runs[0][0]
+
+
+def test_echelon_updates_in_place_as_the_whole_row_oracle():
+    """`_echelon` updates a row only where the pivot row is nonzero, in
+    place; `dense_echelon` rebuilds the whole row.  The two agree exactly on
+    20,000 seeded matrices: dense and sparse, entries up to 1, 10^3 or 10^6
+    (many Euclid rounds per column), zero columns, 1 x n and n x 1 shapes."""
+    rng = random.Random(3700)
+    shapes = set()
+    for trial in range(20_000):
+        nrows, ncols = rng.randint(0, 8), rng.randint(1, 8)
+        if trial % 8 == 0:
+            nrows = 1
+        elif trial % 8 == 1:
+            ncols = 1
+        density, bound = rng.choice((0.15, 0.5, 1.0)), rng.choice((1, 10**3, 10**6))
+        rows = [[rng.randint(-bound, bound) if rng.random() < density else 0
+                 for _ in range(ncols)] for _ in range(nrows)]
+        for j in rng.sample(range(ncols), rng.randint(0, ncols // 3)):
+            for r in rows:
+                r[j] = 0
+        _echelon_against_the_oracle(rows, ncols)
+        shapes.add((min(nrows, 2), min(ncols, 2)))
+    assert shapes == {(a, b) for a in range(3) for b in (1, 2)}
+
+
+def test_echelon_agrees_with_the_oracle_on_the_catalog_actions():
+    """On D = 1 - sigma and D^T of the 18 catalog cover models, plain and
+    conjugated by a unimodular change of basis, and on the Krylov search of
+    `GLattice`: repeated runs on one growing list of rows with one shared
+    log, each compared with the oracle's after every run."""
+    rng = random.Random(3701)
+    models = [*map(catalog.sextic_model, catalog.RANK_RANGE),
+              catalog.quadric_model(), catalog.hirzebruch2_model()]
+    for model in models:
+        n = model.pic.rank
+        p, p_inv = random_unimodular(rng, n, steps=4 * n)
+        for sigma in (model.action, p_inv @ model.action @ p):
+            diff = IntMatrix.identity(n) - sigma
+            for d in (diff, diff.transpose()):
+                _echelon_against_the_oracle(d.to_rows(), n)
+            for j in range(n):
+                v = [int(i == j) for i in range(n)]
+                ours, our_log, theirs, their_log = [], [], [], []
+                while True:
+                    ours.append(list(v))
+                    theirs.append(list(v))
+                    pivots = list(matrices._echelon(ours, n, our_log))
+                    assert pivots == list(dense_echelon(theirs, n, their_log))
+                    assert (ours, our_log) == (theirs, their_log)
+                    if len(pivots) < len(ours):
+                        break
+                    v = sigma.mul_vec(v)
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0)])
