@@ -28,7 +28,7 @@ def describe(label, model, order=2):
     factors = "x".join(f"Z/{d}" for d in res.invariant_factors) or "0"
     print(
         f"{label:12} signature {sig[:2]}  primitive {is_primitive(model.embedding)}"
-        f"  h1 {factors:18} ample s.s={cert.self_int} passed={cert.verdict.passed}"
+        f"  h1 {factors:18} ample s.s={cert.self_int} passed={cert.passed}"
     )
     return gl
 

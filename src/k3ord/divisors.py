@@ -27,26 +27,21 @@ DivisorClass = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class Verdict:
-    passed: bool
-    reason: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class AmpleCertificate:
     """Exact positivity data for one candidate ample class.
 
     pair_checks holds one triple (i, s.s_i, s.(s-s_i)) per generator,
-    1-based.  verdict.passed requires s.s > 0 and strict positivity of every
+    1-based.  passed requires s.s > 0 and strict positivity of every
     listed pairing, with each (s - s_i)^2 >= -2 so the assumed section
-    existence is at least numerically consistent.
+    existence is at least numerically consistent; otherwise reason names
+    the first condition that fails.
     """
 
-    s: DivisorClass
     self_int: int
     pair_checks: tuple[tuple[int, int, int], ...]
     assumptions: tuple[str, ...]
-    verdict: Verdict
+    passed: bool
+    reason: Optional[str]
 
 
 def nakai_certificate(
@@ -82,11 +77,5 @@ def nakai_certificate(
             reason = f"s . (s - s{i}) = {with_residual} is not positive"
         elif reason is None and residual_square < -2:
             reason = f"(s - s{i})^2 = {residual_square} < -2 cannot be effective"
-    verdict = Verdict(passed=reason is None, reason=reason)
-    return AmpleCertificate(
-        s=s,
-        self_int=self_int,
-        pair_checks=tuple(checks),
-        assumptions=tuple(assumptions),
-        verdict=verdict,
-    )
+    return AmpleCertificate(self_int=self_int, pair_checks=tuple(checks),
+                            assumptions=tuple(assumptions), passed=reason is None, reason=reason)

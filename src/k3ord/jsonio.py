@@ -4,7 +4,8 @@ Numbers do not survive JSON implementations at arbitrary precision, so
 the file format never uses them: every integer is a decimal string,
 every rational is {"num": "...", "den": "..."}, and matrices are arrays
 of row arrays.  A parser hook rejects any raw JSON number outright,
-which keeps accidental precision loss from slipping in silently.
+which keeps accidental precision loss from slipping in silently.  A key
+may appear once per object: another hook refuses a duplicated key by name.
 
 Integers are bounded only by the interpreter's limit on int/str
 conversion (``sys.get_int_max_str_digits()``, 4300 digits by default),
@@ -58,9 +59,17 @@ def _reject_number(token):
     )
 
 
-_DECODER = json.JSONDecoder(
-    parse_int=_reject_number, parse_float=_reject_number, parse_constant=_reject_number
-)
+def _object(pairs):
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ParseError(f"duplicate key {key!r}; a key may appear once per object")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_object, parse_int=_reject_number,
+                            parse_float=_reject_number, parse_constant=_reject_number)
 
 
 def loads_strict(text: str):

@@ -186,8 +186,8 @@ def _run_ample_cert(payload: dict):
                  default=IntMatrix.identity(rank).to_rows())
     cert = nakai_certificate(lattice, candidate, gens)
     computed = {
-        "passed": cert.verdict.passed,
-        "reason": cert.verdict.reason,
+        "passed": cert.passed,
+        "reason": cert.reason,
         "self_intersection": cert.self_int,
         "pairings": [c[1] for c in cert.pair_checks],
         "residual_pairings": [c[2] for c in cert.pair_checks],

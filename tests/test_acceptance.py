@@ -142,7 +142,7 @@ def test_ample_certificates_match_recorded_pairings():
         cert = nakai_certificate(
             model.pic, model.ample, _standard_gens(n)
         )
-        assert cert.verdict.passed
+        assert cert.passed
         assert cert.self_int == 2
         assert [c[1] for c in cert.pair_checks] == [1] * n
 
@@ -150,13 +150,13 @@ def test_ample_certificates_match_recorded_pairings():
     cert = nakai_certificate(
         quadric.pic, quadric.ample, _standard_gens(4)
     )
-    assert cert.verdict.passed
+    assert cert.passed
     assert cert.self_int == 4
     assert [c[1] for c in cert.pair_checks] == [2, 1, 1, 1]
 
     f2 = catalog.hirzebruch2_model()
     cert = nakai_certificate(f2.pic, f2.ample, _standard_gens(5))
-    assert cert.verdict.passed
+    assert cert.passed
     assert cert.self_int == 8
     assert [c[1] for c in cert.pair_checks] == [1] * 5
 

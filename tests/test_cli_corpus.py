@@ -6,8 +6,12 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import os
 import re
+import runpy
+import subprocess
 import sys
+import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -370,6 +374,8 @@ def test_twist_check_payload():
 
 
 _ASYMMETRIC = [["2", "1"], ["0", "2"]]
+_I2 = [["1", "0"], ["0", "1"]]
+_U = [["0", "1"], ["1", "0"]]
 _TWIST = {"model": {"free_rank": "1", "finite_cyclic": ["2"], "elliptic_count": "1"},
           "endo": {"order": "2"}}
 _P2 = {"surface": "p2", "ramification": [{"class": ["6"], "e": "2"}]}
@@ -432,6 +438,7 @@ _NULL_FIELDS = [
     ("order-classify", {"surface": "p2", "ramification": [{"class": ["1"], "e": "1"}]},
      "payload.ramification[0].e"),
     ("h1", dict(_h1_payload(), gram=_ASYMMETRIC), "payload.gram[1][0]"),
+    ("h1", {"gram": _ASYMMETRIC, "action": _I2, "order": "2"}, "payload.gram[1][0]"),
     ("quotient-pic", dict(_h1_payload(), gram=_ASYMMETRIC), "payload.gram[1][0]"),
     ("ample-cert", {"gram": _ASYMMETRIC, "candidate": ["1", "1"]}, "payload.gram[1][0]"),
     ("embedding-check", {"target": _ASYMMETRIC, "source_gram": [["2"]],
@@ -451,21 +458,51 @@ _NULL_FIELDS = [
         "short-columns", "long-free", "short-finite", "long-elliptic", "missing-order",
         "negative-free-rank", "modulus-one", "negative-elliptic-count", "point-order-zero",
         "ramification-index-one", "h1-asymmetric", "quotient-pic-asymmetric",
-        "ample-cert-asymmetric", "embedding-target-asymmetric",
+        "h1-asymmetric-rank-two", "ample-cert-asymmetric", "embedding-target-asymmetric",
         "embedding-source-asymmetric", "cover-degree-zero", "h1-order-zero",
         "negative-section-parameter",
         "ruled-elliptic-degree-five",
         *[f"null-{path.removeprefix('payload.')}" for _, _, path in _NULL_FIELDS],
         "isometry-source-gram-mismatch"])
 def test_error_names_the_field_at_fault(tmp_path, capsys, kind, payload, path):
+    _assert_refused(tmp_path, capsys, kind, payload, f"SchemaError: {path}: ")
+
+
+def _assert_refused(tmp_path, capsys, kind, payload, start):
+    """The check ends in an Error whose message starts with `start`, the same
+    from run_check and from its command through cli.main, which exits 2."""
     outcome = run_check(kind, kind, payload, None)
     assert outcome.verdict == ERROR
-    assert outcome.error.startswith(f"SchemaError: {path}: ")
+    assert outcome.error.startswith(start), outcome.error
     document = tmp_path / "document.json"
     _write(document, {"schema": "k3ord/1", "payload": payload})
     assert main([*KINDS[kind].words, str(document), "--format", "json"]) == 2
     (check,) = json.loads(capsys.readouterr().out)["checks"]
     assert check["error"] == outcome.error
+
+
+# Refusals kept by the start of their message, field or not
+_REFUSED = {
+    "degree-zero": ("order-classify", {"surface": "p2", "cover_degree": "0"},
+                    "SchemaError: payload.cover_degree: must be positive, got 0"),
+    "odd-fixed": ("quotient-pic", {"gram": _I2, "action": _I2, "order": "2"}, "OddEntry"),
+    "order-three": ("quotient-pic", {"gram": [["2", "0"], ["0", "2"]], "action": _I2, "order": "3"},
+                    "UnsupportedParameter: quotient halving needs order 2, got 3"),
+    # an isotropic sublattice of U: Q = 0, so the extension's solve finds a singular frame
+    "singular-frame": ("isometry-extend", {"target": _U, "source_gram": [["0"]],
+                                           "columns": [["1"], ["0"]], "action": [["1"]]},
+                       "SingularFrame"),
+    # action -1 leaves action + I no nonzero row: the solve has no right-hand
+    # side and still finds Q singular
+    "singular-width-0": ("isometry-extend", {"target": _U, "source_gram": [["0"]],
+                                             "columns": [["1"], ["0"]], "action": [["-1"]]},
+                         "SingularFrame"),
+}
+
+
+@pytest.mark.parametrize("name", _REFUSED)
+def test_refused_document_keeps_its_message(tmp_path, capsys, name):
+    _assert_refused(tmp_path, capsys, *_REFUSED[name])
 
 
 def test_readme_lists_every_optional_field():
@@ -594,11 +631,17 @@ def test_corpus_runs_are_byte_identical():
 
 
 def test_package_has_no_assert_statements():
-    # python -O strips asserts, so no answer may depend on one
+    # python -O strips asserts and clears __debug__ and sys.flags.optimize,
+    # so no answer may depend on any of them
     for path in sorted((REPO / "src" / "k3ord").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
-        assert not lines, f"{path.name}: assert on lines {lines}"
+        lines = [
+            n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Assert)
+            or isinstance(n, ast.Name) and n.id == "__debug__"
+            or isinstance(n, ast.Attribute) and n.attr == "optimize"
+        ]
+        assert not lines, f"{path.name}: assert, __debug__ or optimize flag on lines {lines}"
 
 
 def test_package_has_no_unused_imports():
@@ -891,6 +934,13 @@ def test_gen_corpus_regenerates_committed_corpus(tmp_path, capsys):
     assert files(tmp_path) == files(CORPUS)
 
 
+@pytest.mark.parametrize("demo", sorted(p.name for p in (REPO / "demos").glob("*.py")))
+def test_demo_prints_its_recorded_output(capsys, demo):
+    script = REPO / "demos" / demo
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out.encode() == script.with_suffix(".out").read_bytes()
+
+
 def test_malformed_scenario_is_error_report(tmp_path):
     case = tmp_path / "case-d"
     case.mkdir()
@@ -920,6 +970,25 @@ def test_cli_corpus_json_report_is_pinned(capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
         "b7ef6e655635ec47abf0bb434eb8fa5e200014bbe7091ba5ba31f0eee233b260"
     )
+
+
+def test_entry_point_as_a_process(tmp_path):
+    """`python -m k3ord` is `raise SystemExit(main())`, so a process adds only
+    its exit code to cli.main: 0 on a passing check and on the corpus, 2 on a
+    refused document, and no traceback in either stream."""
+    gram, refused = tmp_path / "gram.json", tmp_path / "degree-zero.json"
+    _write(gram, {"schema": "k3ord/1", "gram": [["2"]]})
+    kind, payload, message = _REFUSED["degree-zero"]
+    _write(refused, {"schema": "k3ord/1", "payload": payload})
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    for argv, code, shown in ((["signature", str(gram)], 0, "Pass"),
+                              ([*KINDS[kind].words, str(refused)], 2, message),
+                              (["corpus", "run"], 0, "Pass")):
+        done = subprocess.run([sys.executable, "-m", "k3ord", *argv], capture_output=True,
+                              text=True, cwd=REPO, env=dict(os.environ, PYTHONPATH=path))
+        assert done.returncode == code, (argv, done.stdout, done.stderr)
+        assert shown in done.stdout
+        assert "Traceback" not in done.stdout + done.stderr
 
 
 def test_cli_corpus_filter(capsys):
@@ -987,7 +1056,8 @@ def test_cli_signature_bad_gram_is_error_report(tmp_path, capsys, gram, error):
 
 
 def test_cli_digit_limit_is_error_report(tmp_path, capsys):
-    """Integers past the int/str digit limit are refused on input and output."""
+    """Integers past the int/str digit limit are refused on input, by path,
+    and on output."""
     limit = sys.get_int_max_str_digits()
     if limit == 0:
         pytest.skip("this interpreter has no int/str digit limit")
@@ -1004,13 +1074,14 @@ def test_cli_digit_limit_is_error_report(tmp_path, capsys):
             },
         },
     }
+    starts = {"signature": "SchemaError: payload.gram[0][0]: ", "order-classify": "SchemaError"}
     for kind, doc in documents.items():
         path = tmp_path / f"{kind}.json"
         _write(path, doc)
         assert main([*KINDS[kind].words, str(path), "--format", "json"]) == 2
         (check,) = json.loads(capsys.readouterr().out)["checks"]
         assert check["verdict"] == ERROR
-        assert check["error"].startswith("SchemaError")
+        assert check["error"].startswith(starts[kind])
         assert f"{limit}-digit limit" in check["error"]
 
 
@@ -1050,6 +1121,49 @@ def test_cli_single_check_with_expectation(tmp_path, capsys):
     assert main(["h1", str(payload_path), "--expect", str(expect_bad)]) == 1
     out = capsys.readouterr().out
     assert "mismatch invariant_factors" in out
+
+
+# Documents whose --expect block holds, so their command exits 0
+_HOLDS = {
+    # one class of each verdict: sigma = -1 + 1 has D = diag(2, 0) and N = diag(0, 2)
+    "verdicts": ("h1", {
+        "gram": [["-2", "0"], ["0", "2"]], "action": [["-1", "0"], ["0", "1"]], "order": "2",
+        "classes": [{"name": "boundary", "vector": ["2", "0"]},
+                    {"name": "cocycle", "vector": ["1", "0"]},
+                    {"name": "fixed", "vector": ["0", "1"]}],
+    }, {"invariant_factors": ["2"], "classes": {
+        "boundary": {"cocycle": True, "coboundary": True},
+        "cocycle": {"cocycle": True, "coboundary": False},
+        "fixed": {"cocycle": False, "coboundary": False},
+    }}),
+    # the Phi_3 companion action: (1, 2) = D.(0, 1) is a coboundary, (1, 1) a cocycle only
+    **{f"phi3-{a}-{b}": ("twist-check", {
+        "model": {"free_rank": "2"},
+        "endo": {"order": "3", "free_action": [["0", "-1"], ["1", "-1"]]},
+        "element": {"free": [a, b]},
+    }, {"cocycle": True, "coboundary": coboundary}) for a, b, coboundary in (
+        ("1", "2", True), ("1", "1", False))},
+    # the anisotropic vector (1, 1) of U, Q = 2: with no right-hand side phi is -I
+    "width-0": ("isometry-extend", {
+        "target": _U, "source_gram": [["2"]], "columns": [["1"], ["1"]], "action": [["-1"]],
+    }, {"matrix": [["-1", "0"], ["0", "-1"]]}),
+    # 3,000 elliptic summands, each giving two factors 2
+    "elliptic": ("fibration-h1", {"model": {"elliptic_count": "3000"}, "endo": {"order": "2"}},
+                 {"free_rank": "0", "invariant_factors": ["2"] * 6000}),
+}
+
+
+@pytest.mark.parametrize("name", _HOLDS)
+def test_cli_expectation_holds(tmp_path, name):
+    """Each document passes its --expect block, within 10 s: a cost that
+    grew quadratically with the 3,000 elliptic summands would show."""
+    kind, payload, expected = _HOLDS[name]
+    document, expect = tmp_path / "document.json", tmp_path / "expected.json"
+    _write(document, {"schema": "k3ord/1", "payload": payload})
+    _write(expect, {"schema": "k3ord/1", "expected": expected})
+    start = time.perf_counter()
+    assert main([*KINDS[kind].words, str(document), "--expect", str(expect)]) == 0
+    assert time.perf_counter() - start < 10
 
 
 @pytest.mark.parametrize("declared", [None, ["h1"]], ids=["null", "array"])
@@ -1255,6 +1369,10 @@ def test_main_parses_as_the_whole_tree_does(monkeypatch, capsys):
     assert codes.count("SystemExit(2)") > 100
     _, _, err, _ = outcomes[("h1", "doc.json", "--bogus", "extra")]
     assert err.endswith("k3ord: error: unrecognized arguments: --bogus extra\n")
+    code, _, err, _ = outcomes[("signature", "doc.json", "--bogus")]
+    assert code == "SystemExit(2)"
+    assert "k3ord: error: unrecognized arguments: --bogus" in err
+    assert outcomes[("order", "classify", "--help")][0] == "SystemExit(0)"
 
 
 def test_a_check_kind_command_runs_only_its_own_parser(monkeypatch, capsys):
@@ -1286,6 +1404,18 @@ _UNREADABLE = {
     "not-utf8": (b"\xff\xfe{}", "is not UTF-8"),
     "nested": (b"[" * 100_000, "nested too deeply"),
     "nested-closed": (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+    "nan": (b'{"schema": "k3ord/1", "gram": [[NaN]]}', "raw JSON number 'NaN'"),
+    "bom": (b'\xef\xbb\xbf{"schema": "k3ord/1", "gram": [["2"]]}', "Unexpected UTF-8 BOM"),
+    "duplicate-at-root": (b'{"schema": "k3ord/1", "gram": [["2"]], "gram": [["x"]]}',
+                          "duplicate key 'gram'; a key may appear once per object"),
+    "duplicate-in-payload": (
+        b'{"schema": "k3ord/1", "payload": {"gram": [["-2"]], "action": [["-1"]], '
+        b'"order": "2", "order": "4"}}',
+        "duplicate key 'order'"),
+    "duplicate-in-list-entry": (
+        b'{"schema": "k3ord/1", "payload": {"gram": [["-2"]], "action": [["-1"]], '
+        b'"order": "2", "classes": [{"name": "d", "vector": ["1"], "name": "e"}]}}',
+        "duplicate key 'name'"),
 }
 
 

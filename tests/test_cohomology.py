@@ -889,7 +889,7 @@ def test_transforms_are_replayed_only_where_they_are_read(monkeypatch):
     # the diagonal alone: no transform is built
     assert is_primitive(quadric.embedding)
     gens = list(IntMatrix.identity(4).to_rows()) + [(0, 1, 1, -1)]
-    assert nakai_certificate(quadric.pic, (1, 1, 1, 0), gens).verdict.passed
+    assert nakai_certificate(quadric.pic, (1, 1, 1, 0), gens).passed
     assert replayed == []
     # h1 builds neither U nor V, replays nothing and undoes nothing; reading
     # its generators undoes ulog once per torsion factor, and a second read
